@@ -32,6 +32,8 @@ from .convert import (
     matrix_to_sixd,
     quat_to_axis_angle,
     quat_to_matrix,
+    quat_to_rotation_vector,
+    rotation_vector_to_quat,
     sixd_to_matrix,
 )
 from .compose import compose_in, matrix_mul, quat_conjugate, quat_inverse, quat_mul

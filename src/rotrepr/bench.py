@@ -37,6 +37,9 @@ from .core import (
 )
 from .compose import compose_in
 from .convert import (
+    _BY_TAG,
+    _REGISTRY,
+    ROTVEC,
     axis_angle_to_matrix,
     euler_to_matrix,
     exp_map,
@@ -50,18 +53,10 @@ from .convert import (
 )
 from .errors import RotationError
 from .interp import (
-    LINEAR_EULER,
-    LINEAR_ROTATION_VECTOR,
-    LINEAR_SIXD,
-    MATRIX_GEODESIC,
-    SLERP,
+    _METHODS,
+    INTERPOLATION_METHODS,
     Interpolator,
-    linear_euler,
-    linear_rotation_vector,
-    linear_sixd,
     make_interpolator,
-    matrix_geodesic,
-    slerp,
 )
 from .rng import Rng
 
@@ -76,10 +71,11 @@ FISHER = "fisher"
 REPRESENTATIONS = (EULER, AXIS_ANGLE, QUATERNION, MATRIX, EXP_MAP, SIXD, FISHER)
 ROTATION_REPRESENTATIONS = REPRESENTATIONS[:-1]
 
-STORAGE_BYTES = {
-    EULER: 24, AXIS_ANGLE: 24, QUATERNION: 32, MATRIX: 72,
-    EXP_MAP: 24, SIXD: 48, FISHER: 72,
-}
+# report row -> registry entry of the representation behind it
+_ROWS = {rep.row: rep for rep in _REGISTRY if rep.row is not None}
+
+STORAGE_BYTES = {**{row: _ROWS[row].storage_bytes for row in ROTATION_REPRESENTATIONS},
+                 FISHER: 72}
 # Memory-alignment score by storage footprint.
 A_MEM_CASES = {32: 1.0, 24: 0.9, 48: 0.7, 72: 0.3}
 A_MEM_DEFAULT = 0.5
@@ -179,28 +175,17 @@ def _direction(rng: Rng, dim: int, norm: float) -> list[float]:
             return [v * norm / n for v in d]
 
 
-# matrix -> representation -> matrix closures
-_FROM_MATRIX: dict[str, Callable] = {
-    QUATERNION: matrix_to_quat,
-    MATRIX: lambda r: r,
-    EULER: matrix_to_euler,
-    AXIS_ANGLE: lambda r: quat_to_axis_angle(matrix_to_quat(r)),
-    EXP_MAP: log_map,
-    SIXD: matrix_to_sixd,
-}
-_TO_MATRIX: dict[str, Callable] = {
-    QUATERNION: quat_to_matrix,
-    MATRIX: lambda r: r,
-    EULER: euler_to_matrix,
-    AXIS_ANGLE: axis_angle_to_matrix,
-    EXP_MAP: exp_map,
-    SIXD: sixd_to_matrix,
-}
+def _row_rep(tag: str):
+    rep = _ROWS.get(tag)
+    if rep is None:
+        raise RotationError(f"representation {tag!r} has no rotation value type")
+    return rep
 
 
 def round_trip(tag: str, r: RotationMatrix) -> RotationMatrix:
     """matrix -> representation -> matrix for one representation."""
-    return _TO_MATRIX[tag](_FROM_MATRIX[tag](r))
+    rep = _row_rep(tag)
+    return rep.to_matrix(rep.from_matrix(r))
 
 
 # ---------------------------------------------------------------------------
@@ -415,14 +400,12 @@ def derivative_continuity(interpolator: Interpolator, r1: RotationMatrix,
     return math.sqrt(var) / (mean + cfg.delta_reg)
 
 
-_INTERP_METHOD_FOR_ROW = {
-    QUATERNION: SLERP,
-    MATRIX: MATRIX_GEODESIC,
-    AXIS_ANGLE: LINEAR_ROTATION_VECTOR,
-    EXP_MAP: LINEAR_ROTATION_VECTOR,
-    SIXD: LINEAR_SIXD,
-    EULER: LINEAR_EULER,
-}
+def _interp_method(tag: str) -> str:
+    """The row's native interpolation family: the first method whose
+    endpoints are the row's representation; axis-angle blends in
+    rotation-vector coordinates."""
+    endpoint = ROTVEC if tag == AXIS_ANGLE else _row_rep(tag).tag
+    return next(m for m in INTERPOLATION_METHODS if _METHODS[m][0] == endpoint)
 
 
 @dataclass(frozen=True)
@@ -462,8 +445,8 @@ def interpolation_metrics(cfg: BenchConfig) -> dict[str, InterpMetrics]:
     (shared so the cross-method orderings are paired comparisons)."""
     pairs = interpolation_pairs(cfg)
     out: dict[str, InterpMetrics] = {}
-    for method in (SLERP, MATRIX_GEODESIC, LINEAR_ROTATION_VECTOR,
-                   LINEAR_SIXD, LINEAR_EULER):
+    used = {_interp_method(tag) for tag in ROTATION_REPRESENTATIONS}
+    for method in (m for m in INTERPOLATION_METHODS if m in used):
         total_len = total_geo = total_sigma = 0.0
         for r1, r2 in pairs:
             interp = make_interpolator(method, r1, r2)
@@ -590,130 +573,46 @@ def _measure_loops(loops: dict) -> dict:
     return best
 
 
-def _best_loop_seconds(loop: Callable[[], None]) -> float:
-    return _measure_loops({"_": loop})["_"]
+def _prepared_loop(op: Callable, items: list, warmup: int, reps: int = 1):
+    """Apply op to the items `warmup` times (cycling, unmeasured), then
+    return a loop that applies it to every item `reps` times."""
+    n = len(items)
+    for i in range(warmup):
+        op(*items[i % n])
 
+    def loop():
+        for _ in range(reps):
+            for args in items:
+                op(*args)
 
-_COMPOSE_TAG = {
-    QUATERNION: "quat", MATRIX: "matrix", EULER: "euler-zyx",
-    AXIS_ANGLE: "axis-angle", EXP_MAP: "rotvec", SIXD: "sixd",
-}
+    return loop
 
 
 def _native_compose(tag: str) -> Callable:
     """compose_in bound to the row's representation; every row pays the
     same dispatch overhead so the timing comparison stays fair."""
-    if tag not in _COMPOSE_TAG:
-        raise RotationError(f"representation {tag!r} does not support composition")
-    return partial(compose_in, _COMPOSE_TAG[tag])
+    return partial(compose_in, _row_rep(tag).tag)
 
 
 def _native_pairs(tag: str, rng: Rng, n: int) -> list:
-    conv = _FROM_MATRIX[tag]
+    conv = _row_rep(tag).from_matrix
     return [(conv(haar_matrix(rng)), conv(haar_matrix(rng))) for _ in range(n)]
 
 
-def _prepared_compose_loop(tag: str, cfg: BenchConfig):
+def _compose_loops(tag: str, cfg: BenchConfig):
     rng = _suite_rng(cfg, f"timing/compose/{tag}")
     op = _native_compose(tag)
     pairs = _native_pairs(tag, rng, cfg.trials)
-    n = len(pairs)
-    for i in range(cfg.warmup):
-        a, b = pairs[i % n]
-        op(a, b)
-
-    def loop():
-        for a, b in pairs:
-            op(a, b)
-
-    return loop, n
+    return {(tag, "compose"): _prepared_loop(op, pairs, cfg.warmup)}, len(pairs)
 
 
-def time_composition(tag: str, cfg: BenchConfig) -> TimingResult:
-    """Mean wall-clock time of one native composition, microseconds.
-
-    Operands are pre-generated, the warmup iterations are unmeasured,
-    and one monotonic-clock reading brackets each measured loop of
-    `trials` compositions (best of several repeats) so clock overhead
-    and scheduler spikes stay out of the per-call figure.
-    Single-threaded.
-    """
-    loop, n = _prepared_compose_loop(tag, cfg)
-    return TimingResult(_best_loop_seconds(loop) / n * 1e6,
-                        _low_confidence(cfg.trials))
-
-
-def composition_times(cfg: BenchConfig,
-                      tags=tuple(t for t in ROTATION_REPRESENTATIONS)
-                      ) -> dict[str, TimingResult]:
-    """time_composition for several representations with the repeat
-    rounds interleaved across them (fair comparative measurement)."""
-    loops = {}
-    counts = {}
-    for tag in tags:
-        loops[tag], counts[tag] = _prepared_compose_loop(tag, cfg)
-    best = _measure_loops(loops)
-    flag = _low_confidence(cfg.trials)
-    return {tag: TimingResult(best[tag] / counts[tag] * 1e6, flag)
-            for tag in tags}
-
-
-def _native_interp(tag: str) -> Callable:
-    if tag == QUATERNION:
-        return slerp
-    if tag == MATRIX:
-        return matrix_geodesic
-    if tag in (AXIS_ANGLE, EXP_MAP):
-        return linear_rotation_vector
-    if tag == SIXD:
-        return linear_sixd
-    if tag == EULER:
-        return linear_euler
-    raise RotationError(f"representation {tag!r} does not support interpolation")
-
-
-def _interp_operands(tag: str, rng: Rng, n: int) -> list:
-    # axis-angle interpolates linearly in rotation-vector coordinates
-    conv = log_map if tag in (AXIS_ANGLE, EXP_MAP) else _FROM_MATRIX[tag]
-    return [(conv(haar_matrix(rng)), conv(haar_matrix(rng)), rng.random())
-            for _ in range(n)]
-
-
-def _prepared_interp_loop(tag: str, cfg: BenchConfig):
+def _interp_loops(tag: str, cfg: BenchConfig):
     rng = _suite_rng(cfg, f"timing/interp/{tag}")
-    op = _native_interp(tag)
-    items = _interp_operands(tag, rng, cfg.trials)
-    n = len(items)
-    for i in range(cfg.warmup):
-        a, b, t = items[i % n]
-        op(a, b, t)
-
-    def loop():
-        for a, b, t in items:
-            op(a, b, t)
-
-    return loop, n
-
-
-def time_interpolation(tag: str, cfg: BenchConfig) -> TimingResult:
-    """Mean time of one native interpolation evaluation, microseconds."""
-    loop, n = _prepared_interp_loop(tag, cfg)
-    return TimingResult(_best_loop_seconds(loop) / n * 1e6,
-                        _low_confidence(cfg.trials))
-
-
-def interpolation_times(cfg: BenchConfig,
-                        tags=tuple(t for t in ROTATION_REPRESENTATIONS)
-                        ) -> dict[str, TimingResult]:
-    """time_interpolation for several representations, rounds interleaved."""
-    loops = {}
-    counts = {}
-    for tag in tags:
-        loops[tag], counts[tag] = _prepared_interp_loop(tag, cfg)
-    best = _measure_loops(loops)
-    flag = _low_confidence(cfg.trials)
-    return {tag: TimingResult(best[tag] / counts[tag] * 1e6, flag)
-            for tag in tags}
+    endpoint, op, _ = _METHODS[_interp_method(tag)]
+    conv = _BY_TAG[endpoint].from_matrix
+    items = [(conv(haar_matrix(rng)), conv(haar_matrix(rng)), rng.random())
+             for _ in range(cfg.trials)]
+    return {(tag, "interp"): _prepared_loop(op, items, cfg.warmup)}, len(items)
 
 
 def _checked_validate(r: RotationMatrix) -> None:
@@ -731,9 +630,9 @@ def _ingest(tag: str) -> Callable:
     every row pays for input checking exactly once and no row composes
     unchecked data.
     """
+    conv = _row_rep(tag).from_matrix
     if tag in (QUATERNION, EXP_MAP):
-        return _FROM_MATRIX[tag]
-    conv = _FROM_MATRIX[tag]
+        return conv
 
     def ingest(r: RotationMatrix):
         _checked_validate(r)
@@ -742,63 +641,82 @@ def _ingest(tag: str) -> Callable:
     return ingest
 
 
-def _prepared_batch_loops(tag: str, cfg: BenchConfig):
+def _batch_loops(tag: str, cfg: BenchConfig):
     rng = _suite_rng(cfg, f"timing/batch/{tag}")
     b = cfg.batch
-    conv = _ingest(tag)
-    op = _native_compose(tag)
-    matrices = [haar_matrix(rng) for _ in range(b)]
+    matrices = [(haar_matrix(rng),) for _ in range(b)]
     pairs = _native_pairs(tag, rng, b)
-    for _ in range(max(1, cfg.warmup // b + 1)):
-        for r in matrices:
-            conv(r)
-        for x, y in pairs:
-            op(x, y)
+    warmup = max(1, cfg.warmup // b + 1) * b
     # measure several batches per round so rounds are long enough for a
     # stable clock reading; the per-batch figure divides back out
     reps = max(1, cfg.trials // b)
-
-    def convert_loop():
-        for _ in range(reps):
-            for r in matrices:
-                conv(r)
-
-    def compose_loop():
-        for _ in range(reps):
-            for x, y in pairs:
-                op(x, y)
-
-    return convert_loop, compose_loop, reps
+    return {(tag, "convert"): _prepared_loop(_ingest(tag), matrices, warmup, reps),
+            (tag, "compose"): _prepared_loop(_native_compose(tag), pairs, warmup,
+                                             reps)}, reps * b
 
 
-def batch_efficiency(tag: str, cfg: BenchConfig) -> TimingResult:
-    """(batch conversion time + batch composition time) / B, microseconds.
+def _interleaved_micros(prepare: Callable, cfg: BenchConfig, tags,
+                        low_confidence: bool) -> dict[str, TimingResult]:
+    """Microseconds per operation for each tag: `prepare` returns the
+    tag's loops, keyed (tag, part), and the operations one run of each
+    performs; the tag's time is the sum of its loops' best times."""
+    loops, counts = {}, {}
+    for tag in tags:
+        tag_loops, counts[tag] = prepare(tag, cfg)
+        loops.update(tag_loops)
+    totals = dict.fromkeys(tags, 0.0)
+    for (tag, _), seconds in _measure_loops(loops).items():
+        totals[tag] += seconds
+    return {tag: TimingResult(totals[tag] / counts[tag] * 1e6, low_confidence)
+            for tag in tags}
+
+
+def composition_times(cfg: BenchConfig, tags=ROTATION_REPRESENTATIONS
+                      ) -> dict[str, TimingResult]:
+    """Mean wall-clock time of one native composition per representation,
+    microseconds.
+
+    Operands are pre-generated, the warmup iterations are unmeasured,
+    and one monotonic-clock reading brackets each measured loop of
+    `trials` compositions (best of several repeats, interleaved across
+    the representations for a fair comparison) so clock overhead and
+    scheduler spikes stay out of the per-call figure. Single-threaded.
+    """
+    return _interleaved_micros(_compose_loops, cfg, tags,
+                               _low_confidence(cfg.trials))
+
+
+def interpolation_times(cfg: BenchConfig, tags=ROTATION_REPRESENTATIONS
+                        ) -> dict[str, TimingResult]:
+    """Mean time of one native interpolation evaluation per
+    representation, microseconds, rounds interleaved."""
+    return _interleaved_micros(_interp_loops, cfg, tags,
+                               _low_confidence(cfg.trials))
+
+
+def batch_times(cfg: BenchConfig, tags=ROTATION_REPRESENTATIONS
+                ) -> dict[str, TimingResult]:
+    """(batch conversion time + batch composition time) / B per
+    representation, microseconds, rounds interleaved.
 
     Converts (with input checking) a pre-generated batch of matrices to
     the representation and composes a pre-generated batch of native
     pairs.
     """
-    convert_loop, compose_loop, reps = _prepared_batch_loops(tag, cfg)
-    total = _best_loop_seconds(convert_loop) + _best_loop_seconds(compose_loop)
-    return TimingResult(total / reps / cfg.batch * 1e6,
-                        _low_confidence(cfg.batch))
+    return _interleaved_micros(_batch_loops, cfg, tags,
+                               _low_confidence(cfg.batch))
 
 
-def batch_times(cfg: BenchConfig,
-                tags=tuple(t for t in ROTATION_REPRESENTATIONS)
-                ) -> dict[str, TimingResult]:
-    """batch_efficiency for several representations, rounds interleaved."""
-    loops = {}
-    reps = {}
-    for tag in tags:
-        loops[tag, "convert"], loops[tag, "compose"], reps[tag] = \
-            _prepared_batch_loops(tag, cfg)
-    best = _measure_loops(loops)
-    flag = _low_confidence(cfg.batch)
-    return {tag: TimingResult(
-        (best[tag, "convert"] + best[tag, "compose"]) / reps[tag]
-        / cfg.batch * 1e6, flag)
-        for tag in tags}
+def time_composition(tag: str, cfg: BenchConfig) -> TimingResult:
+    return composition_times(cfg, (tag,))[tag]
+
+
+def time_interpolation(tag: str, cfg: BenchConfig) -> TimingResult:
+    return interpolation_times(cfg, (tag,))[tag]
+
+
+def batch_efficiency(tag: str, cfg: BenchConfig) -> TimingResult:
+    return batch_times(cfg, (tag,))[tag]
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +799,7 @@ def full_table(cfg: BenchConfig,
                         if tag == QUATERNION:
                             report.s_double = double_cover_check(cfg)
                     elif suite == "interp" and interp_by_method is not None:
-                        m = interp_by_method[_INTERP_METHOD_FOR_ROW[tag]]
+                        m = interp_by_method[_interp_method(tag)]
                         report.path_length = m.path_length
                         report.eps_geo = m.eps_geo
                         report.sigma_deriv = m.sigma_deriv

@@ -25,7 +25,6 @@ from .bench import ALL_SUITES, BenchConfig, full_table
 from .core import (
     AxisAngle,
     EulerAngles,
-    EulerConvention,
     RotationMatrix,
     RotationVector,
     SixD,
@@ -37,6 +36,8 @@ from .core import (
 )
 from .rng import Rng
 from .convert import (
+    _BY_TAG,
+    _BY_TYPE,
     REPRESENTATION_TAGS,
     canonicalize_rotation_vector,
     convert as convert_value,
@@ -45,6 +46,7 @@ from .convert import (
 )
 from .errors import DegenerateInputError, RotationError
 from .interp import (
+    _METHODS,
     FISHER_BLEND,
     INTERPOLATION_METHODS,
     Interpolator,
@@ -61,9 +63,6 @@ class CliInputError(RotationError):
 
 # ---------------------------------------------------------------------------
 # value parsing / printing
-
-_ARITY = {"quat": 4, "matrix": 9, "euler-zyx": 3, "euler-xyz": 3,
-          "axis-angle": 4, "rotvec": 3, "sixd": 6}
 
 QUAT_NORM_TOL = 1e-6
 AXIS_NORM_TOL = 1e-6
@@ -106,8 +105,8 @@ def build_value(tag: str, values: list[float]):
                 f"residual {check.determinant_residual:.3e})")
         return m
     if tag in ("euler-zyx", "euler-xyz"):
-        conv = EulerConvention("ZYX" if tag == "euler-zyx" else "XYZ")
-        return EulerAngles(values[0], values[1], values[2], conv)
+        return EulerAngles(values[0], values[1], values[2],
+                           _BY_TAG[tag].convention)
     if tag == "axis-angle":
         axis = (values[0], values[1], values[2])
         n = math.sqrt(sum(v * v for v in axis))
@@ -139,21 +138,13 @@ def build_value(tag: str, values: list[float]):
 
 
 def components(value) -> list[float]:
-    if isinstance(value, UnitQuaternion):
-        return list(value.as_tuple())
-    if isinstance(value, RotationMatrix):
-        return list(value.as_flat())
-    if isinstance(value, EulerAngles):
-        return list(value.as_tuple())
-    if isinstance(value, AxisAngle):
-        return list(value.as_tuple())
-    if isinstance(value, RotationVector):
-        return list(value.v)
-    if isinstance(value, SixD):
-        return list(value.as_tuple())
+    """The value's scalars in the documented component order."""
     if isinstance(value, MatrixFisher):
         return [float(x) for x in value.f.reshape(-1)]
-    raise RotationError(f"cannot print {type(value).__name__}")
+    rep = _BY_TYPE.get(type(value))
+    if rep is None:
+        raise RotationError(f"cannot print {type(value).__name__}")
+    return list(rep.components(value))
 
 
 def _format_row(values) -> str:
@@ -197,21 +188,12 @@ def cmd_bench(args) -> int:
 
 
 def cmd_convert(args) -> int:
-    values = _parse_scalars(args.value, _ARITY[args.src], f"--from {args.src}")
+    values = _parse_scalars(args.value, _BY_TAG[args.src].arity,
+                            f"--from {args.src}")
     src_value = build_value(args.src, values)
     dst_value = convert_value(src_value, args.dst)
     print(_format_row(components(dst_value)))
     return 0
-
-
-_METHOD_ENDPOINT_TAG = {
-    "slerp": "quat",
-    "nlerp": "quat",
-    "matrix-geodesic": "matrix",
-    "linear-rotation-vector": "rotvec",
-    "linear-sixd": "sixd",
-    "linear-euler": "euler-zyx",
-}
 
 
 def _interp_endpoints(args) -> Interpolator:
@@ -221,9 +203,10 @@ def _interp_endpoints(args) -> Interpolator:
         return make_interpolator(FISHER_BLEND,
                                  MatrixFisher(np.array(fa).reshape(3, 3)),
                                  MatrixFisher(np.array(fb).reshape(3, 3)))
-    tag = _METHOD_ENDPOINT_TAG[args.method]
-    a = build_value(tag, _parse_scalars(args.a, _ARITY[tag], f"--a ({tag})"))
-    b = build_value(tag, _parse_scalars(args.b, _ARITY[tag], f"--b ({tag})"))
+    tag = _METHODS[args.method][0]
+    arity = _BY_TAG[tag].arity
+    a = build_value(tag, _parse_scalars(args.a, arity, f"--a ({tag})"))
+    b = build_value(tag, _parse_scalars(args.b, arity, f"--b ({tag})"))
     ra = convert_value(a, "matrix")
     rb = convert_value(b, "matrix")
     return make_interpolator(args.method, ra, rb)

@@ -1,11 +1,13 @@
 """Composition, inversion, and identity for every representation.
 
-Quaternions and matrices compose natively; Euler angles and 6D route
-through the matrix hub, axis-angle and rotation vectors through the
-quaternion hub. Quaternion products are renormalized unconditionally;
-matrix products are re-orthogonalized only when the orthogonality
-residual actually exceeds the validity tolerance, so long composition
-chains remain a meaningful drift experiment.
+compose_in multiplies on the representation's hub, as its registry
+entry in convert names it: quaternions and matrices compose natively;
+axis-angle and rotation vectors go to the quaternion and back along
+their direct spokes, Euler angles and 6D to the matrix and back.
+Quaternion products are renormalized unconditionally; matrix products
+are re-orthogonalized only when the orthogonality residual actually
+exceeds the validity tolerance, so long composition chains remain a
+meaningful drift experiment.
 """
 
 from __future__ import annotations
@@ -14,31 +16,25 @@ import math
 
 from .core import (
     ORTHONORMALITY_TOL,
-    AxisAngle,
     RotationMatrix,
-    RotationVector,
     UnitQuaternion,
     _tuple_new,
     mat_mul_rows,
     orthogonality_residual,
     project_to_so3,
 )
-from .convert import (
-    AXIS_ANGLE,
-    EULER_XYZ,
-    EULER_ZYX,
-    MATRIX,
-    QUAT,
-    ROTVEC,
-    SIXD,
-    Representation,
-    euler_to_matrix,
-    matrix_to_euler,
-    matrix_to_sixd,
-    sixd_to_matrix,
-    tag_of,
-)
+from .convert import QUAT, _REGISTRY, Representation, tag_of
 from .errors import DegenerateInputError
+
+
+def _hamilton(p, q) -> tuple[float, float, float, float]:
+    """Hamilton product pq of two (w, x, y, z) sequences, not normalized."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (pw * qw - px * qx - py * qy - pz * qz,
+            pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx,
+            pw * qz + px * qy - py * qx + pz * qw)
 
 
 def quat_mul(p: UnitQuaternion, q: UnitQuaternion) -> UnitQuaternion:
@@ -47,12 +43,7 @@ def quat_mul(p: UnitQuaternion, q: UnitQuaternion) -> UnitQuaternion:
     pq = p0 q0 - p.q + p0 q + q0 p + p x q; composing rotations so that
     quat_to_matrix(pq) = quat_to_matrix(p) quat_to_matrix(q).
     """
-    pw, px, py, pz = p
-    qw, qx, qy, qz = q
-    w = pw * qw - px * qx - py * qy - pz * qz
-    x = pw * qx + px * qw + py * qz - pz * qy
-    y = pw * qy - px * qz + py * qw + pz * qx
-    z = pw * qz + px * qy - py * qx + pz * qw
+    w, x, y, z = _hamilton(p, q)
     n = math.sqrt(w * w + x * x + y * y + z * z)
     return _tuple_new(UnitQuaternion, (w / n, x / n, y / n, z / n))
 
@@ -76,86 +67,35 @@ def matrix_mul(r1: RotationMatrix, r2: RotationMatrix) -> RotationMatrix:
     return RotationMatrix(rows)
 
 
-# Scalar quaternion-hub kernels for the axis-angle and rotation-vector
-# routes: same conversions as the object-level spokes, but staying on
-# component tuples so composition does not allocate intermediates.
+def _hub_product(rep):
+    if rep.hub == rep.tag:
+        return quat_mul if rep.hub == QUAT else matrix_mul
+    # the quaternion family's from_hub spokes are scale invariant, so
+    # its products skip the renormalization
+    return _hamilton if rep.hub == QUAT else matrix_mul
 
 
-def _quat_components_from_axis_angle(ux, uy, uz, theta):
-    half = 0.5 * theta
-    if -1e-4 < theta < 1e-4:
-        s = half - theta * theta * theta / 48.0
-    else:
-        s = math.sin(half)
-    return math.cos(half), ux * s, uy * s, uz * s
-
-
-def _quat_components_from_rotvec(vx, vy, vz):
-    # sin(theta/2)/theta folds the axis normalization into the scale
-    theta = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if theta < 1e-4:
-        scale = 0.5 - theta * theta / 48.0
-    else:
-        scale = math.sin(0.5 * theta) / theta
-    return math.cos(0.5 * theta), vx * scale, vy * scale, vz * scale
-
-
-def _hamilton_axis_angle(u1, t1, u2, t2):
-    """Compose two axis-angle pairs on the quaternion hub; returns the
-    canonical (axis, angle) of the renormalized product."""
-    w1, x1, y1, z1 = _quat_components_from_axis_angle(u1[0], u1[1], u1[2], t1)
-    w2, x2, y2, z2 = _quat_components_from_axis_angle(u2[0], u2[1], u2[2], t2)
-    w = w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2
-    x = w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2
-    y = w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2
-    z = w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    if w < 0.0:
-        n = -n
-    w, x, y, z = w / n, x / n, y / n, z / n
-    theta = 2.0 * math.acos(min(w, 1.0))
-    vn = math.sqrt(x * x + y * y + z * z)
-    if theta <= 1e-12 or vn == 0.0:
-        return (0.0, 0.0, 1.0), theta
-    return (x / vn, y / vn, z / vn), theta
+# tag -> (value type, Euler convention or None, hub product, to_hub,
+# from_hub), unpacked from the registry once; to_hub is None where the
+# representation is its own hub and composes natively
+_COMPOSE = {rep.tag: (rep.type, rep.convention, _hub_product(rep),
+                      None if rep.hub == rep.tag else rep.to_hub, rep.from_hub)
+            for rep in _REGISTRY}
 
 
 def compose_in(tag: str, x1: Representation, x2: Representation) -> Representation:
-    """Compose two rotations natively or via the representation's hub,
-    returning the same representation."""
-    actual = (tag_of(x1), tag_of(x2))
-    if actual != (tag, tag):
+    """Compose two rotations on the representation's hub, returning the
+    same representation. Both operands must have the tag's exact value
+    type and, for Euler angles, its convention."""
+    spec = _COMPOSE.get(tag)
+    if spec is None:
+        raise DegenerateInputError(f"unknown representation tag {tag!r}")
+    value_type, convention, mul, to_hub, from_hub = spec
+    if type(x1) is not value_type or type(x2) is not value_type or (
+            convention is not None
+            and not x1.convention == convention == x2.convention):
         raise DegenerateInputError(
-            f"compose_in({tag!r}) got operands tagged {actual}")
-    if tag == QUAT:
-        return quat_mul(x1, x2)
-    if tag == MATRIX:
-        return matrix_mul(x1, x2)
-    if tag == AXIS_ANGLE:
-        axis, theta = _hamilton_axis_angle(x1.axis, x1.angle, x2.axis, x2.angle)
-        return AxisAngle(axis, theta)
-    if tag == ROTVEC:
-        v1, v2 = x1.v, x2.v
-        w1, x1_, y1, z1 = _quat_components_from_rotvec(v1[0], v1[1], v1[2])
-        w2, x2_, y2, z2 = _quat_components_from_rotvec(v2[0], v2[1], v2[2])
-        w = w1 * w2 - x1_ * x2_ - y1 * y2 - z1 * z2
-        x = w1 * x2_ + x1_ * w2 + y1 * z2 - z1 * y2
-        y = w1 * y2 - x1_ * z2 + y1 * w2 + z1 * x2_
-        z = w1 * z2 + x1_ * y2 - y1 * x2_ + z1 * w2
-        n = math.sqrt(w * w + x * x + y * y + z * z)
-        if w < 0.0:
-            n = -n
-        w = w / n
-        theta = 2.0 * math.acos(min(w, 1.0))
-        vn = math.sqrt(x * x + y * y + z * z)
-        if theta <= 1e-12 or vn == 0.0:
-            return RotationVector((0.0, 0.0, 0.0))
-        k = theta / vn if n > 0.0 else -theta / vn
-        return RotationVector((x * k, y * k, z * k))
-    if tag in (EULER_ZYX, EULER_XYZ):
-        r = matrix_mul(euler_to_matrix(x1), euler_to_matrix(x2))
-        return matrix_to_euler(r, x1.convention)
-    if tag == SIXD:
-        r = matrix_mul(sixd_to_matrix(x1), sixd_to_matrix(x2))
-        return matrix_to_sixd(r)
-    raise DegenerateInputError(f"unknown representation tag {tag!r}")
+            f"compose_in({tag!r}) got operands tagged {(tag_of(x1), tag_of(x2))}")
+    if to_hub is None:
+        return mul(x1, x2)
+    return from_hub(mul(to_hub(x1), to_hub(x2)))

@@ -1,8 +1,13 @@
 """Conversions between all rotation representations.
 
 Layout is hub-and-spoke: the unit quaternion is the primary hub and the
-rotation matrix the secondary one; every other representation has direct
-spokes to one hub, and convert() routes along the fewest hops. Small- and
+rotation matrix the secondary one. Every representation has direct
+spokes to and from the matrix; the quaternion family (axis-angle and
+the rotation vector) also has direct spokes to and from the quaternion.
+One registry entry per representation tag holds its value type, report
+row name, arity, storage size, spokes, hub and component order; every
+tag dispatch in the package (convert, compose_in, interpolation, the
+benchmark rows and the CLI) is derived from it. Small- and
 near-pi-angle branches follow fixed thresholds chosen so each branch
 agrees with the unbranched formula to better than 1e-12 relative at the
 seam.
@@ -11,6 +16,7 @@ seam.
 from __future__ import annotations
 
 import math
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -19,6 +25,8 @@ from .core import (
     DETERMINANT_TOL,
     ORTHONORMALITY_TOL,
     TINY_ANGLE,
+    XYZ,
+    ZYX,
     AxisAngle,
     EulerAngles,
     EulerConvention,
@@ -27,7 +35,9 @@ from .core import (
     SixD,
     UnitQuaternion,
     Vec3,
+    _clamp,
     _tuple_new,
+    canonicalize,
     norm3,
     validity_residuals,
 )
@@ -43,58 +53,93 @@ LOG_NEAR_PI = math.pi - 1e-6
 GIMBAL_COS_BETA = 1e-7    # Euler extraction fold band
 GRAM_SCHMIDT_TOL = 1e-12
 
-_ZYX_DEFAULT = EulerConvention("ZYX")
-
-
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return lo if x < lo else hi if x > hi else x
-
 
 # ---------------------------------------------------------------------------
-# axis-angle <-> quaternion
+# axis-angle / rotation vector <-> quaternion
 
 
-def axis_angle_to_quat(aa: AxisAngle) -> UnitQuaternion:
-    """q = (cos(theta/2), u sin(theta/2)) with a Taylor branch for tiny
-    angles: sin(theta/2) ~ theta/2 - theta^3/48."""
-    theta = aa.angle
+# On the quaternion hub a rotation travels as its (w, x, y, z)
+# components: a UnitQuaternion, or the plain 4-tuple a spoke returns
+# before normalization. compose_in multiplies plain tuples directly
+# (quat_mul renormalizes), so the quaternion family composes without
+# building intermediate UnitQuaternion objects.
+
+
+def _unit_quat(q) -> UnitQuaternion:
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return _tuple_new(UnitQuaternion, (w / n, x / n, y / n, z / n))
+
+
+def _axis_angle_quat(aa: AxisAngle) -> tuple[float, float, float, float]:
+    (ux, uy, uz), theta = aa.axis, aa.angle
     half = 0.5 * theta
-    if theta < SMALL_ANGLE:
+    if -SMALL_ANGLE < theta < SMALL_ANGLE:
         s = half - theta * theta * theta / 48.0
     else:
         s = math.sin(half)
-    w = math.cos(half)
-    x = aa.axis[0] * s
-    y = aa.axis[1] * s
-    z = aa.axis[2] * s
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    return UnitQuaternion(w / n, x / n, y / n, z / n)
+    return (math.cos(half), ux * s, uy * s, uz * s)
+
+
+def axis_angle_to_quat(aa: AxisAngle) -> UnitQuaternion:
+    """q = (cos(theta/2), u sin(theta/2)), renormalized, with a Taylor
+    branch for tiny angles: sin(theta/2) ~ theta/2 - theta^3/48."""
+    return _unit_quat(_axis_angle_quat(aa))
 
 
 def quat_to_axis_angle(q: UnitQuaternion) -> AxisAngle:
     """theta = 2 arccos(|w|) after canonicalization; axis is the
     normalized vector part, defaulting to +z below 1e-12 rad."""
     w, x, y, z = q
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    elif w == 0.0:
+        w, x, y, z = canonicalize(q)
     n = math.sqrt(w * w + x * x + y * y + z * z)
     if n < 1e-300:
         raise DegenerateInputError("zero quaternion cannot be normalized")
-    if w < 0.0 or (w == 0.0 and _first_nonzero_negative(x, y, z)):
-        n = -n
     w, x, y, z = w / n, x / n, y / n, z / n
     theta = 2.0 * math.acos(_clamp(w, 0.0, 1.0))
     vn = math.sqrt(x * x + y * y + z * z)
     if theta <= TINY_ANGLE or vn == 0.0:
-        return AxisAngle(DEFAULT_AXIS, theta)
-    return AxisAngle((x / vn, y / vn, z / vn), theta)
+        return _tuple_new(AxisAngle, (DEFAULT_AXIS, theta))
+    return _tuple_new(AxisAngle, ((x / vn, y / vn, z / vn), theta))
 
 
-def _first_nonzero_negative(x: float, y: float, z: float) -> bool:
-    for c in (x, y, z):
-        if c > 0.0:
-            return False
-        if c < 0.0:
-            return True
-    return False
+def _rotation_vector_quat(v: RotationVector) -> tuple[float, float, float, float]:
+    vx, vy, vz = v.v
+    theta = math.sqrt(vx * vx + vy * vy + vz * vz)
+    half = 0.5 * theta
+    if theta < SMALL_ANGLE:
+        scale = 0.5 - theta * theta / 48.0
+    else:
+        scale = math.sin(half) / theta
+    return (math.cos(half), vx * scale, vy * scale, vz * scale)
+
+
+def rotation_vector_to_quat(v: RotationVector) -> UnitQuaternion:
+    """q = (cos(theta/2), v sin(theta/2)/theta), renormalized; the scale
+    folds in the axis normalization, and its Taylor branch 1/2 -
+    theta^2/48 below 1e-4 rad maps v = 0 to the identity exactly."""
+    return _unit_quat(_rotation_vector_quat(v))
+
+
+def quat_to_rotation_vector(q: UnitQuaternion) -> RotationVector:
+    """Canonical rotation vector (norm <= pi) of q."""
+    w, x, y, z = q
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    elif w == 0.0:
+        w, x, y, z = canonicalize(q)
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if n < 1e-300:
+        raise DegenerateInputError("zero quaternion cannot be normalized")
+    theta = 2.0 * math.acos(_clamp(w / n, 0.0, 1.0))
+    vn = math.sqrt(x * x + y * y + z * z)
+    if theta <= TINY_ANGLE or vn == 0.0:
+        return _tuple_new(RotationVector, ((0.0, 0.0, 0.0),))
+    k = theta / vn
+    return _tuple_new(RotationVector, ((x * k, y * k, z * k),))
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +352,10 @@ def matrix_to_quat(r: RotationMatrix) -> UnitQuaternion:
         y = (f + h) / s
         z = 0.25 * s
     n = math.sqrt(w * w + x * x + y * y + z * z)
-    if w < 0.0 or (w == 0.0 and _first_nonzero_negative(x, y, z)):
+    if w < 0.0:
         n = -n
-    return _tuple_new(UnitQuaternion, (w / n, x / n, y / n, z / n))
+    q = _tuple_new(UnitQuaternion, (w / n, x / n, y / n, z / n))
+    return canonicalize(q) if w == 0.0 else q
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +399,7 @@ def euler_to_matrix(e: EulerAngles) -> RotationMatrix:
     expanded product; the rest compose the elementary factors directly.
     """
     conv = e.convention
-    if conv is _ZYX_DEFAULT or (conv.intrinsic and conv.axes == "ZYX"):
+    if conv is ZYX or (conv.intrinsic and conv.axes == "ZYX"):
         ca, sa = math.cos(e.alpha), math.sin(e.alpha)
         cb, sb = math.cos(e.beta), math.sin(e.beta)
         cg, sg = math.cos(e.gamma), math.sin(e.gamma)
@@ -393,8 +439,8 @@ def matrix_to_euler(r: RotationMatrix,
     raise UnsupportedConventionError.
     """
     if convention is None:
-        convention = _ZYX_DEFAULT
-    if convention is not _ZYX_DEFAULT and (
+        convention = ZYX
+    if convention is not ZYX and (
             not convention.intrinsic or convention.axes not in ("ZYX", "XYZ")):
         raise UnsupportedConventionError(
             f"Euler extraction supports intrinsic ZYX and XYZ only, "
@@ -459,7 +505,7 @@ def matrix_to_sixd(r: RotationMatrix) -> SixD:
 
 
 # ---------------------------------------------------------------------------
-# generic dispatch
+# the representation registry and generic dispatch
 
 QUAT = "quat"
 MATRIX = "matrix"
@@ -469,102 +515,100 @@ AXIS_ANGLE = "axis-angle"
 ROTVEC = "rotvec"
 SIXD = "sixd"
 
-REPRESENTATION_TAGS = (QUAT, MATRIX, EULER_ZYX, EULER_XYZ, AXIS_ANGLE, ROTVEC, SIXD)
-
 Representation = (UnitQuaternion | RotationMatrix | EulerAngles | AxisAngle
                   | RotationVector | SixD)
 
 
-_TAG_BY_TYPE = {
-    UnitQuaternion: QUAT,
-    RotationMatrix: MATRIX,
-    AxisAngle: AXIS_ANGLE,
-    RotationVector: ROTVEC,
-    SixD: SIXD,
-}
+class _Rep(NamedTuple):
+    """One representation: the single source of every tag dispatch."""
+
+    tag: str
+    row: str | None           # benchmark report row; euler-xyz has none
+    type: type
+    convention: EulerConvention | None
+    arity: int                # scalars in components() order
+    storage_bytes: int
+    components: Callable      # value -> flat scalar tuple (CLI order)
+    to_matrix: Callable
+    from_matrix: Callable
+    hub: str                  # QUAT or MATRIX: where compose_in multiplies
+    to_hub: Callable
+    from_hub: Callable
+
+
+def _same(value):
+    return value
+
+
+def _euler_from_matrix(convention: EulerConvention) -> Callable:
+    def from_matrix(r: RotationMatrix) -> EulerAngles:
+        return matrix_to_euler(r, convention)
+    return from_matrix
+
+
+def _axis_angle_from_matrix(r: RotationMatrix) -> AxisAngle:
+    return quat_to_axis_angle(matrix_to_quat(r))
+
+
+def _entry(tag, row, value_type, arity, storage_bytes, components, to_matrix,
+           from_matrix, to_quat=None, from_quat=None, convention=None) -> _Rep:
+    """Entries with quaternion spokes sit on the quaternion hub; the
+    others compose through the matrix."""
+    if to_quat is None:
+        return _Rep(tag, row, value_type, convention, arity, storage_bytes,
+                    components, to_matrix, from_matrix, MATRIX, to_matrix,
+                    from_matrix)
+    return _Rep(tag, row, value_type, convention, arity, storage_bytes,
+                components, to_matrix, from_matrix, QUAT, to_quat, from_quat)
+
+
+_REGISTRY = (
+    _entry(QUAT, "quaternion", UnitQuaternion, 4, 32, UnitQuaternion.as_tuple,
+           quat_to_matrix, matrix_to_quat, to_quat=_same, from_quat=_unit_quat),
+    _entry(MATRIX, "matrix", RotationMatrix, 9, 72, RotationMatrix.as_flat,
+           _same, _same),
+    _entry(EULER_ZYX, "euler", EulerAngles, 3, 24, EulerAngles.as_tuple,
+           euler_to_matrix, _euler_from_matrix(ZYX), convention=ZYX),
+    _entry(EULER_XYZ, None, EulerAngles, 3, 24, EulerAngles.as_tuple,
+           euler_to_matrix, _euler_from_matrix(XYZ), convention=XYZ),
+    _entry(AXIS_ANGLE, "axis-angle", AxisAngle, 4, 24, AxisAngle.as_tuple,
+           axis_angle_to_matrix, _axis_angle_from_matrix,
+           to_quat=_axis_angle_quat, from_quat=quat_to_axis_angle),
+    _entry(ROTVEC, "exp-map", RotationVector, 3, 24, RotationVector.as_tuple,
+           exp_map, log_map,
+           to_quat=_rotation_vector_quat, from_quat=quat_to_rotation_vector),
+    _entry(SIXD, "sixd", SixD, 6, 48, SixD.as_tuple,
+           sixd_to_matrix, matrix_to_sixd),
+)
+
+REPRESENTATION_TAGS = tuple(rep.tag for rep in _REGISTRY)
+_BY_TAG = {rep.tag: rep for rep in _REGISTRY}
+# an EulerAngles value of any convention maps to the euler-zyx entry,
+# whose to_matrix spoke serves every convention
+_BY_TYPE = {rep.type: rep for rep in reversed(_REGISTRY)}
+_BY_CONVENTION = {rep.convention: rep for rep in _REGISTRY
+                  if rep.convention is not None}
 
 
 def tag_of(value: Representation) -> str:
-    tag = _TAG_BY_TYPE.get(type(value))
-    if tag is not None:
-        return tag
-    if isinstance(value, EulerAngles):
-        if value.convention.intrinsic and value.convention.axes == "ZYX":
-            return EULER_ZYX
-        if value.convention.intrinsic and value.convention.axes == "XYZ":
-            return EULER_XYZ
-        return f"euler-{value.convention.tag}"
-    raise DegenerateInputError(f"not a rotation representation: {value!r}")
-
-
-def to_matrix(value: Representation) -> RotationMatrix:
-    """Direct spoke from any representation to the matrix hub."""
-    if isinstance(value, RotationMatrix):
-        return value
-    if isinstance(value, UnitQuaternion):
-        return quat_to_matrix(value)
-    if isinstance(value, AxisAngle):
-        return axis_angle_to_matrix(value)
-    if isinstance(value, RotationVector):
-        return exp_map(value)
-    if isinstance(value, EulerAngles):
-        return euler_to_matrix(value)
-    if isinstance(value, SixD):
-        return sixd_to_matrix(value)
-    raise DegenerateInputError(f"not a rotation representation: {value!r}")
-
-
-def to_quat(value: Representation) -> UnitQuaternion:
-    """Route to the quaternion hub along the fewest hops."""
-    if isinstance(value, UnitQuaternion):
-        return value
-    if isinstance(value, AxisAngle):
-        return axis_angle_to_quat(value)
-    if isinstance(value, RotationVector):
-        return axis_angle_to_quat(rotation_vector_to_axis_angle(value))
-    return matrix_to_quat(to_matrix(value))
-
-
-def _from_quat(q: UnitQuaternion, dst: str) -> Representation:
-    if dst == QUAT:
-        return q
-    if dst == AXIS_ANGLE:
-        return quat_to_axis_angle(q)
-    if dst == ROTVEC:
-        return axis_angle_to_rotation_vector(quat_to_axis_angle(q))
-    return _from_matrix(quat_to_matrix(q), dst)
-
-
-def _from_matrix(r: RotationMatrix, dst: str) -> Representation:
-    if dst == MATRIX:
-        return r
-    if dst == EULER_ZYX:
-        return matrix_to_euler(r, EulerConvention("ZYX"))
-    if dst == EULER_XYZ:
-        return matrix_to_euler(r, EulerConvention("XYZ"))
-    if dst == SIXD:
-        return matrix_to_sixd(r)
-    if dst == QUAT:
-        return matrix_to_quat(r)
-    if dst == AXIS_ANGLE:
-        return quat_to_axis_angle(matrix_to_quat(r))
-    if dst == ROTVEC:
-        return log_map(r)
-    raise DegenerateInputError(f"unknown destination representation {dst!r}")
-
-
-_QUAT_FAMILY = (QUAT, AXIS_ANGLE, ROTVEC)
-_MATRIX_FAMILY = (MATRIX, EULER_ZYX, EULER_XYZ, SIXD)
+    rep = _BY_TYPE.get(type(value))
+    if rep is None:
+        raise DegenerateInputError(f"not a rotation representation: {value!r}")
+    if rep.convention is None:
+        return rep.tag
+    euler = _BY_CONVENTION.get(value.convention)
+    return euler.tag if euler is not None else f"euler-{value.convention.tag}"
 
 
 def convert(value: Representation, dst: str) -> Representation:
     """Convert between representations via the nearest hub.
 
-    Axis-angle and rotation vector interconvert directly; members of the
-    quaternion family route via the quaternion, the others via the
-    matrix.
+    Axis-angle and rotation vector interconvert directly; within the
+    quaternion family the route is the quaternion, every other route
+    goes through the matrix.
     """
-    if dst not in REPRESENTATION_TAGS:
+    out = _BY_TAG.get(dst)
+    if out is None:
         raise DegenerateInputError(f"unknown destination representation {dst!r}")
     src = tag_of(value)
     if src == dst:
@@ -573,6 +617,10 @@ def convert(value: Representation, dst: str) -> Representation:
         return axis_angle_to_rotation_vector(value)
     if src == ROTVEC and dst == AXIS_ANGLE:
         return rotation_vector_to_axis_angle(value)
-    if src in _QUAT_FAMILY:
-        return _from_quat(to_quat(value), dst)
-    return _from_matrix(to_matrix(value), dst)
+    rep = _BY_TYPE[type(value)]
+    if rep.hub == MATRIX:
+        return out.from_matrix(rep.to_matrix(value))
+    q = rep.to_hub(value)
+    if out.hub == QUAT:
+        return out.from_hub(q)
+    return out.from_matrix(quat_to_matrix(q))

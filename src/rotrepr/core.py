@@ -8,8 +8,9 @@ Conventions used across the package:
 * all angles are radians.
 
 The small value types are immutable and safe to share between threads.
-UnitQuaternion is a named 4-tuple of plain floats (it is built and read
-on every hot path); the others are frozen plain-float dataclasses. numpy
+UnitQuaternion, AxisAngle and RotationVector are named tuples of plain
+floats (they are built and read on every hot quaternion-hub path); the
+others are frozen plain-float dataclasses. numpy
 enters only where a matrix factorization is genuinely needed (SVD
 projection).
 """
@@ -107,7 +108,7 @@ class UnitQuaternion(NamedTuple):
 
     def __neg__(self) -> "UnitQuaternion":
         w, x, y, z = self
-        return UnitQuaternion(-w, -x, -y, -z)
+        return _tuple_new(UnitQuaternion, (-w, -x, -y, -z))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return tuple(self)
@@ -123,8 +124,9 @@ class UnitQuaternion(NamedTuple):
 # tuple.__new__(UnitQuaternion, (w, x, y, z)) builds the same value as
 # the class call without the Python frame of the generated __new__,
 # which costs more than the tuple itself. The kernels behind the
-# quaternion row's timing columns (matrix_to_quat, quat_mul, slerp)
-# always produce four floats and construct through it.
+# quaternion-hub timing columns (matrix_to_quat, quat_mul, slerp and
+# the quaternion -> axis-angle / rotation-vector spokes) construct the
+# named tuples through it.
 _tuple_new = tuple.__new__
 
 Row3 = tuple[float, float, float]
@@ -241,11 +243,11 @@ class EulerAngles:
         return (self.alpha, self.beta, self.gamma)
 
 
-@dataclass(frozen=True)
-class AxisAngle:
+class AxisAngle(NamedTuple):
     """Unit rotation axis and angle in [0, pi].
 
     The axis is by convention (0, 0, 1) when the angle is below 1e-12.
+    A named 2-tuple (axis, angle), like UnitQuaternion.
     """
 
     axis: Vec3
@@ -255,9 +257,9 @@ class AxisAngle:
         return (self.axis[0], self.axis[1], self.axis[2], self.angle)
 
 
-@dataclass(frozen=True)
-class RotationVector:
-    """Exponential-map coordinates v = theta * axis."""
+class RotationVector(NamedTuple):
+    """Exponential-map coordinates v = theta * axis; a named 1-tuple
+    (v,), like UnitQuaternion."""
 
     v: Vec3
 
@@ -423,14 +425,16 @@ def rotate_vector(q: UnitQuaternion, p: Vec3) -> Vec3:
 
 def canonicalize(q: UnitQuaternion) -> UnitQuaternion:
     """Canonical sign: w > 0; ties (w == 0) broken by the first nonzero
-    vector component being positive."""
-    if q.w > 0.0:
+    vector component being positive. Any (w, x, y, z) sequence is
+    accepted; a canonical one is returned as is."""
+    w, x, y, z = q
+    if w > 0.0:
         return q
-    if q.w < 0.0:
-        return -q
-    for c in (q.x, q.y, q.z):
+    if w < 0.0:
+        return _tuple_new(UnitQuaternion, (-w, -x, -y, -z))
+    for c in (x, y, z):
         if c > 0.0:
             return q
         if c < 0.0:
-            return -q
+            return _tuple_new(UnitQuaternion, (-w, -x, -y, -z))
     return q

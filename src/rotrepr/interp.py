@@ -19,17 +19,21 @@ from .core import (
     RotationVector,
     SixD,
     UnitQuaternion,
+    _clamp,
     _tuple_new,
     wrap_angle,
 )
 from .compose import matrix_mul
 from .convert import (
+    _BY_TAG,
+    EULER_ZYX,
+    MATRIX,
+    QUAT,
+    ROTVEC,
+    SIXD,
     euler_to_matrix,
     exp_map,
     log_map,
-    matrix_to_euler,
-    matrix_to_quat,
-    matrix_to_sixd,
     quat_to_matrix,
     sixd_to_matrix,
 )
@@ -37,10 +41,6 @@ from .errors import DegenerateInputError
 from .probdist import MatrixFisher, fisher_mode
 
 NLERP_FALLBACK = 0.001  # quaternion-sphere angle below which slerp -> nlerp
-
-
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return lo if x < lo else hi if x > hi else x
 
 
 def _hemisphere(q1: UnitQuaternion, q2: UnitQuaternion):
@@ -167,6 +167,27 @@ INTERPOLATION_METHODS = (SLERP, NLERP, MATRIX_GEODESIC, LINEAR_ROTATION_VECTOR,
                          LINEAR_SIXD, LINEAR_EULER, FISHER_BLEND)
 
 
+# method -> (tag of the endpoints, native function, map of the native
+# value to a rotation matrix or None when it already is one); the
+# fisher-blend endpoints are MatrixFisher parameters, not a tag
+_METHODS = {
+    SLERP: (QUAT, slerp, quat_to_matrix),
+    NLERP: (QUAT, nlerp, quat_to_matrix),
+    MATRIX_GEODESIC: (MATRIX, matrix_geodesic, None),
+    LINEAR_ROTATION_VECTOR: (ROTVEC, linear_rotation_vector, None),
+    LINEAR_SIXD: (SIXD, linear_sixd, None),
+    LINEAR_EULER: (EULER_ZYX, linear_euler, euler_to_matrix),
+    FISHER_BLEND: (None, fisher_blend, fisher_mode),
+}
+
+
+def _method(name: str):
+    spec = _METHODS.get(name)
+    if spec is None:
+        raise DegenerateInputError(f"unknown interpolation method {name!r}")
+    return spec
+
+
 @dataclass(frozen=True)
 class Interpolator:
     """Uniform front-end over one interpolation family.
@@ -181,56 +202,26 @@ class Interpolator:
     end: Any = field(repr=False)
 
     def eval_native(self, t: float):
-        if self.method == SLERP:
-            return slerp(self.start, self.end, t)
-        if self.method == NLERP:
-            return nlerp(self.start, self.end, t)
-        if self.method == MATRIX_GEODESIC:
-            return matrix_geodesic(self.start, self.end, t)
-        if self.method == LINEAR_ROTATION_VECTOR:
-            return linear_rotation_vector(self.start, self.end, t)
-        if self.method == LINEAR_SIXD:
-            return linear_sixd(self.start, self.end, t)
-        if self.method == LINEAR_EULER:
-            return linear_euler(self.start, self.end, t)
-        if self.method == FISHER_BLEND:
-            return fisher_blend(self.start, self.end, t)
-        raise DegenerateInputError(f"unknown interpolation method {self.method!r}")
+        return _method(self.method)[1](self.start, self.end, t)
 
     def eval(self, t: float) -> RotationMatrix:
-        value = self.eval_native(t)
-        if isinstance(value, RotationMatrix):
-            return value
-        if isinstance(value, UnitQuaternion):
-            return quat_to_matrix(value)
-        if isinstance(value, EulerAngles):
-            return euler_to_matrix(value)
-        if isinstance(value, MatrixFisher):
-            return fisher_mode(value)
-        raise DegenerateInputError(
-            f"cannot map {type(value).__name__} to a rotation matrix")
+        _, native, to_matrix = _method(self.method)
+        value = native(self.start, self.end, t)
+        return value if to_matrix is None else to_matrix(value)
 
 
 def make_interpolator(method: str, start, end) -> Interpolator:
     """Build an Interpolator from rotation-matrix endpoints (or
     MatrixFisher endpoints for fisher-blend), converting to the method's
     native representation once up front."""
-    if method == FISHER_BLEND:
+    tag = _method(method)[0]
+    if tag is None:
         if not (isinstance(start, MatrixFisher) and isinstance(end, MatrixFisher)):
             raise DegenerateInputError(
-                "fisher-blend endpoints must be MatrixFisher parameters")
+                f"{method} endpoints must be MatrixFisher parameters")
         return Interpolator(method, start, end)
     if not (isinstance(start, RotationMatrix) and isinstance(end, RotationMatrix)):
         raise DegenerateInputError(
             f"{method} endpoints must be RotationMatrix values")
-    if method in (SLERP, NLERP):
-        return Interpolator(method, matrix_to_quat(start), matrix_to_quat(end))
-    if method == MATRIX_GEODESIC:
-        return Interpolator(method, start, end)
-    if method == LINEAR_ROTATION_VECTOR:
-        return Interpolator(method, log_map(start), log_map(end))
-    if method == LINEAR_SIXD:
-        return Interpolator(method, matrix_to_sixd(start), matrix_to_sixd(end))
-    if method == LINEAR_EULER:
-        return Interpolator(method, matrix_to_euler(start), matrix_to_euler(end))
-    raise DegenerateInputError(f"unknown interpolation method {method!r}")
+    from_matrix = _BY_TAG[tag].from_matrix
+    return Interpolator(method, from_matrix(start), from_matrix(end))
