@@ -88,20 +88,19 @@ def axis_angle_to_quat(aa: AxisAngle) -> UnitQuaternion:
 
 
 def quat_to_axis_angle(q: UnitQuaternion) -> AxisAngle:
-    """theta = 2 arccos(|w|) after canonicalization; axis is the
-    normalized vector part, defaulting to +z below 1e-12 rad."""
+    """theta = 2 atan2(|v|, w) after canonicalization, accurate at every
+    angle (2 arccos(w) loses all digits of a 1e-9 rad rotation); axis is
+    v/|v|, defaulting to +z below 1e-12 rad."""
     w, x, y, z = q
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
     elif w == 0.0:
         w, x, y, z = canonicalize(q)
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    if n < 1e-300:
-        raise DegenerateInputError("zero quaternion cannot be normalized")
-    w, x, y, z = w / n, x / n, y / n, z / n
-    theta = 2.0 * math.acos(_clamp(w, 0.0, 1.0))
     vn = math.sqrt(x * x + y * y + z * z)
-    if theta <= TINY_ANGLE or vn == 0.0:
+    if vn == 0.0 and w == 0.0:
+        raise DegenerateInputError("zero quaternion does not define a rotation")
+    theta = 2.0 * math.atan2(vn, w)
+    if theta <= TINY_ANGLE:
         return _tuple_new(AxisAngle, (DEFAULT_AXIS, theta))
     return _tuple_new(AxisAngle, ((x / vn, y / vn, z / vn), theta))
 
@@ -125,20 +124,19 @@ def rotation_vector_to_quat(v: RotationVector) -> UnitQuaternion:
 
 
 def quat_to_rotation_vector(q: UnitQuaternion) -> RotationVector:
-    """Canonical rotation vector (norm <= pi) of q."""
+    """Canonical rotation vector (norm <= pi) of q: v/|v| times
+    2 atan2(|v|, w) after canonicalization."""
     w, x, y, z = q
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
     elif w == 0.0:
         w, x, y, z = canonicalize(q)
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    if n < 1e-300:
-        raise DegenerateInputError("zero quaternion cannot be normalized")
-    theta = 2.0 * math.acos(_clamp(w / n, 0.0, 1.0))
     vn = math.sqrt(x * x + y * y + z * z)
-    if theta <= TINY_ANGLE or vn == 0.0:
+    if vn == 0.0:
+        if w == 0.0:
+            raise DegenerateInputError("zero quaternion does not define a rotation")
         return _tuple_new(RotationVector, ((0.0, 0.0, 0.0),))
-    k = theta / vn
+    k = 2.0 * math.atan2(vn, w) / vn
     return _tuple_new(RotationVector, ((x * k, y * k, z * k),))
 
 

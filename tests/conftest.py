@@ -26,3 +26,41 @@ def frobenius(r1, r2) -> float:
             d = r1.rows[i][j] - r2.rows[i][j]
             s += d * d
     return math.sqrt(s)
+
+
+# 1e-2 down to 1e-12 rad in half decades: the small-angle oracle grid
+SMALL_ANGLES = [10.0 ** (-k / 2) for k in range(4, 25)]
+
+
+def exact_quat(v):
+    """(w, x, y, z) of rotation vector v, in 40-digit mpmath."""
+    import mpmath as mp
+    with mp.workdps(40):
+        v = [mp.mpf(c) for c in v]
+        theta = mp.sqrt(sum(c * c for c in v))
+        scale = mp.sin(theta / 2) / theta
+        return [mp.cos(theta / 2)] + [c * scale for c in v]
+
+
+def exact_hamilton(p, q):
+    import mpmath as mp
+    with mp.workdps(40):
+        pw, px, py, pz = (mp.mpf(c) for c in p)
+        qw, qx, qy, qz = (mp.mpf(c) for c in q)
+        return [pw * qw - px * qx - py * qy - pz * qz,
+                pw * qx + px * qw + py * qz - pz * qy,
+                pw * qy - px * qz + py * qw + pz * qx,
+                pw * qz + px * qy - py * qx + pz * qw]
+
+
+def exact_rotation_vector(q) -> list[float]:
+    """Canonical rotation vector of the (w, x, y, z) components, computed
+    in 40-digit mpmath and rounded once."""
+    import mpmath as mp
+    with mp.workdps(40):
+        w, x, y, z = (mp.mpf(c) for c in q)
+        if w < 0:
+            w, x, y, z = -w, -x, -y, -z
+        k = 2 * mp.atan2(mp.sqrt(x * x + y * y + z * z), w) / mp.sqrt(
+            x * x + y * y + z * z)
+        return [float(k * x), float(k * y), float(k * z)]

@@ -25,7 +25,10 @@ from rotrepr.convert import (
 )
 from rotrepr.errors import DegenerateInputError
 
-from conftest import frobenius, haar_matrix, haar_quat
+from rotrepr.core import DEFAULT_AXIS, TINY_ANGLE
+
+from conftest import (SMALL_ANGLES, exact_hamilton, exact_quat, exact_rotation_vector,
+                      frobenius, haar_matrix, haar_quat)
 
 SQ2 = math.sqrt(0.5)
 
@@ -153,6 +156,41 @@ def test_compose_associativity_all_representations(tag, rng):
         rhs = compose_in(tag, a, compose_in(tag, b, c))
         assert relative_angle(convert(lhs, "matrix"),
                               convert(rhs, "matrix")) < 1e-12
+
+
+def _unit_axis(rng):
+    q = haar_quat(rng)
+    n = math.sqrt(q.x * q.x + q.y * q.y + q.z * q.z)
+    return (q.x / n, q.y / n, q.z / n)
+
+
+@pytest.mark.parametrize("theta", SMALL_ANGLES)
+def test_compose_small_angles_oracle(theta, rng):
+    # the composed rotation against a 40-digit product of the exact
+    # operand quaternions; the old 2 arccos(w) extraction gave 4e-4
+    # relative error composing 1e-7 with 1e-7 rad
+    for _ in range(5):
+        t1, t2 = theta, theta * (0.5 + rng.random())
+        u1, u2 = _unit_axis(rng), _unit_axis(rng)
+        v1 = RotationVector(tuple(c * t1 for c in u1))
+        v2 = RotationVector(tuple(c * t2 for c in u2))
+        exact = exact_rotation_vector(exact_hamilton(exact_quat(v1.v),
+                                                     exact_quat(v2.v)))
+        got = compose_in("rotvec", v1, v2)
+        for g, ref in zip(got.v, exact):
+            assert abs(g - ref) <= 2e-15 * (t1 + t2)
+
+        a1, a2 = AxisAngle(u1, t1), AxisAngle(u2, t2)
+        exact = exact_rotation_vector(exact_hamilton(
+            exact_quat(tuple(c * t1 for c in u1)), exact_quat(tuple(c * t2 for c in u2))))
+        angle = math.sqrt(sum(c * c for c in exact))
+        got = compose_in("axis-angle", a1, a2)
+        assert abs(got.angle - angle) <= 2e-15 * (t1 + t2)
+        if got.angle > TINY_ANGLE:
+            for g, ref in zip(got.axis, exact):
+                assert abs(g * angle - ref) <= 2e-15 * (t1 + t2)
+        else:
+            assert got.axis == DEFAULT_AXIS
 
 
 def test_cross_representation_consistency(rng):

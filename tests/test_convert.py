@@ -31,8 +31,10 @@ from rotrepr.convert import (
     sixd_to_matrix,
     REPRESENTATION_TAGS,
 )
+from rotrepr.core import DEFAULT_AXIS, TINY_ANGLE
 
-from conftest import frobenius, haar_matrix, haar_quat
+from conftest import (SMALL_ANGLES, exact_rotation_vector, frobenius, haar_matrix,
+                      haar_quat)
 
 SQ2 = math.sqrt(0.5)
 RZ90_ROWS = ((0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
@@ -86,6 +88,27 @@ def test_quat_to_axis_angle_examples():
     negated = quat_to_axis_angle(UnitQuaternion(-SQ2, 0.0, 0.0, -SQ2))
     assert negated.axis == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
     assert negated.angle == pytest.approx(math.pi / 2, abs=1e-15)
+
+
+@pytest.mark.parametrize("theta", SMALL_ANGLES)
+def test_small_angle_extraction_oracle(theta, rng):
+    # quaternion -> axis-angle / rotvec against a 40-digit oracle on the
+    # same quaternion; 2 arccos(w) read 0 at 1e-9 rad and was 1.2% off
+    # at 1e-7
+    for _ in range(10):
+        q = axis_angle_to_quat(AxisAngle(_haar_axis(rng), theta))
+        exact = exact_rotation_vector(q)
+        angle = math.sqrt(sum(c * c for c in exact))
+        rv = convert(q, "rotvec")
+        for got, ref in zip(rv.v, exact):
+            assert abs(got - ref) <= 1e-15 * angle
+        aa = convert(q, "axis-angle")
+        assert abs(aa.angle - angle) <= 1e-15 * angle
+        if aa.angle > TINY_ANGLE:
+            for got, ref in zip(aa.axis, exact):
+                assert abs(got - ref / angle) <= 1e-15
+        else:
+            assert aa.axis == DEFAULT_AXIS
 
 
 # ---------------------------------------------------------------------------
