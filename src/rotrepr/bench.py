@@ -22,6 +22,8 @@ from functools import partial
 from typing import Callable
 
 from .core import (
+    DETERMINANT_TOL,
+    ORTHONORMALITY_TOL,
     AxisAngle,
     EulerAngles,
     RotationMatrix,
@@ -617,7 +619,7 @@ def _interp_loops(tag: str, cfg: BenchConfig):
 
 def _checked_validate(r: RotationMatrix) -> None:
     orth, det_res = validity_residuals(r.rows)
-    if orth > 1e-9 or det_res > 1e-9:
+    if not (orth <= ORTHONORMALITY_TOL and det_res <= DETERMINANT_TOL):
         raise RotationError("batch ingestion rejected an invalid matrix")
 
 

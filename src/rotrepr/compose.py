@@ -24,7 +24,7 @@ from .core import (
     project_to_so3,
 )
 from .convert import QUAT, _REGISTRY, Representation, tag_of
-from .errors import DegenerateInputError
+from .errors import DegenerateInputError, InvalidRotationError
 
 
 def _hamilton(p, q) -> tuple[float, float, float, float]:
@@ -60,9 +60,17 @@ def quat_inverse(q: UnitQuaternion) -> UnitQuaternion:
 
 
 def matrix_mul(r1: RotationMatrix, r2: RotationMatrix) -> RotationMatrix:
-    """3x3 product, re-orthogonalized only on drift past the tolerance."""
+    """3x3 product, re-orthogonalized only on drift past the tolerance.
+
+    A product with a NaN or infinite entry has a non-finite residual and
+    raises InvalidRotationError instead of reaching the projection.
+    """
     rows = mat_mul_rows(r1.rows, r2.rows)
-    if orthogonality_residual(rows) > ORTHONORMALITY_TOL:
+    orth = orthogonality_residual(rows)
+    if not orth <= ORTHONORMALITY_TOL:
+        if not math.isfinite(orth):
+            raise InvalidRotationError(
+                f"matrix product is not finite (orthogonality residual {orth})")
         return project_to_so3(rows)
     return RotationMatrix(rows)
 

@@ -200,7 +200,7 @@ def log_map(r: RotationMatrix) -> RotationVector:
     """
     m = r.rows
     orth, det_res = validity_residuals(m)
-    if orth > ORTHONORMALITY_TOL or det_res > DETERMINANT_TOL:
+    if not (orth <= ORTHONORMALITY_TOL and det_res <= DETERMINANT_TOL):
         raise InvalidRotationError(
             "log_map input is not a rotation "
             f"(orthogonality residual {orth:.3e}, "

@@ -230,6 +230,14 @@ def test_single_trial_flagged_low_confidence():
     assert time_composition("quaternion", cfg).low_confidence
 
 
+def test_batch_ingestion_rejects_nan():
+    from rotrepr import RotationMatrix
+    from rotrepr.bench import _checked_validate
+    with pytest.raises(RotationError):
+        _checked_validate(RotationMatrix(((math.nan, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                          (0.0, 0.0, 1.0))))
+
+
 def test_batch_close_to_scalar():
     cfg = BenchConfig(trials=200, warmup=20, batch=50)
     scalar = time_composition("quaternion", cfg).micros

@@ -23,7 +23,7 @@ from rotrepr.convert import (
     quat_to_matrix,
     tag_of,
 )
-from rotrepr.errors import DegenerateInputError
+from rotrepr.errors import DegenerateInputError, InvalidRotationError
 
 from rotrepr.core import DEFAULT_AXIS, TINY_ANGLE
 
@@ -100,6 +100,12 @@ def test_matrix_mul_chain_drift(rng):
     for _ in range(10000):
         r = matrix_mul(r, haar_matrix(rng))
     assert validate(r).orthogonality_residual < 1e-9
+
+
+def test_matrix_mul_rejects_nan_product():
+    nan = RotationMatrix(((math.nan, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+    with pytest.raises(InvalidRotationError):
+        matrix_mul(nan, RotationMatrix.identity())
 
 
 # ---------------------------------------------------------------------------

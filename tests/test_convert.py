@@ -394,6 +394,12 @@ def test_log_map_rejects_invalid():
                                 (0.0, 0.0, 1.0))))
 
 
+def test_log_map_rejects_nan():
+    with pytest.raises(InvalidRotationError):
+        log_map(RotationMatrix(((math.nan, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                (0.0, 0.0, 1.0))))
+
+
 def test_exp_log_mutually_inverse_haar(rng):
     for _ in range(1000):
         r = haar_matrix(rng)
