@@ -124,8 +124,11 @@ def build_value(tag: str, values: list[float]):
             axis = (0.0, 0.0, 1.0)
         return AxisAngle(axis, theta)
     if tag == "rotvec":
-        return canonicalize_rotation_vector(
-            RotationVector((values[0], values[1], values[2])))
+        try:
+            return canonicalize_rotation_vector(
+                RotationVector((values[0], values[1], values[2])))
+        except DegenerateInputError as exc:
+            raise CliInputError(f"rotvec value: {exc}") from exc
     if tag == "sixd":
         s = SixD((values[0], values[1], values[2]),
                  (values[3], values[4], values[5]))

@@ -251,10 +251,17 @@ def _log_near_pi(m, skew: Vec3) -> Vec3:
 
 
 def canonicalize_rotation_vector(v: RotationVector) -> RotationVector:
-    """Wrap into the canonical chart ||v|| <= pi."""
+    """Wrap into the canonical chart ||v|| <= pi.
+
+    A vector whose norm is not finite (NaN, or overflowing to inf) has no
+    angle to wrap and raises DegenerateInputError.
+    """
     theta = v.norm()
-    if theta <= math.pi or theta == 0.0:
+    if theta <= math.pi:
         return v
+    if not math.isfinite(theta):
+        raise DegenerateInputError(
+            f"rotation vector norm is {theta!r} (finite-norm invariant)")
     wrapped = math.fmod(theta, 2.0 * math.pi)
     if wrapped > math.pi:
         wrapped -= 2.0 * math.pi

@@ -439,6 +439,9 @@ def test_canonicalize_rotation_vector():
     assert v.v[2] == pytest.approx(4.0 - 2.0 * math.pi, abs=1e-12)
     small = RotationVector((0.1, 0.2, 0.3))
     assert canonicalize_rotation_vector(small) == small
+    for bad in ((1e200, 0.0, 0.0), (math.nan, 0.0, 0.0)):
+        with pytest.raises(DegenerateInputError, match="finite-norm invariant"):
+            canonicalize_rotation_vector(RotationVector(bad))
 
 
 # ---------------------------------------------------------------------------

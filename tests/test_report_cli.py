@@ -113,6 +113,14 @@ def test_convert_invalid_matrix_exit_2(capsys):
     assert "invariant" in err
 
 
+def test_convert_rotvec_overflow_exit_2(capsys):
+    code, out, err = run_cli(capsys, "convert", "--from", "rotvec", "--to",
+                             "quat", "--value=1e200,0,0")
+    assert code == 2
+    assert out == ""
+    assert "finite-norm invariant" in err
+
+
 def test_convert_euler_round_trip_via_cli(capsys):
     code, out, _ = run_cli(capsys, "convert", "--from", "euler-zyx", "--to",
                            "sixd", "--value", "0.1,0.2,0.3")
