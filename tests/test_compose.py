@@ -18,6 +18,7 @@ from rotrepr import (
     validate,
 )
 from rotrepr.convert import (
+    REPRESENTATION_TAGS,
     axis_angle_to_matrix,
     convert,
     quat_to_matrix,
@@ -134,13 +135,26 @@ def test_compose_sixd_matches_matrix_reference(rng):
         assert relative_angle(convert(composed, "matrix"), reference) < 1e-9
 
 
-def test_compose_tag_mismatch():
+def test_compose_tag_mismatch(rng):
     with pytest.raises(DegenerateInputError):
         compose_in("quat", UnitQuaternion.identity(), RotationMatrix.identity())
+    r = haar_matrix(rng)
+    values = {tag: convert(r, tag) for tag in REPRESENTATION_TAGS}
+    for tag, value in values.items():
+        for other_tag, other in values.items():
+            if other_tag == tag:
+                continue
+            with pytest.raises(DegenerateInputError):
+                compose_in(tag, value, other)
+            with pytest.raises(DegenerateInputError):
+                compose_in(tag, other, value)
+    xyz = values["euler-xyz"]
+    with pytest.raises(DegenerateInputError):
+        compose_in("euler-zyx", xyz, xyz)
 
 
-@pytest.mark.parametrize("tag", ["quat", "matrix", "euler-zyx", "axis-angle",
-                                 "rotvec", "sixd"])
+@pytest.mark.parametrize("tag", ["quat", "matrix", "euler-zyx", "euler-xyz",
+                                 "axis-angle", "rotvec", "sixd"])
 def test_compose_matches_matrix_route_everywhere(tag, rng):
     for _ in range(50):
         r1, r2 = haar_matrix(rng), haar_matrix(rng)
@@ -151,10 +165,10 @@ def test_compose_matches_matrix_route_everywhere(tag, rng):
         assert relative_angle(convert(composed, "matrix"), reference) < 1e-9
 
 
-@pytest.mark.parametrize("tag", ["quat", "matrix", "euler-zyx", "axis-angle",
-                                 "rotvec", "sixd"])
+@pytest.mark.parametrize("tag", ["quat", "matrix", "euler-zyx", "euler-xyz",
+                                 "axis-angle", "rotvec", "sixd"])
 def test_compose_associativity_all_representations(tag, rng):
-    # 500 sampled triples spread across the six representations
+    # 588 sampled triples spread across the seven representations
     for _ in range(84):
         ms = [haar_matrix(rng) for _ in range(3)]
         a, b, c = (convert(m, tag) for m in ms)

@@ -30,6 +30,8 @@ from rotrepr.convert import (
     quat_to_matrix,
     sixd_to_matrix,
     REPRESENTATION_TAGS,
+    _REGISTRY,
+    tag_of,
 )
 from rotrepr.core import DEFAULT_AXIS, TINY_ANGLE
 
@@ -539,6 +541,39 @@ def test_convert_sixd_to_rotvec(rng):
         r = haar_matrix(rng)
         v = convert(matrix_to_sixd(r), "rotvec")
         assert frobenius(exp_map(v), r) < 1e-9
+
+
+@pytest.mark.parametrize("rep", _REGISTRY, ids=lambda rep: rep.tag)
+def test_registry_entry(rep, rng):
+    for _ in range(20):
+        r = haar_matrix(rng)
+        value = rep.from_matrix(r)
+        assert type(value) is rep.type
+        assert tag_of(value) == rep.tag
+        assert convert(r, rep.tag) == value
+        assert len(rep.components(value)) == rep.arity
+        assert relative_angle(rep.to_matrix(value), r) < 1e-9
+        via_hub = rep.from_hub(rep.to_hub(value))
+        assert type(via_hub) is rep.type
+        assert relative_angle(rep.to_matrix(via_hub), r) < 1e-9
+
+
+def test_registry_tags_cli_choices_and_report_rows():
+    import argparse
+    from rotrepr.bench import REPRESENTATIONS, ROTATION_REPRESENTATIONS, STORAGE_BYTES
+    from rotrepr.cli import build_parser
+
+    assert REPRESENTATION_TAGS == tuple(rep.tag for rep in _REGISTRY)
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    choices = {a.dest: a.choices for a in sub.choices["convert"]._actions}
+    assert tuple(choices["src"]) == tuple(choices["dst"]) == REPRESENTATION_TAGS
+    assert REPRESENTATIONS == ("euler", "axis-angle", "quaternion", "matrix",
+                               "exp-map", "sixd", "fisher")
+    rows = {rep.row: rep for rep in _REGISTRY if rep.row is not None}
+    assert set(rows) == set(ROTATION_REPRESENTATIONS)
+    for row, rep in rows.items():
+        assert STORAGE_BYTES[row] == rep.storage_bytes
 
 
 def test_convert_unknown_tag():
