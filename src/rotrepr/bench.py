@@ -49,9 +49,7 @@ from .convert import (
     matrix_to_euler,
     matrix_to_quat,
     matrix_to_sixd,
-    quat_to_axis_angle,
     quat_to_matrix,
-    sixd_to_matrix,
 )
 from .errors import RotationError
 from .interp import (
@@ -233,16 +231,16 @@ def stability_suite(tag: str, cfg: BenchConfig) -> StabilityResult:
 # singularity susceptibility
 
 
-def _euler_param_dist(a: EulerAngles, b) -> float:
-    da = wrap_angle(a.alpha - b[0])
-    db = wrap_angle(a.beta - b[1])
-    dg = wrap_angle(a.gamma - b[2])
+def _euler_param_dist(a, b) -> float:
+    da = wrap_angle(a[0] - b[0])
+    db = wrap_angle(a[1] - b[1])
+    dg = wrap_angle(a[2] - b[2])
     return math.sqrt(da * da + db * db + dg * dg)
 
 
-def _quat_param_dist(a: UnitQuaternion, b) -> float:
-    plus = sum((x - y) ** 2 for x, y in zip(a.as_tuple(), b))
-    minus = sum((x + y) ** 2 for x, y in zip(a.as_tuple(), b))
+def _quat_param_dist(a, b) -> float:
+    plus = sum((x - y) ** 2 for x, y in zip(a, b))
+    minus = sum((x + y) ** 2 for x, y in zip(a, b))
     return math.sqrt(min(plus, minus))
 
 
@@ -267,32 +265,37 @@ def gimbal_susceptibility(tag: str, cfg: BenchConfig) -> float:
     branch and the distance is O(1).
     """
     rng = _suite_rng(cfg, f"gimbal/{tag}")
+    rep = _row_rep(tag)
     eta = cfg.perturbation_norm
     hits = 0
     for _ in range(cfg.m_singularity):
+        # each row sets the perturbed value, its unperturbed parameters
+        # and the parameter distance; the matrix row has no chart to
+        # re-extract and projects the perturbed entries instead
+        dist_of = _tuple_dist
         if tag == EULER:
-            p = (rng.uniform(-math.pi, math.pi),
-                 math.pi / 2 + rng.uniform(-GIMBAL_BAND_HALFWIDTH,
-                                           GIMBAL_BAND_HALFWIDTH),
-                 rng.uniform(-math.pi, math.pi))
+            ref = (rng.uniform(-math.pi, math.pi),
+                   math.pi / 2 + rng.uniform(-GIMBAL_BAND_HALFWIDTH,
+                                             GIMBAL_BAND_HALFWIDTH),
+                   rng.uniform(-math.pi, math.pi))
             d = _direction(rng, 3, eta)
-            pert = EulerAngles(p[0] + d[0], p[1] + d[1], p[2] + d[2])
-            extracted = matrix_to_euler(euler_to_matrix(pert))
-            dist = _euler_param_dist(extracted, p)
+            pert = EulerAngles(ref[0] + d[0], ref[1] + d[1], ref[2] + d[2])
+            dist_of = _euler_param_dist
         elif tag == QUATERNION:
             q = canonicalize(sample_uniform(rng))
             d = _direction(rng, 4, eta)
             pert = UnitQuaternion(q.w + d[0], q.x + d[1],
                                   q.y + d[2], q.z + d[3]).normalized()
-            extracted = matrix_to_quat(quat_to_matrix(pert))
-            dist = _quat_param_dist(extracted, q.as_tuple())
+            ref = q.as_tuple()
+            dist_of = _quat_param_dist
         elif tag == MATRIX:
-            r = haar_matrix(rng)
+            ref = haar_matrix(rng).as_flat()
             d = _direction(rng, 9, eta)
-            flat = r.as_flat()
-            pert = [flat[i] + d[i] for i in range(9)]
+            pert = [ref[i] + d[i] for i in range(9)]
             fixed = project_to_so3([pert[0:3], pert[3:6], pert[6:9]])
-            dist = _tuple_dist(fixed.as_flat(), flat)
+            if _tuple_dist(fixed.as_flat(), ref) > cfg.tau:
+                hits += 1
+            continue
         elif tag == AXIS_ANGLE:
             axis = _unit3(rng)
             theta = rng.uniform(0.0, GIMBAL_BAND_HALFWIDTH)
@@ -300,28 +303,20 @@ def gimbal_susceptibility(tag: str, cfg: BenchConfig) -> float:
             ax = (axis[0] + d[0], axis[1] + d[1], axis[2] + d[2])
             n = math.sqrt(ax[0] ** 2 + ax[1] ** 2 + ax[2] ** 2)
             pert = AxisAngle((ax[0] / n, ax[1] / n, ax[2] / n), theta + d[3])
-            extracted = quat_to_axis_angle(matrix_to_quat(
-                axis_angle_to_matrix(pert)))
-            dist = _tuple_dist(extracted.as_tuple(), axis + (theta,))
+            ref = axis + (theta,)
         elif tag == EXP_MAP:
             axis = _unit3(rng)
             theta = rng.uniform(math.pi - GIMBAL_BAND_HALFWIDTH, math.pi)
-            v = (axis[0] * theta, axis[1] * theta, axis[2] * theta)
+            ref = (axis[0] * theta, axis[1] * theta, axis[2] * theta)
             d = _direction(rng, 3, eta)
-            pert = RotationVector((v[0] + d[0], v[1] + d[1], v[2] + d[2]))
-            extracted = log_map(exp_map(pert))
-            dist = _tuple_dist(extracted.v, v)
-        elif tag == SIXD:
-            s = matrix_to_sixd(haar_matrix(rng))
-            flat = s.as_tuple()
-            d = _direction(rng, 6, eta)
-            pert = [flat[i] + d[i] for i in range(6)]
-            extracted = matrix_to_sixd(sixd_to_matrix(
-                SixD(tuple(pert[0:3]), tuple(pert[3:6]))))
-            dist = _tuple_dist(extracted.as_tuple(), flat)
+            pert = RotationVector((ref[0] + d[0], ref[1] + d[1], ref[2] + d[2]))
         else:
-            raise RotationError(f"no perturbation map for representation {tag!r}")
-        if dist > cfg.tau:
+            ref = matrix_to_sixd(haar_matrix(rng)).as_tuple()
+            d = _direction(rng, 6, eta)
+            pert = SixD(tuple(ref[i] + d[i] for i in range(3)),
+                        tuple(ref[i] + d[i] for i in range(3, 6)))
+        extracted = rep.components(rep.from_matrix(rep.to_matrix(pert)))
+        if dist_of(extracted, ref) > cfg.tau:
             hits += 1
     return hits / cfg.m_singularity
 

@@ -4,10 +4,11 @@ compose_in multiplies on the representation's hub, as its registry
 entry in convert names it: quaternions and matrices compose natively;
 axis-angle and rotation vectors go to the quaternion and back along
 their direct spokes, Euler angles and 6D to the matrix and back.
-Quaternion products are renormalized unconditionally; matrix products
-are re-orthogonalized only when the orthogonality residual actually
-exceeds the validity tolerance, so long composition chains remain a
-meaningful drift experiment.
+Quaternion products are renormalized unconditionally (the quaternion
+family skips it: reading an angle with atan2 is scale invariant);
+matrix products are re-orthogonalized only when the orthogonality
+residual actually exceeds the validity tolerance, so long composition
+chains remain a meaningful drift experiment.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .core import (
     orthogonality_residual,
     project_to_so3,
 )
-from .convert import QUAT, _REGISTRY, Representation, tag_of
+from .convert import MATRIX, QUAT, _REGISTRY, Representation, tag_of
 from .errors import DegenerateInputError, InvalidRotationError
 
 
@@ -76,11 +77,11 @@ def matrix_mul(r1: RotationMatrix, r2: RotationMatrix) -> RotationMatrix:
 
 
 def _hub_product(rep):
-    if rep.hub == rep.tag:
-        return quat_mul if rep.hub == QUAT else matrix_mul
-    # the quaternion family's from_hub spokes are scale invariant, so
-    # its products skip the renormalization
-    return _hamilton if rep.hub == QUAT else matrix_mul
+    if rep.hub == MATRIX:
+        return matrix_mul
+    # the axis-angle and rotation-vector from_hub spokes are scale
+    # invariant, so their products skip the renormalization
+    return quat_mul if rep.tag == QUAT else _hamilton
 
 
 # tag -> (value type, Euler convention or None, hub product, to_hub,

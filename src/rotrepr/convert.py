@@ -16,6 +16,7 @@ seam.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -545,45 +546,36 @@ def _same(value):
     return value
 
 
-def _euler_from_matrix(convention: EulerConvention) -> Callable:
-    def from_matrix(r: RotationMatrix) -> EulerAngles:
-        return matrix_to_euler(r, convention)
-    return from_matrix
-
-
 def _axis_angle_from_matrix(r: RotationMatrix) -> AxisAngle:
     return quat_to_axis_angle(matrix_to_quat(r))
 
 
 def _entry(tag, row, value_type, arity, storage_bytes, components, to_matrix,
-           from_matrix, to_quat=None, from_quat=None, convention=None) -> _Rep:
-    """Entries with quaternion spokes sit on the quaternion hub; the
-    others compose through the matrix."""
-    if to_quat is None:
-        return _Rep(tag, row, value_type, convention, arity, storage_bytes,
-                    components, to_matrix, from_matrix, MATRIX, to_matrix,
-                    from_matrix)
+           from_matrix, quat_spokes=None, convention=None) -> _Rep:
+    """quat_spokes (to_quat, from_quat) put the entry on the quaternion
+    hub; the others compose through the matrix."""
+    hub, (to_hub, from_hub) = ((QUAT, quat_spokes) if quat_spokes
+                               else (MATRIX, (to_matrix, from_matrix)))
     return _Rep(tag, row, value_type, convention, arity, storage_bytes,
-                components, to_matrix, from_matrix, QUAT, to_quat, from_quat)
+                components, to_matrix, from_matrix, hub, to_hub, from_hub)
 
 
 _REGISTRY = (
     _entry(QUAT, "quaternion", UnitQuaternion, 4, 32, UnitQuaternion.as_tuple,
-           quat_to_matrix, matrix_to_quat, to_quat=_same, from_quat=_unit_quat),
+           quat_to_matrix, matrix_to_quat, quat_spokes=(_same, _unit_quat)),
     _entry(MATRIX, "matrix", RotationMatrix, 9, 72, RotationMatrix.as_flat,
            _same, _same),
     _entry(EULER_ZYX, "euler", EulerAngles, 3, 24, EulerAngles.as_tuple,
-           euler_to_matrix, _euler_from_matrix(ZYX), convention=ZYX),
+           euler_to_matrix, partial(matrix_to_euler, convention=ZYX), convention=ZYX),
     _entry(EULER_XYZ, None, EulerAngles, 3, 24, EulerAngles.as_tuple,
-           euler_to_matrix, _euler_from_matrix(XYZ), convention=XYZ),
+           euler_to_matrix, partial(matrix_to_euler, convention=XYZ), convention=XYZ),
     _entry(AXIS_ANGLE, "axis-angle", AxisAngle, 4, 24, AxisAngle.as_tuple,
            axis_angle_to_matrix, _axis_angle_from_matrix,
-           to_quat=_axis_angle_quat, from_quat=quat_to_axis_angle),
+           quat_spokes=(_axis_angle_quat, quat_to_axis_angle)),
     _entry(ROTVEC, "exp-map", RotationVector, 3, 24, RotationVector.as_tuple,
            exp_map, log_map,
-           to_quat=_rotation_vector_quat, from_quat=quat_to_rotation_vector),
-    _entry(SIXD, "sixd", SixD, 6, 48, SixD.as_tuple,
-           sixd_to_matrix, matrix_to_sixd),
+           quat_spokes=(_rotation_vector_quat, quat_to_rotation_vector)),
+    _entry(SIXD, "sixd", SixD, 6, 48, SixD.as_tuple, sixd_to_matrix, matrix_to_sixd),
 )
 
 REPRESENTATION_TAGS = tuple(rep.tag for rep in _REGISTRY)

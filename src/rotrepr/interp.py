@@ -163,10 +163,6 @@ LINEAR_SIXD = "linear-sixd"
 LINEAR_EULER = "linear-euler"
 FISHER_BLEND = "fisher-blend"
 
-INTERPOLATION_METHODS = (SLERP, NLERP, MATRIX_GEODESIC, LINEAR_ROTATION_VECTOR,
-                         LINEAR_SIXD, LINEAR_EULER, FISHER_BLEND)
-
-
 # method -> (tag of the endpoints, native function, map of the native
 # value to a rotation matrix or None when it already is one); the
 # fisher-blend endpoints are MatrixFisher parameters, not a tag
@@ -179,6 +175,7 @@ _METHODS = {
     LINEAR_EULER: (EULER_ZYX, linear_euler, euler_to_matrix),
     FISHER_BLEND: (None, fisher_blend, fisher_mode),
 }
+INTERPOLATION_METHODS = tuple(_METHODS)
 
 
 def _method(name: str):

@@ -391,15 +391,10 @@ def test_log_map_pi_about_x():
 
 
 def test_log_map_rejects_invalid():
-    with pytest.raises(InvalidRotationError):
-        log_map(RotationMatrix(((2.0, 0.0, 0.0), (0.0, 1.0, 0.0),
-                                (0.0, 0.0, 1.0))))
-
-
-def test_log_map_rejects_nan():
-    with pytest.raises(InvalidRotationError):
-        log_map(RotationMatrix(((math.nan, 0.0, 0.0), (0.0, 1.0, 0.0),
-                                (0.0, 0.0, 1.0))))
+    for bad in (2.0, math.nan):
+        with pytest.raises(InvalidRotationError):
+            log_map(RotationMatrix(((bad, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                    (0.0, 0.0, 1.0))))
 
 
 def test_exp_log_mutually_inverse_haar(rng):
