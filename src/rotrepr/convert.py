@@ -16,7 +16,6 @@ seam.
 from __future__ import annotations
 
 import math
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -566,9 +565,9 @@ _REGISTRY = (
     _entry(MATRIX, "matrix", RotationMatrix, 9, 72, RotationMatrix.as_flat,
            _same, _same),
     _entry(EULER_ZYX, "euler", EulerAngles, 3, 24, EulerAngles.as_tuple,
-           euler_to_matrix, partial(matrix_to_euler, convention=ZYX), convention=ZYX),
+           euler_to_matrix, lambda r: matrix_to_euler(r, ZYX), convention=ZYX),
     _entry(EULER_XYZ, None, EulerAngles, 3, 24, EulerAngles.as_tuple,
-           euler_to_matrix, partial(matrix_to_euler, convention=XYZ), convention=XYZ),
+           euler_to_matrix, lambda r: matrix_to_euler(r, XYZ), convention=XYZ),
     _entry(AXIS_ANGLE, "axis-angle", AxisAngle, 4, 24, AxisAngle.as_tuple,
            axis_angle_to_matrix, _axis_angle_from_matrix,
            quat_spokes=(_axis_angle_quat, quat_to_axis_angle)),
