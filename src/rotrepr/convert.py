@@ -60,8 +60,9 @@ GRAM_SCHMIDT_TOL = 1e-12
 
 # On the quaternion hub a rotation travels as its (w, x, y, z)
 # components: a UnitQuaternion, or the plain 4-tuple a spoke returns
-# before normalization. compose_in multiplies plain tuples directly
-# (quat_mul renormalizes), so the quaternion family composes without
+# before normalization. compose_in multiplies the plain tuples with the
+# raw Hamilton product and reads the result back through a spoke that
+# is scale invariant, so the quaternion family composes without
 # building intermediate UnitQuaternion objects.
 
 
@@ -90,7 +91,8 @@ def axis_angle_to_quat(aa: AxisAngle) -> UnitQuaternion:
 def quat_to_axis_angle(q: UnitQuaternion) -> AxisAngle:
     """theta = 2 atan2(|v|, w) after canonicalization, accurate at every
     angle (2 arccos(w) loses all digits of a 1e-9 rad rotation); axis is
-    v/|v|, defaulting to +z below 1e-12 rad."""
+    v/|v|, defaulting to +z below 1e-12 rad. Scale invariant: q need not
+    be normalized."""
     w, x, y, z = q
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
@@ -125,7 +127,8 @@ def rotation_vector_to_quat(v: RotationVector) -> UnitQuaternion:
 
 def quat_to_rotation_vector(q: UnitQuaternion) -> RotationVector:
     """Canonical rotation vector (norm <= pi) of q: v/|v| times
-    2 atan2(|v|, w) after canonicalization."""
+    2 atan2(|v|, w) after canonicalization. Scale invariant: q need not
+    be normalized."""
     w, x, y, z = q
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
