@@ -45,9 +45,7 @@ from .convert import (
     axis_angle_to_matrix,
     euler_to_matrix,
     exp_map,
-    log_map,
     matrix_to_euler,
-    matrix_to_quat,
     matrix_to_sixd,
     quat_to_matrix,
 )
