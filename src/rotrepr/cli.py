@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .bench import ALL_SUITES, BenchConfig, full_table
+from .bench import ALL_SUITES, BenchConfig, BenchSuiteError, full_table
 from .core import (
     AxisAngle,
     EulerAngles,
@@ -171,7 +171,10 @@ def cmd_bench(args) -> int:
     except RotationError as exc:
         raise CliInputError(str(exc)) from exc
     suites = ALL_SUITES if args.suite == "all" else (args.suite,)
-    rows = full_table(cfg, suites)
+    try:
+        rows, failures = full_table(cfg, suites), []
+    except BenchSuiteError as exc:
+        rows, failures = exc.reports, exc.failures
     meta = {
         "seed": cfg.seed,
         "suite": args.suite,
@@ -187,7 +190,9 @@ def cmd_bench(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
+    for tag, suite, err in failures:
+        print(f"error: row {tag}/{suite} failed (cells NA): {err}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_convert(args) -> int:

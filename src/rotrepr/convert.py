@@ -160,12 +160,18 @@ def axis_angle_to_matrix(aa: AxisAngle) -> RotationMatrix:
     ))
 
 
+def _non_finite_norm(theta: float) -> DegenerateInputError:
+    return DegenerateInputError(
+        f"rotation vector norm is {theta!r} (finite-norm invariant)")
+
+
 def exp_map(v: RotationVector) -> RotationMatrix:
     """Matrix exponential of [v]x via Rodrigues coefficients.
 
     For theta < 1e-4 the coefficients sin(theta)/theta and
     (1 - cos(theta))/theta^2 are replaced by 2-term Taylor series, so the
-    map is exact at v = 0 and smooth through the seam.
+    map is exact at v = 0 and smooth through the seam. A NaN or
+    overflowing norm raises DegenerateInputError.
     """
     vx, vy, vz = v.v
     theta2 = vx * vx + vy * vy + vz * vz
@@ -174,6 +180,8 @@ def exp_map(v: RotationVector) -> RotationMatrix:
         a = 1.0 - theta2 / 6.0
         b = 0.5 - theta2 / 24.0
     else:
+        if not math.isfinite(theta):
+            raise _non_finite_norm(theta)
         a = math.sin(theta) / theta
         b = (1.0 - math.cos(theta)) / theta2
     # I + a [v]x + b [v]x^2 expanded entry-wise
@@ -263,8 +271,7 @@ def canonicalize_rotation_vector(v: RotationVector) -> RotationVector:
     if theta <= math.pi:
         return v
     if not math.isfinite(theta):
-        raise DegenerateInputError(
-            f"rotation vector norm is {theta!r} (finite-norm invariant)")
+        raise _non_finite_norm(theta)
     wrapped = math.fmod(theta, 2.0 * math.pi)
     if wrapped > math.pi:
         wrapped -= 2.0 * math.pi

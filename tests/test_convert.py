@@ -441,6 +441,17 @@ def test_canonicalize_rotation_vector():
             canonicalize_rotation_vector(RotationVector(bad))
 
 
+@pytest.mark.parametrize("bad", [(1e200, 0.0, 0.0), (math.nan, 0.0, 0.0),
+                                 (0.0, -math.inf, 0.0)])
+def test_exp_map_rejects_non_finite_norm(bad):
+    with pytest.raises(DegenerateInputError) as raised:
+        exp_map(RotationVector(bad))
+    with pytest.raises(DegenerateInputError) as canonical:
+        canonicalize_rotation_vector(RotationVector(bad))
+    assert str(raised.value) == str(canonical.value)
+    assert "finite-norm invariant" in str(raised.value)
+
+
 # ---------------------------------------------------------------------------
 # small-angle branch seams agree with the unbranched formulas
 

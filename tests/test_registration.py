@@ -77,6 +77,37 @@ def test_eig_sym4_rejects_asymmetric():
         eig_sym4(bad)
 
 
+def _assert_eigendecomposition(m, vals, vecs):
+    assert vals.shape == (4,) and vecs.shape == (4, 4)
+    assert all(a >= b for a, b in zip(vals, vals[1:]))
+    assert np.linalg.norm(vecs.T @ vecs - np.eye(4)) < 1e-12
+    recon = vecs @ np.diag(vals) @ vecs.T
+    assert np.linalg.norm(recon - m) < 1e-12
+
+
+@pytest.mark.parametrize("m", [np.eye(4), np.diag([2.0, 2.0, 1.0, 1.0]),
+                               np.diag([1.0, 2.0, 1.0, 2.0]), np.zeros((4, 4))],
+                         ids=["identity", "two-pairs", "two-pairs-shuffled", "zero"])
+def test_eig_sym4_repeated_spectrum(m):
+    vals, vecs = eig_sym4(m)
+    _assert_eigendecomposition(m, vals, vecs)
+    assert vals == pytest.approx(sorted(np.diag(m), reverse=True), abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4,), (4, 3), (5, 5), (1, 4, 4)])
+def test_eig_sym4_rejects_other_shapes(shape):
+    with pytest.raises(ContractViolationError, match="expected shape"):
+        eig_sym4(np.zeros(shape))
+
+
+def test_eig_sym4_does_not_modify_input(rng):
+    a = np.array([[rng.normal() for _ in range(4)] for _ in range(4)])
+    m = a + a.T
+    before = m.copy()
+    _assert_eigendecomposition(m, *eig_sym4(m))
+    assert np.array_equal(m, before)
+
+
 # ---------------------------------------------------------------------------
 # horn_align
 
@@ -115,6 +146,46 @@ def test_horn_noise_band(rng):
     transform, rms = horn_align(PointSet(src), PointSet(tgt))
     assert 1.55 * sigma < rms < 1.90 * sigma
     assert relative_angle(transform.rotation, r0) < 0.01
+
+
+def _assert_exact_recovery(src, rng):
+    r0 = haar_matrix(rng)
+    t0 = np.array([rng.normal(), rng.normal(), rng.normal()])
+    tgt = src @ r0.as_array().T + t0
+    transform, rms = horn_align(PointSet(src), PointSet(tgt))
+    assert relative_angle(transform.rotation, r0) < 1e-9
+    assert np.linalg.norm(np.array(transform.translation) - t0) < 1e-9
+    assert rms < 1e-9
+
+
+def test_horn_coplanar_cloud(rng):
+    # scatter of rank 2 still determines the rotation
+    for _ in range(10):
+        src = _cloud(rng, 40)
+        src[:, 2] = 0.0
+        _assert_exact_recovery(src, rng)
+
+
+def test_horn_three_points(rng):
+    for _ in range(10):
+        _assert_exact_recovery(_cloud(rng, 3), rng)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_horn_matches_scipy_align_vectors(rng, n):
+    from scipy.spatial.transform import Rotation
+    for _ in range(10):
+        src = _cloud(rng, n)
+        r0 = haar_matrix(rng).as_array()
+        noise = np.array([[rng.normal() * 0.05 for _ in range(3)]
+                          for _ in range(n)])
+        tgt = src @ r0.T + noise
+        src -= src.mean(axis=0)
+        tgt -= tgt.mean(axis=0)
+        transform, _ = horn_align(PointSet(src), PointSet(tgt))
+        ref, _ = Rotation.align_vectors(tgt, src)
+        diff = Rotation.from_matrix(transform.rotation.as_array()) * ref.inv()
+        assert diff.magnitude() < 1e-9
 
 
 def test_horn_size_mismatch(rng):

@@ -365,3 +365,35 @@ def test_bench_csv_parse_matches_values(capsys):
     for parsed, row in zip(rows, direct):
         assert parsed["eps_stab"] == row.eps_stab or (
             parsed["eps_stab"] is None and row.eps_stab is None)
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_bench_row_error_keeps_completed_rows(monkeypatch, tmp_path, capsys,
+                                              to_file):
+    import rotrepr.bench as bench_mod
+    from rotrepr.errors import RotationError
+
+    real = bench_mod.stability_suite
+
+    def broken(tag, cfg):
+        if tag == "sixd":
+            raise RotationError("injected failure")
+        return real(tag, cfg)
+
+    monkeypatch.setattr(bench_mod, "stability_suite", broken)
+    out_path = tmp_path / "report.csv"
+    argv = ["bench", "--suite", "stability", "--format", "csv", *FAST]
+    if to_file:
+        argv += ["--out", str(out_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    text = out_path.read_text() if to_file else out
+    assert (out == "") == to_file
+    rows = {r["representation"]: r for r in parse_report_csv(text)}
+    assert len(rows) == 7
+    assert rows["quaternion"]["eps_stab"] is not None
+    assert rows["sixd"]["eps_stab"] is None
+    sixd_line = next(l for l in text.splitlines() if l.startswith("sixd,"))
+    assert sixd_line.split(",")[REPORT_FIELDS.index("eps_stab")] == NA
+    assert err.splitlines() == [
+        "error: row sixd/stability failed (cells NA): injected failure"]
