@@ -706,10 +706,6 @@ def time_composition(tag: str, cfg: BenchConfig) -> TimingResult:
     return composition_times(cfg, (tag,))[tag]
 
 
-def time_interpolation(tag: str, cfg: BenchConfig) -> TimingResult:
-    return interpolation_times(cfg, (tag,))[tag]
-
-
 def batch_efficiency(tag: str, cfg: BenchConfig) -> TimingResult:
     return batch_times(cfg, (tag,))[tag]
 

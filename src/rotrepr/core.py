@@ -37,10 +37,6 @@ DEFAULT_AXIS: Vec3 = (0.0, 0.0, 1.0)
 # small vector helpers
 
 
-def dot3(a: Vec3, b: Vec3) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
 def cross3(a: Vec3, b: Vec3) -> Vec3:
     return (
         a[1] * b[2] - a[2] * b[1],
@@ -51,13 +47,6 @@ def cross3(a: Vec3, b: Vec3) -> Vec3:
 
 def norm3(a: Vec3) -> float:
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-
-
-def normalize3(a: Vec3) -> Vec3:
-    n = norm3(a)
-    if n == 0.0:
-        raise DegenerateInputError("cannot normalize a zero 3-vector")
-    return (a[0] / n, a[1] / n, a[2] / n)
 
 
 def wrap_angle(a: float) -> float:

@@ -68,9 +68,16 @@ class Rng:
         return ((xorshifted >> rot) | (xorshifted << ((-rot) & 31))) & _MASK32
 
     def random(self) -> float:
-        """Uniform double in [0, 1) with 53 random mantissa bits."""
-        hi = self.next_u32() >> 5   # 27 bits
-        lo = self.next_u32() >> 6   # 26 bits
+        """Uniform double in [0, 1) with 53 random mantissa bits: the top
+        27 bits of one next_u32() output and the top 26 of the next, with
+        both steps inlined (the same stream, without two method calls)."""
+        old = self._state
+        mid = (old * _PCG_MULT + self._inc) & _MASK64
+        self._state = (mid * _PCG_MULT + self._inc) & _MASK64
+        x, rot = (((old >> 18) ^ old) >> 27) & _MASK32, old >> 59
+        hi = (((x >> rot) | (x << ((-rot) & 31))) & _MASK32) >> 5   # 27 bits
+        x, rot = (((mid >> 18) ^ mid) >> 27) & _MASK32, mid >> 59
+        lo = (((x >> rot) | (x << ((-rot) & 31))) & _MASK32) >> 6   # 26 bits
         return (hi * 67108864.0 + lo) * (1.0 / 9007199254740992.0)
 
     def uniform(self, low: float, high: float) -> float:
