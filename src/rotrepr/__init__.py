@@ -25,12 +25,14 @@ from .convert import (
     canonicalize_rotation_vector,
     convert,
     euler_to_matrix,
+    euler_to_quat,
     exp_map,
     log_map,
     matrix_to_euler,
     matrix_to_quat,
     matrix_to_sixd,
     quat_to_axis_angle,
+    quat_to_euler,
     quat_to_matrix,
     quat_to_rotation_vector,
     rotation_vector_to_quat,

@@ -2,10 +2,11 @@
 
 compose_in multiplies on the representation's hub, as its registry
 entry in convert names it: quaternions and matrices compose natively;
-axis-angle and rotation vectors go to the quaternion and back along
-their direct spokes, Euler angles and 6D to the matrix and back.
-Quaternion products are renormalized unconditionally (the quaternion
-family skips it: reading an angle with atan2 is scale invariant);
+axis-angle, rotation vectors and Euler angles go to the quaternion and
+back along their direct spokes, 6D to the matrix and back.
+Quaternion products are renormalized unconditionally (the other
+quaternion-hub tags skip it: reading angles with atan2 is scale
+invariant);
 matrix products are re-orthogonalized only when the orthogonality
 residual actually exceeds the validity tolerance, so long composition
 chains remain a meaningful drift experiment.
@@ -24,18 +25,8 @@ from .core import (
     orthogonality_residual,
     project_to_so3,
 )
-from .convert import MATRIX, QUAT, _REGISTRY, Representation, tag_of
+from .convert import MATRIX, QUAT, _REGISTRY, Representation, _hamilton, tag_of
 from .errors import DegenerateInputError, InvalidRotationError
-
-
-def _hamilton(p, q) -> tuple[float, float, float, float]:
-    """Hamilton product pq of two (w, x, y, z) sequences, not normalized."""
-    pw, px, py, pz = p
-    qw, qx, qy, qz = q
-    return (pw * qw - px * qx - py * qy - pz * qz,
-            pw * qx + px * qw + py * qz - pz * qy,
-            pw * qy - px * qz + py * qw + pz * qx,
-            pw * qz + px * qy - py * qx + pz * qw)
 
 
 def quat_mul(p: UnitQuaternion, q: UnitQuaternion) -> UnitQuaternion:
@@ -55,9 +46,7 @@ def quat_conjugate(q: UnitQuaternion) -> UnitQuaternion:
     return UnitQuaternion(w, -x, -y, -z)
 
 
-def quat_inverse(q: UnitQuaternion) -> UnitQuaternion:
-    """Inverse of a unit quaternion: its conjugate."""
-    return quat_conjugate(q)
+quat_inverse = quat_conjugate
 
 
 def matrix_mul(r1: RotationMatrix, r2: RotationMatrix) -> RotationMatrix:
@@ -79,8 +68,8 @@ def matrix_mul(r1: RotationMatrix, r2: RotationMatrix) -> RotationMatrix:
 def _hub_product(rep):
     if rep.hub == MATRIX:
         return matrix_mul
-    # the axis-angle and rotation-vector from_hub spokes are scale
-    # invariant, so their products skip the renormalization
+    # the axis-angle, rotation-vector and Euler from_hub spokes are
+    # scale invariant, so their products skip the renormalization
     return quat_mul if rep.tag == QUAT else _hamilton
 
 

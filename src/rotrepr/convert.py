@@ -2,8 +2,8 @@
 
 Layout is hub-and-spoke: the unit quaternion is the primary hub and the
 rotation matrix the secondary one. Every representation has direct
-spokes to and from the matrix; the quaternion family (axis-angle and
-the rotation vector) also has direct spokes to and from the quaternion.
+spokes to and from the matrix; axis-angle, the rotation vector and
+Euler angles also have direct spokes to and from the quaternion.
 One registry entry per representation tag holds its value type, report
 row name, arity, storage size, spokes, hub and component order; every
 tag dispatch in the package (convert, compose_in, interpolation, the
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .core import (
     DEFAULT_AXIS,
@@ -66,6 +64,16 @@ GRAM_SCHMIDT_TOL = 1e-12
 # building intermediate UnitQuaternion objects.
 
 
+def _hamilton(p, q) -> tuple[float, float, float, float]:
+    """Hamilton product pq of two (w, x, y, z) sequences, not normalized."""
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (pw * qw - px * qx - py * qy - pz * qz,
+            pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx,
+            pw * qz + px * qy - py * qx + pz * qw)
+
+
 def _unit_quat(q) -> UnitQuaternion:
     w, x, y, z = q
     n = math.sqrt(w * w + x * x + y * y + z * z)
@@ -107,6 +115,11 @@ def quat_to_axis_angle(q: UnitQuaternion) -> AxisAngle:
     return _tuple_new(AxisAngle, ((x / vn, y / vn, z / vn), theta))
 
 
+def _non_finite_norm(theta: float) -> DegenerateInputError:
+    return DegenerateInputError(
+        f"rotation vector norm is {theta!r} (finite-norm invariant)")
+
+
 def _rotation_vector_quat(v: RotationVector) -> tuple[float, float, float, float]:
     vx, vy, vz = v.v
     theta = math.sqrt(vx * vx + vy * vy + vz * vz)
@@ -114,6 +127,8 @@ def _rotation_vector_quat(v: RotationVector) -> tuple[float, float, float, float
     if theta < SMALL_ANGLE:
         scale = 0.5 - theta * theta / 48.0
     else:
+        if not math.isfinite(theta):
+            raise _non_finite_norm(theta)
         scale = math.sin(half) / theta
     return (math.cos(half), vx * scale, vy * scale, vz * scale)
 
@@ -121,7 +136,8 @@ def _rotation_vector_quat(v: RotationVector) -> tuple[float, float, float, float
 def rotation_vector_to_quat(v: RotationVector) -> UnitQuaternion:
     """q = (cos(theta/2), v sin(theta/2)/theta), renormalized; the scale
     folds in the axis normalization, and its Taylor branch 1/2 -
-    theta^2/48 below 1e-4 rad maps v = 0 to the identity exactly."""
+    theta^2/48 below 1e-4 rad maps v = 0 to the identity exactly. A NaN
+    or overflowing norm raises DegenerateInputError."""
     return _unit_quat(_rotation_vector_quat(v))
 
 
@@ -158,11 +174,6 @@ def axis_angle_to_matrix(aa: AxisAngle) -> RotationMatrix:
         (uy * ux * omc + uz * s, c + uy * uy * omc, uy * uz * omc - ux * s),
         (uz * ux * omc - uy * s, uz * uy * omc + ux * s, c + uz * uz * omc),
     ))
-
-
-def _non_finite_norm(theta: float) -> DegenerateInputError:
-    return DegenerateInputError(
-        f"rotation vector norm is {theta!r} (finite-norm invariant)")
 
 
 def exp_map(v: RotationVector) -> RotationMatrix:
@@ -288,6 +299,8 @@ def rotation_vector_to_axis_angle(v: RotationVector) -> AxisAngle:
     theta = v.norm()
     if theta <= TINY_ANGLE:
         return AxisAngle(DEFAULT_AXIS, theta)
+    if not math.isfinite(theta):
+        raise _non_finite_norm(theta)
     return AxisAngle((v.v[0] / theta, v.v[1] / theta, v.v[2] / theta), theta)
 
 
@@ -374,35 +387,42 @@ def matrix_to_quat(r: RotationMatrix) -> UnitQuaternion:
 
 
 # ---------------------------------------------------------------------------
-# Euler <-> matrix
+# Euler <-> quaternion and matrix
 
 
-def _elementary(axis: str, angle: float):
-    c = math.cos(angle)
-    s = math.sin(angle)
-    if axis == "X":
-        return ((1.0, 0.0, 0.0), (0.0, c, -s), (0.0, s, c))
-    if axis == "Y":
-        return ((c, 0.0, s), (0.0, 1.0, 0.0), (-s, 0.0, c))
-    return ((c, -s, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0))
+# intrinsic axes -> the equivalent extrinsic sequence (i, j, k) as
+# quaternion component indices, and the parity of its permutation:
+# intrinsic ZYX (a, b, g) is extrinsic XYZ (g, b, a)
+_TAIT_BRYAN = {"ZYX": (1, 2, 3, 1.0), "XYZ": (3, 2, 1, -1.0)}
+_TWO_PI = 2.0 * math.pi
 
 
-def _elementary_mul_left(axis: str, angle: float, m):
-    """R_axis(angle) @ m, exploiting the elementary sparsity (12 mults)."""
-    c = math.cos(angle)
-    s = math.sin(angle)
-    r0, r1, r2 = m
-    if axis == "X":
-        return (r0,
-                (c * r1[0] - s * r2[0], c * r1[1] - s * r2[1], c * r1[2] - s * r2[2]),
-                (s * r1[0] + c * r2[0], s * r1[1] + c * r2[1], s * r1[2] + c * r2[2]))
-    if axis == "Y":
-        return ((c * r0[0] + s * r2[0], c * r0[1] + s * r2[1], c * r0[2] + s * r2[2]),
-                r1,
-                (-s * r0[0] + c * r2[0], -s * r0[1] + c * r2[1], -s * r0[2] + c * r2[2]))
-    return ((c * r0[0] - s * r1[0], c * r0[1] - s * r1[1], c * r0[2] - s * r1[2]),
-            (s * r0[0] + c * r1[0], s * r0[1] + c * r1[1], s * r0[2] + c * r1[2]),
-            r2)
+def _euler_quat(e: EulerAngles) -> tuple[float, float, float, float]:
+    # the half-angle quaternion product, written out for ZYX and XYZ
+    conv = e.convention
+    if conv.intrinsic and conv.axes in _TAIT_BRYAN:
+        ca, sa = math.cos(0.5 * e.alpha), math.sin(0.5 * e.alpha)
+        cb, sb = math.cos(0.5 * e.beta), math.sin(0.5 * e.beta)
+        cg, sg = math.cos(0.5 * e.gamma), math.sin(0.5 * e.gamma)
+        if conv.axes == "ZYX":
+            return (ca * cb * cg + sa * sb * sg, ca * cb * sg - sa * sb * cg,
+                    ca * sb * cg + sa * cb * sg, sa * cb * cg - ca * sb * sg)
+        return (ca * cb * cg - sa * sb * sg, sa * cb * cg + ca * sb * sg,
+                ca * sb * cg - sa * cb * sg, ca * cb * sg + sa * sb * cg)
+    angles = e.as_tuple()
+    q = (1.0, 0.0, 0.0, 0.0)
+    for k in ((0, 1, 2) if conv.intrinsic else (2, 1, 0)):
+        factor = [math.cos(0.5 * angles[k]), 0.0, 0.0, 0.0]
+        factor["XYZ".index(conv.axes[k]) + 1] = math.sin(0.5 * angles[k])
+        q = _hamilton(q, factor)
+    return q
+
+
+def euler_to_quat(e: EulerAngles) -> UnitQuaternion:
+    """q = q_a(alpha) q_b(beta) q_c(gamma) for intrinsic axes "abc" (the
+    name-order product, as in euler_to_matrix), renormalized; not
+    sign-canonicalized."""
+    return _unit_quat(_euler_quat(e))
 
 
 def euler_to_matrix(e: EulerAngles) -> RotationMatrix:
@@ -411,80 +431,75 @@ def euler_to_matrix(e: EulerAngles) -> RotationMatrix:
     Intrinsic conventions multiply in name order (ZYX with (a, b, g) is
     Rz(a) Ry(b) Rx(g)); extrinsic conventions are the reversed product.
     The two conventions with extraction support use the symbolically
-    expanded product; the rest compose the elementary factors directly.
+    expanded product; the rest go through euler_to_quat.
     """
     conv = e.convention
+    ca, sa = math.cos(e.alpha), math.sin(e.alpha)
+    cb, sb = math.cos(e.beta), math.sin(e.beta)
+    cg, sg = math.cos(e.gamma), math.sin(e.gamma)
     if conv is ZYX or (conv.intrinsic and conv.axes == "ZYX"):
-        ca, sa = math.cos(e.alpha), math.sin(e.alpha)
-        cb, sb = math.cos(e.beta), math.sin(e.beta)
-        cg, sg = math.cos(e.gamma), math.sin(e.gamma)
         return RotationMatrix((
             (ca * cb, ca * sb * sg - sa * cg, ca * sb * cg + sa * sg),
             (sa * cb, sa * sb * sg + ca * cg, sa * sb * cg - ca * sg),
             (-sb, cb * sg, cb * cg),
         ))
     if conv.intrinsic and conv.axes == "XYZ":
-        ca, sa = math.cos(e.alpha), math.sin(e.alpha)
-        cb, sb = math.cos(e.beta), math.sin(e.beta)
-        cg, sg = math.cos(e.gamma), math.sin(e.gamma)
         return RotationMatrix((
             (cb * cg, -cb * sg, sb),
             (ca * sg + sa * sb * cg, ca * cg - sa * sb * sg, -sa * cb),
             (sa * sg - ca * sb * cg, sa * cg + ca * sb * sg, ca * cb),
         ))
-    axes = conv.axes
-    angles = e.as_tuple()
-    order = (0, 1, 2) if conv.intrinsic else (2, 1, 0)
-    rows = _elementary(axes[order[2]], angles[order[2]])
-    rows = _elementary_mul_left(axes[order[1]], angles[order[1]], rows)
-    rows = _elementary_mul_left(axes[order[0]], angles[order[0]], rows)
-    return RotationMatrix(rows)
+    return quat_to_matrix(_euler_quat(e))
+
+
+def quat_to_euler(q, convention: EulerConvention | None = None) -> EulerAngles:
+    """Intrinsic ZYX (default) or XYZ angles of the (w, x, y, z)
+    sequence q, after Bernardes & Viollet (2022, PLoS ONE 17(11)): from
+    component pairs (a, b) and (c, d) of q, beta + pi/2 is 2 atan2(|(c,
+    d)|, |(a, b)|) and the half sum and half difference of the outer
+    angles are atan2(b, a) and atan2(d, c), so the combination alpha -/+
+    gamma that a rotation near the fold pins down is read from the
+    well-conditioned pair. Scale invariant. beta lies in [-pi/2, pi/2],
+    alpha and gamma in [-pi, pi]. Inside the gimbal band (|cos beta| <
+    1e-7) gamma is zero and the free rotation is folded into alpha, exact
+    at beta = +-pi/2 and O(|cos beta|) elsewhere in the band. Other
+    conventions raise UnsupportedConventionError.
+    """
+    if convention is None:
+        convention = ZYX
+    spec = _TAIT_BRYAN.get(convention.axes) if convention.intrinsic else None
+    if spec is None:
+        raise UnsupportedConventionError(
+            f"Euler extraction supports intrinsic ZYX and XYZ only, "
+            f"got {convention.tag}")
+    i, j, k, parity = spec
+    w, qi, qj, qk = q[0], q[i], q[j], q[k] * parity
+    a, b, c, d = w - qj, qi + qk, qj + w, qk - qi
+    hab, hcd = math.hypot(a, b), math.hypot(c, d)
+    h = math.hypot(hab, hcd)
+    if h == 0.0:
+        raise DegenerateInputError("zero quaternion does not define a rotation")
+    half_sum = math.atan2(b, a)
+    half_diff = math.atan2(d, c)
+    if 2.0 * (hab / h) * (hcd / h) < GIMBAL_COS_BETA:  # |cos beta|
+        gamma = 0.0
+        alpha = 2.0 * (half_sum if hab > hcd else half_diff)
+    else:
+        gamma = half_sum - half_diff
+        alpha = half_sum + half_diff
+    # both lie in [-2 pi, 2 pi]; wrap them into [-pi, pi]
+    alpha = parity * (alpha - _TWO_PI * round(alpha / _TWO_PI))
+    gamma -= _TWO_PI * round(gamma / _TWO_PI)
+    beta = 2.0 * math.atan2(hcd, hab) - 0.5 * math.pi
+    return EulerAngles(alpha, beta, gamma, convention)
 
 
 def matrix_to_euler(r: RotationMatrix,
                     convention: EulerConvention | None = None) -> EulerAngles:
-    """Extract intrinsic ZYX or XYZ angles.
-
-    Away from the gimbal band the formulas are the atan2 forms of the
-    standard arcsin/atan2 extraction (beta uses atan2(sin, cos) for
-    stability right at the band edge). Inside the band (|cos beta| <
-    1e-7) gamma is set to zero and the remaining free rotation is folded
-    into alpha; the fold is exact at beta = +-pi/2 and reproduces the
-    matrix to O(|cos beta|) elsewhere in the band. All other conventions
-    raise UnsupportedConventionError.
-    """
-    if convention is None:
-        convention = ZYX
-    if convention is not ZYX and (
-            not convention.intrinsic or convention.axes not in ("ZYX", "XYZ")):
-        raise UnsupportedConventionError(
-            f"Euler extraction supports intrinsic ZYX and XYZ only, "
-            f"got {convention.tag}")
-    m = r.rows
-    if convention.axes == "ZYX":
-        sb = _clamp(-m[2][0], -1.0, 1.0)
-        cb = math.hypot(m[0][0], m[1][0])
-        beta = math.atan2(sb, cb)
-        if cb < GIMBAL_COS_BETA:
-            alpha = math.atan2(-m[0][1], m[1][1])
-            gamma = 0.0
-        else:
-            alpha = math.atan2(m[1][0], m[0][0])
-            gamma = math.atan2(m[2][1], m[2][2])
-    else:
-        sb = _clamp(m[0][2], -1.0, 1.0)
-        cb = math.hypot(m[0][0], m[0][1])
-        beta = math.atan2(sb, cb)
-        if cb < GIMBAL_COS_BETA:
-            gamma = 0.0
-            if sb > 0.0:
-                alpha = math.atan2(m[1][0], m[1][1])
-            else:
-                alpha = math.atan2(-m[1][0], m[1][1])
-        else:
-            alpha = math.atan2(-m[1][2], m[2][2])
-            gamma = math.atan2(-m[0][1], m[0][0])
-    return EulerAngles(alpha, beta, gamma, convention)
+    """Intrinsic ZYX or XYZ angles of r: Shoemake's matrix_to_quat, then
+    quat_to_euler. Raises InvalidRotationError where matrix_to_quat does
+    and UnsupportedConventionError for every other convention."""
+    return quat_to_euler(matrix_to_quat(r), convention)
 
 
 # ---------------------------------------------------------------------------
@@ -493,24 +508,26 @@ def matrix_to_euler(r: RotationMatrix,
 
 def sixd_to_matrix(s: SixD) -> RotationMatrix:
     """Gram-Schmidt recovery: b1 = a1/|a1|, b2 = normalized rejection of
-    a2 from b1, b3 = b1 x b2, assembled as columns."""
-    a1 = np.asarray(s.a1, dtype=float)
-    a2 = np.asarray(s.a2, dtype=float)
-    n1 = float(np.linalg.norm(a1))
+    a2 from b1, b3 = b1 x b2, assembled as columns. Plain floats (on
+    3-vectors numpy's call overhead outweighs the arithmetic); hypot
+    keeps the norms of huge columns from overflowing."""
+    x1, y1, z1 = s.a1
+    x2, y2, z2 = s.a2
+    n1 = math.hypot(x1, y1, z1)
     if n1 <= GRAM_SCHMIDT_TOL:
         raise DegenerateInputError("6D first column is numerically zero")
-    b1 = a1 / n1
-    rej = a2 - float(np.dot(b1, a2)) * b1
-    n2 = float(np.linalg.norm(rej))
+    x1, y1, z1 = x1 / n1, y1 / n1, z1 / n1
+    p = x1 * x2 + y1 * y2 + z1 * z2
+    x2, y2, z2 = x2 - p * x1, y2 - p * y1, z2 - p * z1
+    n2 = math.hypot(x2, y2, z2)
     if n2 <= GRAM_SCHMIDT_TOL:
         raise DegenerateInputError(
             "6D columns are parallel; Gram-Schmidt is ill-posed")
-    b2 = rej / n2
-    b3 = np.cross(b1, b2)
+    x2, y2, z2 = x2 / n2, y2 / n2, z2 / n2
     return RotationMatrix((
-        (float(b1[0]), float(b2[0]), float(b3[0])),
-        (float(b1[1]), float(b2[1]), float(b3[1])),
-        (float(b1[2]), float(b2[2]), float(b3[2])),
+        (x1, x2, y1 * z2 - z1 * y2),
+        (y1, y2, z1 * x2 - x1 * z2),
+        (z1, z2, x1 * y2 - y1 * x2),
     ))
 
 
@@ -555,10 +572,6 @@ def _same(value):
     return value
 
 
-def _axis_angle_from_matrix(r: RotationMatrix) -> AxisAngle:
-    return quat_to_axis_angle(matrix_to_quat(r))
-
-
 def _entry(tag, row, value_type, arity, storage_bytes, components, to_matrix,
            from_matrix, quat_spokes=None, convention=None) -> _Rep:
     """quat_spokes (to_quat, from_quat) put the entry on the quaternion
@@ -575,11 +588,15 @@ _REGISTRY = (
     _entry(MATRIX, "matrix", RotationMatrix, 9, 72, RotationMatrix.as_flat,
            _same, _same),
     _entry(EULER_ZYX, "euler", EulerAngles, 3, 24, EulerAngles.as_tuple,
-           euler_to_matrix, lambda r: matrix_to_euler(r, ZYX), convention=ZYX),
+           euler_to_matrix, lambda r: matrix_to_euler(r, ZYX),
+           quat_spokes=(_euler_quat, lambda q: quat_to_euler(q, ZYX)),
+           convention=ZYX),
     _entry(EULER_XYZ, None, EulerAngles, 3, 24, EulerAngles.as_tuple,
-           euler_to_matrix, lambda r: matrix_to_euler(r, XYZ), convention=XYZ),
+           euler_to_matrix, lambda r: matrix_to_euler(r, XYZ),
+           quat_spokes=(_euler_quat, lambda q: quat_to_euler(q, XYZ)),
+           convention=XYZ),
     _entry(AXIS_ANGLE, "axis-angle", AxisAngle, 4, 24, AxisAngle.as_tuple,
-           axis_angle_to_matrix, _axis_angle_from_matrix,
+           axis_angle_to_matrix, lambda r: quat_to_axis_angle(matrix_to_quat(r)),
            quat_spokes=(_axis_angle_quat, quat_to_axis_angle)),
     _entry(ROTVEC, "exp-map", RotationVector, 3, 24, RotationVector.as_tuple,
            exp_map, log_map,
@@ -609,9 +626,9 @@ def tag_of(value: Representation) -> str:
 def convert(value: Representation, dst: str) -> Representation:
     """Convert between representations via the nearest hub.
 
-    Axis-angle and rotation vector interconvert directly; within the
-    quaternion family the route is the quaternion, every other route
-    goes through the matrix.
+    Axis-angle and rotation vector interconvert directly; a route from a
+    quaternion-hub tag starts on the quaternion, every other route goes
+    through the matrix.
     """
     out = _BY_TAG.get(dst)
     if out is None:

@@ -64,3 +64,36 @@ def exact_rotation_vector(q) -> list[float]:
         k = 2 * mp.atan2(mp.sqrt(x * x + y * y + z * z), w) / mp.sqrt(
             x * x + y * y + z * z)
         return [float(k * x), float(k * y), float(k * z)]
+
+
+def exact_euler_quat(axes: str, angles) -> list:
+    """(w, x, y, z) of the intrinsic product q_a(alpha) q_b(beta)
+    q_c(gamma) for axes "abc", in 40-digit mpmath (angles may be mpf)."""
+    import mpmath as mp
+    with mp.workdps(40):
+        q = [mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(0)]
+        for axis, angle in zip(axes, angles):
+            half = mp.mpf(angle) / 2
+            e = [mp.cos(half), mp.mpf(0), mp.mpf(0), mp.mpf(0)]
+            e["XYZ".index(axis) + 1] = mp.sin(half)
+            q = exact_hamilton(q, e)
+        return q
+
+
+def exact_quat_matrix(q) -> list:
+    """Rows of the rotation carried by the (w, x, y, z) components,
+    normalized and evaluated in 40-digit mpmath, as mpf."""
+    import mpmath as mp
+    with mp.workdps(40):
+        w, x, y, z = (mp.mpf(c) for c in q)
+        n = mp.sqrt(w * w + x * x + y * y + z * z)
+        w, x, y, z = w / n, x / n, y / n, z / n
+        return [[1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)]]
+
+
+def max_entry_error(r, exact) -> float:
+    """Largest |r_ij - exact_ij| of a RotationMatrix against mpf rows."""
+    return max(abs(float(r.rows[i][j] - exact[i][j]))
+               for i in range(3) for j in range(3))

@@ -13,32 +13,38 @@ from rotrepr import (
     SixD,
     UnitQuaternion,
     UnsupportedConventionError,
+    compose_in,
     relative_angle,
 )
 from rotrepr.convert import (
+    GIMBAL_COS_BETA,
     axis_angle_to_matrix,
     axis_angle_to_quat,
     canonicalize_rotation_vector,
     convert,
     euler_to_matrix,
+    euler_to_quat,
     exp_map,
     log_map,
     matrix_to_euler,
     matrix_to_quat,
     matrix_to_sixd,
     quat_to_axis_angle,
+    quat_to_euler,
     quat_to_matrix,
     sixd_to_matrix,
     REPRESENTATION_TAGS,
     _REGISTRY,
     tag_of,
 )
-from rotrepr.core import DEFAULT_AXIS, TINY_ANGLE
+from rotrepr.core import DEFAULT_AXIS, TINY_ANGLE, XYZ, ZYX
 
-from conftest import (SMALL_ANGLES, exact_rotation_vector, frobenius, haar_matrix,
-                      haar_quat)
+from conftest import (SMALL_ANGLES, exact_euler_quat, exact_quat_matrix,
+                      exact_rotation_vector, frobenius, haar_matrix, haar_quat,
+                      max_entry_error)
 
 SQ2 = math.sqrt(0.5)
+EPS = 2.0 ** -52
 RZ90_ROWS = ((0.0, -1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 1.0))
 
 
@@ -349,6 +355,93 @@ def test_matrix_to_euler_unsupported_conventions():
         matrix_to_euler(r, EulerConvention("ZYX", intrinsic=False))
 
 
+def test_matrix_to_euler_rejects_non_rotation():
+    sheared = RotationMatrix(((1.0, 0.1, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+    with pytest.raises(InvalidRotationError):
+        matrix_to_euler(sheared)
+    with pytest.raises(InvalidRotationError):
+        matrix_to_euler(RotationMatrix(((math.nan, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                        (0.0, 0.0, 1.0))))
+
+
+def test_quat_to_euler_scale_invariant_and_zero(rng):
+    for conv in (ZYX, XYZ):
+        for _ in range(50):
+            q = haar_quat(rng)
+            e = quat_to_euler(q, conv)
+            # power-of-two scales are exact, so the angles must be too
+            for k in (2.0 ** -500, 4.0, 2.0 ** 500):
+                assert quat_to_euler(tuple(k * c for c in q), conv) == e
+        with pytest.raises(DegenerateInputError):
+            quat_to_euler((0.0, 0.0, 0.0, 0.0), conv)
+    with pytest.raises(UnsupportedConventionError):
+        quat_to_euler(UnitQuaternion.identity(), EulerConvention("ZXZ"))
+
+
+def test_euler_to_quat_matches_matrix_route(rng):
+    # euler_to_quat(e) is matrix_to_quat(euler_to_matrix(e)) up to sign
+    for conv in (ZYX, XYZ):
+        for _ in range(300):
+            e = EulerAngles(rng.uniform(-math.pi, math.pi),
+                            rng.uniform(-math.pi / 2, math.pi / 2),
+                            rng.uniform(-math.pi, math.pi), conv)
+            q = euler_to_quat(e)
+            p = matrix_to_quat(euler_to_matrix(e))
+            sign = 1.0 if q.dot(p) > 0.0 else -1.0
+            assert max(abs(a - sign * b) for a, b in zip(q, p)) <= 4 * EPS
+
+
+# |cos beta| from 1e-9 to 1e-2 in half decades; the band edge 1e-7
+# itself is left out, since there the input's rounding picks the branch
+EULER_COS_BETAS = [10.0 ** (-k / 2) for k in range(4, 19) if k != 14]
+
+
+def _wrapped_gap(a: float, b: float) -> float:
+    d = math.fmod(abs(a - b), 2.0 * math.pi)
+    return min(d, 2.0 * math.pi - d)
+
+
+@pytest.mark.parametrize("conv", [ZYX, XYZ], ids=lambda c: c.axes)
+@pytest.mark.parametrize("source", ["quat", "matrix"])
+@pytest.mark.parametrize("cos_beta", EULER_COS_BETAS)
+def test_euler_extraction_near_fold_oracle(conv, source, cos_beta, rng):
+    # The true rotation is built in 40-digit mpmath and rounded once to a
+    # quaternion; matrix input is quat_to_matrix of it, so both inputs
+    # carry rounding. Outside the band the matrix round trip is within a
+    # few ulp of the input's exact rotation, and alpha and gamma within
+    # c eps / |cos beta| of the true angles (the matrix pins down only
+    # alpha -/+ gamma at the fold). Inside the band gamma folds to zero
+    # and the rotation is reproduced to O(|cos beta|).
+    import mpmath as mp
+    in_band = cos_beta < GIMBAL_COS_BETA
+    for sign in (1.0, -1.0):
+        for _ in range(4):
+            alpha = rng.uniform(-math.pi, math.pi)
+            gamma = rng.uniform(-math.pi, math.pi)
+            with mp.workdps(40):
+                beta = sign * mp.acos(mp.mpf(cos_beta))
+                q = [float(c) for c in
+                     exact_euler_quat(conv.axes, (alpha, beta, gamma))]
+            if source == "quat":
+                exact = exact_quat_matrix(q)
+                e = quat_to_euler(q, conv)
+            else:
+                r = quat_to_matrix(q)
+                exact = r.rows
+                e = matrix_to_euler(r, conv)
+            err = max_entry_error(euler_to_matrix(e), exact)
+            assert -math.pi <= e.alpha <= math.pi
+            assert -math.pi <= e.gamma <= math.pi
+            if in_band:
+                assert e.gamma == 0.0
+                assert err <= 3.0 * cos_beta
+                continue
+            assert err <= 8 * EPS
+            assert abs(e.beta - float(beta)) <= 8 * EPS
+            assert _wrapped_gap(e.alpha, alpha) <= 8 * EPS / cos_beta
+            assert _wrapped_gap(e.gamma, gamma) <= 8 * EPS / cos_beta
+
+
 # ---------------------------------------------------------------------------
 # exp / log
 
@@ -452,6 +545,19 @@ def test_exp_map_rejects_non_finite_norm(bad):
     assert "finite-norm invariant" in str(raised.value)
 
 
+@pytest.mark.parametrize("dst", [tag for tag in REPRESENTATION_TAGS
+                                 if tag != "rotvec"] + ["compose_in"])
+@pytest.mark.parametrize("bad", [(1e200, 0.0, 0.0), (math.nan, 0.0, 0.0),
+                                 (0.0, -math.inf, 0.0)])
+def test_rotation_vector_non_finite_norm_every_route(bad, dst):
+    v = RotationVector(bad)
+    with pytest.raises(DegenerateInputError, match="finite-norm invariant"):
+        if dst == "compose_in":
+            compose_in("rotvec", v, v)
+        else:
+            convert(v, dst)
+
+
 # ---------------------------------------------------------------------------
 # small-angle branch seams agree with the unbranched formulas
 
@@ -508,6 +614,40 @@ def test_sixd_positive_scaling_invariance(rng):
             scaled_a2 = SixD(s.a1, tuple(lam * v for v in s.a2))
             assert frobenius(sixd_to_matrix(scaled_a1), r) < 1e-12
             assert frobenius(sixd_to_matrix(scaled_a2), r) < 1e-12
+
+
+def test_sixd_to_matrix_oracle(rng):
+    # Gram-Schmidt in 40-digit mpmath over column scales 1e-3..1e3; the
+    # error budget is a few ulp over sin(angle between the columns), the
+    # conditioning of the rejection
+    import mpmath as mp
+    for _ in range(300):
+        s1, s2 = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)
+        a1 = (s1 * rng.normal(), s1 * rng.normal(), s1 * rng.normal())
+        a2 = (s2 * rng.normal(), s2 * rng.normal(), s2 * rng.normal())
+        with mp.workdps(40):
+            c1 = [mp.mpf(v) for v in a1]
+            c2 = [mp.mpf(v) for v in a2]
+            n1 = mp.sqrt(sum(v * v for v in c1))
+            b1 = [v / n1 for v in c1]
+            p = sum(x * y for x, y in zip(b1, c2))
+            rej = [y - p * x for x, y in zip(b1, c2)]
+            n2 = mp.sqrt(sum(v * v for v in rej))
+            b2 = [v / n2 for v in rej]
+            b3 = [b1[1] * b2[2] - b1[2] * b2[1], b1[2] * b2[0] - b1[0] * b2[2],
+                  b1[0] * b2[1] - b1[1] * b2[0]]
+            exact = [[b1[i], b2[i], b3[i]] for i in range(3)]
+            sin_angle = float(n2 / mp.sqrt(sum(v * v for v in c2)))
+        err = max_entry_error(sixd_to_matrix(SixD(a1, a2)), exact)
+        assert err <= 4 * EPS / sin_angle
+
+
+def test_sixd_huge_columns(rng):
+    for _ in range(20):
+        r = haar_matrix(rng)
+        s = matrix_to_sixd(r)
+        huge = SixD(tuple(1e300 * v for v in s.a1), tuple(1e300 * v for v in s.a2))
+        assert frobenius(sixd_to_matrix(huge), r) < 1e-14
 
 
 def test_matrix_to_sixd_examples(rng):
