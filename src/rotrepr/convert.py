@@ -390,11 +390,9 @@ def matrix_to_quat(r: RotationMatrix) -> UnitQuaternion:
 # Euler <-> quaternion and matrix
 
 
-# intrinsic axes -> the equivalent extrinsic sequence (i, j, k) as
-# quaternion component indices, and the parity of its permutation:
-# intrinsic ZYX (a, b, g) is extrinsic XYZ (g, b, a)
+# intrinsic axes -> the extrinsic sequence (i, j, k) of the same rotation
+# as component indices of q, and its parity: ZYX (a, b, g) is XYZ (g, b, a)
 _TAIT_BRYAN = {"ZYX": (1, 2, 3, 1.0), "XYZ": (3, 2, 1, -1.0)}
-_TWO_PI = 2.0 * math.pi
 
 
 def _euler_quat(e: EulerAngles) -> tuple[float, float, float, float]:
@@ -419,9 +417,8 @@ def _euler_quat(e: EulerAngles) -> tuple[float, float, float, float]:
 
 
 def euler_to_quat(e: EulerAngles) -> UnitQuaternion:
-    """q = q_a(alpha) q_b(beta) q_c(gamma) for intrinsic axes "abc" (the
-    name-order product, as in euler_to_matrix), renormalized; not
-    sign-canonicalized."""
+    """q_a(alpha) q_b(beta) q_c(gamma) for intrinsic axes "abc", the
+    name-order product as in euler_to_matrix, renormalized."""
     return _unit_quat(_euler_quat(e))
 
 
@@ -429,9 +426,8 @@ def euler_to_matrix(e: EulerAngles) -> RotationMatrix:
     """Compose elementary rotations per the convention.
 
     Intrinsic conventions multiply in name order (ZYX with (a, b, g) is
-    Rz(a) Ry(b) Rx(g)); extrinsic conventions are the reversed product.
-    The two conventions with extraction support use the symbolically
-    expanded product; the rest go through euler_to_quat.
+    Rz(a) Ry(b) Rx(g)), extrinsic ones in reverse. ZYX and XYZ use the
+    symbolically expanded product, the rest the quaternion product.
     """
     conv = e.convention
     ca, sa = math.cos(e.alpha), math.sin(e.alpha)
@@ -455,18 +451,15 @@ def euler_to_matrix(e: EulerAngles) -> RotationMatrix:
 def quat_to_euler(q, convention: EulerConvention | None = None) -> EulerAngles:
     """Intrinsic ZYX (default) or XYZ angles of the (w, x, y, z)
     sequence q, after Bernardes & Viollet (2022, PLoS ONE 17(11)): from
-    component pairs (a, b) and (c, d) of q, beta + pi/2 is 2 atan2(|(c,
-    d)|, |(a, b)|) and the half sum and half difference of the outer
-    angles are atan2(b, a) and atan2(d, c), so the combination alpha -/+
-    gamma that a rotation near the fold pins down is read from the
-    well-conditioned pair. Scale invariant. beta lies in [-pi/2, pi/2],
-    alpha and gamma in [-pi, pi]. Inside the gimbal band (|cos beta| <
-    1e-7) gamma is zero and the free rotation is folded into alpha, exact
-    at beta = +-pi/2 and O(|cos beta|) elsewhere in the band. Other
-    conventions raise UnsupportedConventionError.
-    """
-    if convention is None:
-        convention = ZYX
+    component pairs (a, b) and (c, d), beta = 2 atan2(|(c, d)|, |(a, b)|)
+    - pi/2, and atan2(b, a) and atan2(d, c) are the half sum and half
+    difference of the outer angles, so alpha -/+ gamma, all a rotation
+    near the fold pins down, comes from the well-conditioned pair. Scale
+    invariant; alpha and gamma in [-pi, pi]. In the gimbal band (|cos
+    beta| < 1e-7) gamma is zero and alpha absorbs the free rotation,
+    exact at beta = +-pi/2 and O(|cos beta|) elsewhere in the band.
+    Other conventions raise UnsupportedConventionError."""
+    convention = convention or ZYX
     spec = _TAIT_BRYAN.get(convention.axes) if convention.intrinsic else None
     if spec is None:
         raise UnsupportedConventionError(
@@ -487,11 +480,16 @@ def quat_to_euler(q, convention: EulerConvention | None = None) -> EulerAngles:
     else:
         gamma = half_sum - half_diff
         alpha = half_sum + half_diff
-    # both lie in [-2 pi, 2 pi]; wrap them into [-pi, pi]
-    alpha = parity * (alpha - _TWO_PI * round(alpha / _TWO_PI))
-    gamma -= _TWO_PI * round(gamma / _TWO_PI)
+    # both lie in [-2 pi, 2 pi]; the IEEE remainder wraps them exactly
+    alpha = parity * math.remainder(alpha, math.tau)
+    gamma = math.remainder(gamma, math.tau)
     beta = 2.0 * math.atan2(hcd, hab) - 0.5 * math.pi
-    return EulerAngles(alpha, beta, gamma, convention)
+    # EulerAngles(...) without the four object.__setattr__ calls of the
+    # frozen __init__, which cost a fifth of an Euler compose_in
+    e = object.__new__(EulerAngles)
+    f = e.__dict__
+    f["alpha"], f["beta"], f["gamma"], f["convention"] = alpha, beta, gamma, convention
+    return e
 
 
 def matrix_to_euler(r: RotationMatrix,

@@ -68,9 +68,8 @@ class Rng:
         return ((xorshifted >> rot) | (xorshifted << ((-rot) & 31))) & _MASK32
 
     def random(self) -> float:
-        """Uniform double in [0, 1) with 53 random mantissa bits: the top
-        27 bits of one next_u32() output and the top 26 of the next, with
-        both steps inlined (the same stream, without two method calls)."""
+        """Uniform double in [0, 1) with 53 random mantissa bits: two
+        next_u32() outputs, their steps inlined to save the calls."""
         old = self._state
         mid = (old * _PCG_MULT + self._inc) & _MASK64
         self._state = (mid * _PCG_MULT + self._inc) & _MASK64
