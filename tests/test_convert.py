@@ -369,6 +369,11 @@ def test_quat_to_euler_scale_invariant_and_zero(rng):
         for _ in range(50):
             q = haar_quat(rng)
             e = quat_to_euler(q, conv)
+            # the same frozen value the class call builds
+            built = EulerAngles(e.alpha, e.beta, e.gamma, conv)
+            assert e == built and hash(e) == hash(built) and repr(e) == repr(built)
+            with pytest.raises(AttributeError):
+                e.alpha = 0.0
             # power-of-two scales are exact, so the angles must be too
             for k in (2.0 ** -500, 4.0, 2.0 ** 500):
                 assert quat_to_euler(tuple(k * c for c in q), conv) == e
