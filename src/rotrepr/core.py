@@ -343,10 +343,16 @@ def project_to_so3(m) -> RotationMatrix:
     if sigma[-1] < 1e-12:
         raise DegenerateInputError(
             f"matrix is rank-deficient (singular values {sigma.tolist()})")
-    d = float(np.linalg.det(u @ vt))
-    sign = 1.0 if d >= 0.0 else -1.0
-    r = (u * np.array([1.0, 1.0, sign])) @ vt
-    return RotationMatrix.from_array(r)
+    return _so3_factor(u, vt)
+
+
+def _so3_factor(u, vt) -> RotationMatrix:
+    """U diag(1, 1, det(UV^T)) V^T of an SVD; UV^T is orthogonal, so the
+    sign of its plain cofactor determinant (+-1) is exact."""
+    (a, b, c), (d, e, f), (g, h, i) = (u @ vt).tolist()
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    r0, r1, r2 = ((u * np.array([1.0, 1.0, 1.0 if det >= 0.0 else -1.0])) @ vt).tolist()
+    return RotationMatrix((tuple(r0), tuple(r1), tuple(r2)))
 
 
 def geodesic_distance(r1: RotationMatrix, r2: RotationMatrix) -> float:
@@ -375,16 +381,18 @@ def relative_angle(r1: RotationMatrix, r2: RotationMatrix) -> float:
     form. This is the measuring stick for all reconstruction-error
     metrics.
     """
-    a, b = r1.rows, r2.rows
-    q = mat_mul_rows((
-        (a[0][0], a[1][0], a[2][0]),
-        (a[0][1], a[1][1], a[2][1]),
-        (a[0][2], a[1][2], a[2][2]),
-    ), b)
-    c = (q[0][0] + q[1][1] + q[2][2] - 1.0) * 0.5
-    sx = (q[2][1] - q[1][2]) * 0.5
-    sy = (q[0][2] - q[2][0]) * 0.5
-    sz = (q[1][0] - q[0][1]) * 0.5
+    # entry ij of R1^T R2 is a0i b0j + a1i b1j + a2i b2j, as in mat_mul_rows
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = r1.rows
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = r2.rows
+    c = ((a00 * b00 + a10 * b10 + a20 * b20)
+         + (a01 * b01 + a11 * b11 + a21 * b21)
+         + (a02 * b02 + a12 * b12 + a22 * b22) - 1.0) * 0.5
+    sx = ((a02 * b01 + a12 * b11 + a22 * b21)
+          - (a01 * b02 + a11 * b12 + a21 * b22)) * 0.5
+    sy = ((a00 * b02 + a10 * b12 + a20 * b22)
+          - (a02 * b00 + a12 * b10 + a22 * b20)) * 0.5
+    sz = ((a01 * b00 + a11 * b10 + a21 * b20)
+          - (a00 * b01 + a10 * b11 + a20 * b21)) * 0.5
     s = math.sqrt(sx * sx + sy * sy + sz * sz)
     return math.atan2(s, c)
 

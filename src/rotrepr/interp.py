@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from .core import (
@@ -110,6 +111,15 @@ def matrix_geodesic(r1: RotationMatrix, r2: RotationMatrix, t: float) -> Rotatio
     return matrix_mul(r1, step)
 
 
+def _geodesic_path(r1: RotationMatrix, r2: RotationMatrix):
+    """t -> matrix_geodesic(r1, r2, t), with log(R1^T R2) computed once."""
+    x, y, z = log_map(matrix_mul(r1.transpose(), r2)).v
+
+    def at(t: float) -> RotationMatrix:
+        return matrix_mul(r1, exp_map(RotationVector((x * t, y * t, z * t))))
+    return at
+
+
 def linear_rotation_vector(v1: RotationVector, v2: RotationVector,
                            t: float) -> RotationMatrix:
     """exp of the affine blend (1-t) v1 + t v2; geodesic only when the
@@ -191,19 +201,31 @@ class Interpolator:
 
     eval(t) always yields a rotation matrix (for fisher-blend, the mode
     of the blended distribution); eval_native(t) yields the method's own
-    representation. Endpoint evaluation is exact.
+    representation. Endpoint evaluation is exact. The method (unknown:
+    DegenerateInputError) and the geodesic's log(R1^T R2) are resolved
+    at construction.
     """
 
     method: str
     start: Any = field(repr=False)
     end: Any = field(repr=False)
+    # t -> native value, and its map to a matrix (None if it is one)
+    _path: Any = field(init=False, repr=False, compare=False)
+    _to_matrix: Any = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _, native, to_matrix = _method(self.method)
+        path = (_geodesic_path(self.start, self.end) if self.method == MATRIX_GEODESIC
+                else partial(native, self.start, self.end))
+        object.__setattr__(self, "_path", path)
+        object.__setattr__(self, "_to_matrix", to_matrix)
 
     def eval_native(self, t: float):
-        return _method(self.method)[1](self.start, self.end, t)
+        return self._path(t)
 
     def eval(self, t: float) -> RotationMatrix:
-        _, native, to_matrix = _method(self.method)
-        value = native(self.start, self.end, t)
+        value = self._path(t)
+        to_matrix = self._to_matrix
         return value if to_matrix is None else to_matrix(value)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RotationMatrix, UnitQuaternion, canonicalize
+from .core import RotationMatrix, UnitQuaternion, _so3_factor, canonicalize
 from .errors import DegeneracyError, DegenerateInputError, NonUniqueModeError
 
 RANK_TOL = 1e-12
@@ -85,9 +85,7 @@ def fisher_mode(d: MatrixFisher) -> RotationMatrix:
     if rank < 3:
         raise DegeneracyError(
             f"Fisher parameter is rank-deficient (rank {rank}); mode undefined")
-    sign = 1.0 if float(np.linalg.det(u @ vt)) >= 0.0 else -1.0
-    r = (u * np.array([1.0, 1.0, sign])) @ vt
-    return RotationMatrix.from_array(r)
+    return _so3_factor(u, vt)
 
 
 def fisher_concentration(d: MatrixFisher) -> tuple[float, float, float]:

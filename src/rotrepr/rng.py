@@ -6,6 +6,12 @@ specified by integer arithmetic, so identical seeds produce bit-identical
 streams on every platform. Gaussian deviates are produced by the
 Box-Muller transform over this generator, again platform-independent up
 to libm rounding of log/sin/cos.
+
+Outputs are generated in blocks: by LCG jump-ahead (Brown 1994, "Random
+number generation with arbitrary strides") the state k steps on is
+A[k] s + S[k] inc mod 2^64, so a refill steps a whole block on numpy
+uint64 arrays, bit-identical to stepping once per output. numpy is
+imported on the first draw, not with this module.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from __future__ import annotations
 import math
 
 _MASK64 = (1 << 64) - 1
-_MASK32 = (1 << 32) - 1
 
 _PCG_MULT = 6364136223846793005
 _DEFAULT_STREAM = 54  # increment 109 after "2*stream | 1"
@@ -37,47 +42,71 @@ def _fnv1a64(text: str) -> int:
     return h
 
 
+_FIRST_BLOCK, _MAX_BLOCK = 32, 2048  # a generator's blocks double up to 2048
+_JUMP = []  # [A, S]: A[k] = M^k and S[k] = sum of M^j over j < k, mod 2^64
+
+
 class Rng:
     """PCG32 stream with uniform and Gaussian draws.
 
     Single-owner mutable state: do not share one instance between
     threads. For parallel work, derive() independent child streams.
+    copy.copy() gives a generator that continues the same stream
+    independently.
     """
 
-    __slots__ = ("seed", "stream", "_state", "_inc", "_cached_normal")
+    __slots__ = ("seed", "stream", "_state", "_inc", "_cached_normal",
+                 "_buf", "_pos", "_block")
 
     def __init__(self, seed: int, stream: int = _DEFAULT_STREAM):
         self.seed = seed & _MASK64
         self.stream = stream & _MASK64
-        self._inc = ((self.stream << 1) | 1) & _MASK64
-        # Reference pcg32_srandom seeding sequence.
-        self._state = 0
-        self._step()
-        self._state = (self._state + self.seed) & _MASK64
-        self._step()
+        self._inc = inc = ((self.stream << 1) | 1) & _MASK64
+        # pcg32_srandom: step from 0, add the seed, step again
+        self._state = ((inc + self.seed) * _PCG_MULT + inc) & _MASK64
         self._cached_normal: float | None = None
+        self._buf, self._pos, self._block = [], 0, _FIRST_BLOCK
 
-    def _step(self) -> None:
-        self._state = (self._state * _PCG_MULT + self._inc) & _MASK64
+    def _refill(self) -> list[int]:
+        """Buffer the next block of outputs after the unread ones."""
+        import numpy as np
+        if not _JUMP:
+            mults = np.cumprod(np.array([1] + [_PCG_MULT] * _MAX_BLOCK, dtype=np.uint64))
+            _JUMP[:] = mults, np.cumsum(mults) - mults
+        mults, sums = _JUMP
+        b = self._block
+        self._block = min(2 * b, _MAX_BLOCK)
+        states = (mults[:b + 1] * np.uint64(self._state)
+                  + sums[:b + 1] * np.uint64(self._inc))
+        self._state = int(states[b])
+        old = states[:b]
+        x = (((old >> 18) ^ old) >> 27).astype(np.uint32)
+        rot = (old >> 59).astype(np.uint32)
+        out = (x >> rot) | (x << ((32 - rot) & 31))
+        buf = self._buf[self._pos:] + out.tolist()
+        self._buf, self._pos = buf, 0
+        return buf
 
     def next_u32(self) -> int:
-        old = self._state
-        self._step()
-        xorshifted = (((old >> 18) ^ old) >> 27) & _MASK32
-        rot = old >> 59
-        return ((xorshifted >> rot) | (xorshifted << ((-rot) & 31))) & _MASK32
+        i = self._pos
+        try:
+            out = self._buf[i]
+        except IndexError:
+            out, i = self._refill()[0], 0
+        self._pos = i + 1
+        return out
 
     def random(self) -> float:
-        """Uniform double in [0, 1) with 53 random mantissa bits: two
-        next_u32() outputs, their steps inlined to save the calls."""
-        old = self._state
-        mid = (old * _PCG_MULT + self._inc) & _MASK64
-        self._state = (mid * _PCG_MULT + self._inc) & _MASK64
-        x, rot = (((old >> 18) ^ old) >> 27) & _MASK32, old >> 59
-        hi = (((x >> rot) | (x << ((-rot) & 31))) & _MASK32) >> 5   # 27 bits
-        x, rot = (((mid >> 18) ^ mid) >> 27) & _MASK32, mid >> 59
-        lo = (((x >> rot) | (x << ((-rot) & 31))) & _MASK32) >> 6   # 26 bits
-        return (hi * 67108864.0 + lo) * (1.0 / 9007199254740992.0)
+        """Uniform double in [0, 1) with 53 random mantissa bits from
+        two outputs: 27 from the first, 26 from the second."""
+        buf, i = self._buf, self._pos
+        try:
+            hi, lo = buf[i], buf[i + 1]
+        except IndexError:
+            buf, i = self._refill(), 0
+            hi, lo = buf[0], buf[1]
+        self._pos = i + 2
+        return ((hi >> 5) * 67108864.0 + (lo >> 6)) * (1.0 / 9007199254740992.0)
 
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.random()

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from rotrepr import (
     DegenerateInputError,
+    MatrixFisher,
     Rng,
     RotationMatrix,
     UnitQuaternion,
     canonicalize,
+    fisher_mode,
     geodesic_distance,
     project_to_so3,
     relative_angle,
@@ -18,8 +20,9 @@ from rotrepr import (
     sample_uniform,
     validate,
 )
+from rotrepr.compose import matrix_mul
 from rotrepr.convert import axis_angle_to_matrix, quat_to_matrix
-from rotrepr.core import AxisAngle
+from rotrepr.core import AxisAngle, mat_mul_rows
 
 from conftest import haar_matrix, haar_quat
 
@@ -95,6 +98,31 @@ def test_project_rank_deficient_raises():
         project_to_so3(v.T @ v)
 
 
+def _old_so3_factor(a):
+    # the projection as written before the shared SO(3) factor: numpy's
+    # determinant for the sign, rows through from_array
+    u, _, vt = np.linalg.svd(a)
+    sign = 1.0 if float(np.linalg.det(u @ vt)) >= 0.0 else -1.0
+    return RotationMatrix.from_array((u * np.array([1.0, 1.0, sign])) @ vt)
+
+
+def test_so3_factor_bit_identical_to_old_formula(rng):
+    gen = np.random.default_rng(7)
+    reflections = 0
+    for k in range(600):
+        if k % 2:
+            a = gen.normal(size=(3, 3)) * 10.0 ** gen.uniform(-6, 6)
+        else:  # near rotations, as matrix_mul hands over after drift
+            a = haar_matrix(rng).as_array() + gen.normal(size=(3, 3)) * 1e-9
+        u, _, vt = np.linalg.svd(a)
+        reflections += np.linalg.det(u @ vt) < 0.0
+        expected = _old_so3_factor(a)
+        assert project_to_so3(a) == expected
+        assert fisher_mode(MatrixFisher(a)) == expected
+        assert all(type(v) is float for row in expected.rows for v in row)
+    assert reflections > 100
+
+
 # ---------------------------------------------------------------------------
 # geodesic distance
 
@@ -146,6 +174,36 @@ def test_relative_angle_matches_geodesic_midrange(rng):
         a, b = haar_matrix(rng), haar_matrix(rng)
         assert relative_angle(a, b) == pytest.approx(
             geodesic_distance(a, b), abs=1e-9)
+
+
+def _old_relative_angle(r1, r2):
+    a = r1.rows
+    q = mat_mul_rows(((a[0][0], a[1][0], a[2][0]),
+                      (a[0][1], a[1][1], a[2][1]),
+                      (a[0][2], a[1][2], a[2][2])), r2.rows)
+    c = (q[0][0] + q[1][1] + q[2][2] - 1.0) * 0.5
+    sx = (q[2][1] - q[1][2]) * 0.5
+    sy = (q[0][2] - q[2][0]) * 0.5
+    sz = (q[1][0] - q[0][1]) * 0.5
+    return math.atan2(math.sqrt(sx * sx + sy * sy + sz * sz), c)
+
+
+def test_relative_angle_bit_identical_to_transposed_product(rng):
+    from rotrepr.convert import exp_map
+    from rotrepr.core import RotationVector
+    for k in range(400):
+        a = haar_matrix(rng)
+        if k % 4 == 0:
+            b = a
+        elif k % 4 == 1:  # tiny and near-pi relative rotations
+            b = matrix_mul(a, exp_map(RotationVector(
+                (rng.normal() * 1e-9, rng.normal() * 1e-9, rng.normal() * 1e-9))))
+        else:
+            b = haar_matrix(rng)
+        assert relative_angle(a, b) == _old_relative_angle(a, b)
+        assert relative_angle(b, a) == _old_relative_angle(b, a)
+    flip = RotationMatrix(((1.0, 0.0, 0.0), (0.0, -1.0, 0.0), (0.0, 0.0, -1.0)))
+    assert relative_angle(RotationMatrix.identity(), flip) == math.pi
 
 
 def test_relative_angle_resolves_tiny_angles():

@@ -27,7 +27,8 @@ from rotrepr.convert import (
     quat_to_matrix,
 )
 from rotrepr.errors import DegenerateInputError
-from rotrepr.interp import INTERPOLATION_METHODS, linear_euler
+from rotrepr.compose import matrix_mul
+from rotrepr.interp import _METHODS, INTERPOLATION_METHODS, linear_euler
 
 from conftest import frobenius, haar_matrix, haar_quat
 
@@ -268,6 +269,39 @@ def test_interpolator_endpoint_contract(rng):
         interp = make_interpolator(method, r1, r2)
         assert relative_angle(interp.eval(0.0), r1) < 1e-12
         assert relative_angle(interp.eval(1.0), r2) < 1e-12
+
+
+def test_interpolator_geodesic_bit_identical_to_matrix_geodesic(rng):
+    from rotrepr.convert import exp_map
+    ts = [0.0, 1.0, 0.5, 1e-9, 0.25, 0.999, -0.5, 1.5]
+    for k in range(40):
+        r1 = haar_matrix(rng)
+        if k % 4 == 0:  # relative angles at the log map's near-pi branch
+            axis = [rng.normal() for _ in range(3)]
+            scale = (math.pi - 1e-8) / math.sqrt(sum(c * c for c in axis))
+            r2 = matrix_mul(r1, exp_map(RotationVector(tuple(c * scale for c in axis))))
+        elif k % 4 == 1:
+            r2 = r1
+        else:
+            r2 = haar_matrix(rng)
+        interp = make_interpolator("matrix-geodesic", r1, r2)
+        for t in ts + [rng.random() for _ in range(5)]:
+            assert interp.eval(t) == matrix_geodesic(r1, r2, t)
+            assert interp.eval_native(t) == matrix_geodesic(r1, r2, t)
+
+
+def test_interpolator_matches_native_functions(rng):
+    r1, r2 = haar_matrix(rng), haar_matrix(rng)
+    for method in INTERPOLATION_METHODS:
+        if method in ("matrix-geodesic", "fisher-blend"):
+            continue
+        interp = make_interpolator(method, r1, r2)
+        _, native, to_matrix = _METHODS[method]
+        for t in (0.0, 0.3, 1.0):
+            value = native(interp.start, interp.end, t)
+            assert interp.eval_native(t) == value
+            assert interp.eval(t) == (value if to_matrix is None else to_matrix(value))
+    assert make_interpolator("slerp", r1, r2) == make_interpolator("slerp", r1, r2)
 
 
 def test_interpolator_fisher_blend(rng):
