@@ -201,9 +201,9 @@ class Interpolator:
 
     eval(t) always yields a rotation matrix (for fisher-blend, the mode
     of the blended distribution); eval_native(t) yields the method's own
-    representation. Endpoint evaluation is exact. The method (unknown:
-    DegenerateInputError) and the geodesic's log(R1^T R2) are resolved
-    at construction.
+    representation. Endpoint evaluation is exact. Construction resolves
+    the method (an unknown one raises DegenerateInputError) and computes
+    the geodesic's log(R1^T R2) once.
     """
 
     method: str

@@ -42,7 +42,8 @@ def _fnv1a64(text: str) -> int:
     return h
 
 
-_FIRST_BLOCK, _MAX_BLOCK = 32, 2048  # a generator's blocks double up to 2048
+# blocks double per generator, so a stream that draws a few values is cheap
+_FIRST_BLOCK, _MAX_BLOCK = 32, 2048
 _JUMP = []  # [A, S]: A[k] = M^k and S[k] = sum of M^j over j < k, mod 2^64
 
 

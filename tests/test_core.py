@@ -99,8 +99,7 @@ def test_project_rank_deficient_raises():
 
 
 def _old_so3_factor(a):
-    # the projection as written before the shared SO(3) factor: numpy's
-    # determinant for the sign, rows through from_array
+    # oracle: the sign from numpy's determinant, the rows via from_array
     u, _, vt = np.linalg.svd(a)
     sign = 1.0 if float(np.linalg.det(u @ vt)) >= 0.0 else -1.0
     return RotationMatrix.from_array((u * np.array([1.0, 1.0, sign])) @ vt)
@@ -195,9 +194,13 @@ def test_relative_angle_bit_identical_to_transposed_product(rng):
         a = haar_matrix(rng)
         if k % 4 == 0:
             b = a
-        elif k % 4 == 1:  # tiny and near-pi relative rotations
+        elif k % 4 == 1:  # tiny relative rotation
             b = matrix_mul(a, exp_map(RotationVector(
                 (rng.normal() * 1e-9, rng.normal() * 1e-9, rng.normal() * 1e-9))))
+        elif k % 4 == 2:  # relative rotation just short of pi
+            axis = [rng.normal() for _ in range(3)]
+            scale = (math.pi - 1e-9) / math.sqrt(sum(c * c for c in axis))
+            b = matrix_mul(a, exp_map(RotationVector(tuple(c * scale for c in axis))))
         else:
             b = haar_matrix(rng)
         assert relative_angle(a, b) == _old_relative_angle(a, b)
