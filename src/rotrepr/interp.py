@@ -106,18 +106,12 @@ def nlerp(q1: UnitQuaternion, q2: UnitQuaternion, t: float) -> UnitQuaternion:
 
 def matrix_geodesic(r1: RotationMatrix, r2: RotationMatrix, t: float) -> RotationMatrix:
     """R(t) = R1 exp(t log(R1^T R2)): the shortest path on SO(3)."""
-    rel = log_map(matrix_mul(r1.transpose(), r2))
-    step = exp_map(RotationVector((rel.v[0] * t, rel.v[1] * t, rel.v[2] * t)))
-    return matrix_mul(r1, step)
+    return _geodesic_at(r1, log_map(matrix_mul(r1.transpose(), r2)).v, t)
 
 
-def _geodesic_path(r1: RotationMatrix, r2: RotationMatrix):
-    """t -> matrix_geodesic(r1, r2, t), with log(R1^T R2) computed once."""
-    x, y, z = log_map(matrix_mul(r1.transpose(), r2)).v
-
-    def at(t: float) -> RotationMatrix:
-        return matrix_mul(r1, exp_map(RotationVector((x * t, y * t, z * t))))
-    return at
+def _geodesic_at(r1: RotationMatrix, v, t: float) -> RotationMatrix:
+    """R1 exp(t v), with v = log(R1^T R2) computed by the caller."""
+    return matrix_mul(r1, exp_map(RotationVector((v[0] * t, v[1] * t, v[2] * t))))
 
 
 def linear_rotation_vector(v1: RotationVector, v2: RotationVector,
@@ -215,8 +209,11 @@ class Interpolator:
 
     def __post_init__(self):
         _, native, to_matrix = _method(self.method)
-        path = (_geodesic_path(self.start, self.end) if self.method == MATRIX_GEODESIC
-                else partial(native, self.start, self.end))
+        if self.method == MATRIX_GEODESIC:
+            rel = log_map(matrix_mul(self.start.transpose(), self.end)).v
+            path = partial(_geodesic_at, self.start, rel)
+        else:
+            path = partial(native, self.start, self.end)
         object.__setattr__(self, "_path", path)
         object.__setattr__(self, "_to_matrix", to_matrix)
 

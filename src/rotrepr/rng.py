@@ -42,8 +42,7 @@ def _fnv1a64(text: str) -> int:
     return h
 
 
-# blocks double per generator, so a stream that draws a few values is cheap
-_FIRST_BLOCK, _MAX_BLOCK = 32, 2048
+_BLOCK = 2048  # outputs per refill
 _JUMP = []  # [A, S]: A[k] = M^k and S[k] = sum of M^j over j < k, mod 2^64
 
 
@@ -57,7 +56,7 @@ class Rng:
     """
 
     __slots__ = ("seed", "stream", "_state", "_inc", "_cached_normal",
-                 "_buf", "_pos", "_block")
+                 "_buf", "_pos")
 
     def __init__(self, seed: int, stream: int = _DEFAULT_STREAM):
         self.seed = seed & _MASK64
@@ -66,21 +65,18 @@ class Rng:
         # pcg32_srandom: step from 0, add the seed, step again
         self._state = ((inc + self.seed) * _PCG_MULT + inc) & _MASK64
         self._cached_normal: float | None = None
-        self._buf, self._pos, self._block = [], 0, _FIRST_BLOCK
+        self._buf, self._pos = [], 0
 
     def _refill(self) -> list[int]:
         """Buffer the next block of outputs after the unread ones."""
         import numpy as np
         if not _JUMP:
-            mults = np.cumprod(np.array([1] + [_PCG_MULT] * _MAX_BLOCK, dtype=np.uint64))
+            mults = np.cumprod(np.array([1] + [_PCG_MULT] * _BLOCK, dtype=np.uint64))
             _JUMP[:] = mults, np.cumsum(mults) - mults
         mults, sums = _JUMP
-        b = self._block
-        self._block = min(2 * b, _MAX_BLOCK)
-        states = (mults[:b + 1] * np.uint64(self._state)
-                  + sums[:b + 1] * np.uint64(self._inc))
-        self._state = int(states[b])
-        old = states[:b]
+        states = mults * np.uint64(self._state) + sums * np.uint64(self._inc)
+        self._state = int(states[_BLOCK])
+        old = states[:_BLOCK]
         x = (((old >> 18) ^ old) >> 27).astype(np.uint32)
         rot = (old >> 59).astype(np.uint32)
         out = (x >> rot) | (x << ((32 - rot) & 31))

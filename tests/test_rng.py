@@ -121,7 +121,7 @@ def _interleaved(gen, ops):
 @pytest.mark.parametrize("seed", _EDGES)
 @pytest.mark.parametrize("stream", _EDGES)
 def test_block_stream_matches_scalar_reference(seed, stream):
-    # 5000 outputs cross the first refills (32, 64, ...) and the 2048 cap
+    # 5000 outputs cross two refills of 2048
     rng, ref = Rng(seed, stream), ScalarPcg32(seed, stream)
     assert [rng.next_u32() for _ in range(5000)] == [ref.next_u32() for _ in range(5000)]
 
@@ -151,7 +151,7 @@ def test_derived_streams_match_scalar_reference():
 def test_copy_draws_independently():
     rng = Rng(2024)
     rng.random()
-    rng.next_u32()  # leave an odd output buffered
+    rng.next_u32()  # odd offset: a random() straddles each refill
     twin = copy.copy(rng)
     ahead = [twin.random() for _ in range(3000)]
     assert [rng.random() for _ in range(3000)] == ahead
