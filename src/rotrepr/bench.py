@@ -41,6 +41,7 @@ from .compose import compose_in
 from .convert import (
     _BY_TAG,
     _REGISTRY,
+    QUAT,
     ROTVEC,
     axis_angle_to_matrix,
     euler_to_matrix,
@@ -157,20 +158,12 @@ def haar_matrix(rng: Rng) -> RotationMatrix:
     return quat_to_matrix(sample_uniform(rng))
 
 
-def _unit3(rng: Rng) -> tuple[float, float, float]:
-    while True:
-        x, y, z = rng.normal(), rng.normal(), rng.normal()
-        n = math.sqrt(x * x + y * y + z * z)
-        if n > 0.0:
-            return (x / n, y / n, z / n)
-
-
-def _direction(rng: Rng, dim: int, norm: float) -> list[float]:
+def _direction(rng: Rng, dim: int, norm: float) -> tuple[float, ...]:
     while True:
         d = [rng.normal() for _ in range(dim)]
         n = math.sqrt(sum(v * v for v in d))
         if n > 0.0:
-            return [v * norm / n for v in d]
+            return tuple(v * norm / n for v in d)
 
 
 def _row_rep(tag: str):
@@ -295,7 +288,7 @@ def gimbal_susceptibility(tag: str, cfg: BenchConfig) -> float:
                 hits += 1
             continue
         elif tag == AXIS_ANGLE:
-            axis = _unit3(rng)
+            axis = _direction(rng, 3, 1.0)
             theta = rng.uniform(0.0, GIMBAL_BAND_HALFWIDTH)
             d = _direction(rng, 4, eta)
             ax = (axis[0] + d[0], axis[1] + d[1], axis[2] + d[2])
@@ -303,7 +296,7 @@ def gimbal_susceptibility(tag: str, cfg: BenchConfig) -> float:
             pert = AxisAngle((ax[0] / n, ax[1] / n, ax[2] / n), theta + d[3])
             ref = axis + (theta,)
         elif tag == EXP_MAP:
-            axis = _unit3(rng)
+            axis = _direction(rng, 3, 1.0)
             theta = rng.uniform(math.pi - GIMBAL_BAND_HALFWIDTH, math.pi)
             ref = (axis[0] * theta, axis[1] * theta, axis[2] * theta)
             d = _direction(rng, 3, eta)
@@ -472,13 +465,13 @@ def edge_cases(cfg: BenchConfig) -> list[tuple[str, RotationMatrix]]:
         cases.append(("identity", RotationMatrix.identity()))
     for _ in range(counts[1]):
         theta = math.exp(rng.uniform(math.log(1e-6), math.log(1e-3)))
-        cases.append(("small-angle",
-                      axis_angle_to_matrix(AxisAngle(_unit3(rng), theta))))
+        axis = _direction(rng, 3, 1.0)
+        cases.append(("small-angle", axis_angle_to_matrix(AxisAngle(axis, theta))))
     for i in range(counts[2]):
         # the closed interval's far end (theta = pi exactly) goes in first
         theta = math.pi if i == 0 else rng.uniform(math.pi - 1e-3, math.pi)
-        cases.append(("near-pi",
-                      axis_angle_to_matrix(AxisAngle(_unit3(rng), theta))))
+        axis = _direction(rng, 3, 1.0)
+        cases.append(("near-pi", axis_angle_to_matrix(AxisAngle(axis, theta))))
     for _ in range(counts[3]):
         sign = 1.0 if rng.random() < 0.5 else -1.0
         e = EulerAngles(rng.uniform(-math.pi, math.pi),
@@ -620,13 +613,14 @@ def _ingest(tag: str) -> Callable:
     """Checked batch conversion: validate the incoming matrix once, then
     convert to the row's representation.
 
-    Converters that already reject invalid rotations (matrix_to_quat,
-    log_map) count as the check; the others validate explicitly, so
-    every row pays for input checking exactly once and no row composes
-    unchecked data.
+    A quaternion-hub row's from_matrix starts with matrix_to_quat, whose
+    validity check counts as the row's; the matrix-hub rows validate
+    explicitly. Every row pays for input checking exactly once and no
+    row composes unchecked data.
     """
-    conv = _row_rep(tag).from_matrix
-    if tag in (QUATERNION, EXP_MAP):
+    rep = _row_rep(tag)
+    conv = rep.from_matrix
+    if rep.hub == QUAT:
         return conv
 
     def ingest(r: RotationMatrix):

@@ -7,10 +7,14 @@ Euler angles also have direct spokes to and from the quaternion.
 One registry entry per representation tag holds its value type, report
 row name, arity, storage size, spokes, hub and component order; every
 tag dispatch in the package (convert, compose_in, interpolation, the
-benchmark rows and the CLI) is derived from it. Small- and
-near-pi-angle branches follow fixed thresholds chosen so each branch
-agrees with the unbranched formula to better than 1e-12 relative at the
-seam.
+benchmark rows and the CLI) is derived from it.
+
+Every extraction from a matrix (quaternion, axis-angle, rotation
+vector, Euler angles) goes through Shoemake's matrix_to_quat once, so
+the validity check and the branch on the largest diagonal entry live in
+one place. The forward maps (exp_map, Rodrigues, Euler) stay direct.
+Their small-angle Taylor branches switch at 1e-4 rad and agree with the
+unbranched formula to better than 1e-12 relative at the seam.
 """
 
 from __future__ import annotations
@@ -32,12 +36,8 @@ from .core import (
     RotationVector,
     SixD,
     UnitQuaternion,
-    Vec3,
-    _clamp,
     _tuple_new,
     canonicalize,
-    norm3,
-    validity_residuals,
 )
 from .errors import (
     DegenerateInputError,
@@ -46,8 +46,6 @@ from .errors import (
 )
 
 SMALL_ANGLE = 1e-4        # forward-map Taylor branches
-LOG_SMALL = 1e-7          # log map near identity
-LOG_NEAR_PI = math.pi - 1e-6
 GIMBAL_COS_BETA = 1e-7    # Euler extraction fold band
 GRAM_SCHMIDT_TOL = 1e-12
 
@@ -204,72 +202,12 @@ def exp_map(v: RotationVector) -> RotationMatrix:
 
 
 def log_map(r: RotationMatrix) -> RotationVector:
-    """Rotation vector of r, canonical chart (norm <= pi).
-
-    Three branches keep the map accurate over all of SO(3):
-
-    * theta < 1e-7: v = vee((R - R^T) / 2), exact to O(theta^3);
-    * theta > pi - 1e-6: the axis comes from the dominant diagonal of the
-      symmetrized (R + I)/2 (the skew part is discarded so it cannot
-      contaminate the axis), the angle from pi - arcsin(||vee||), and the
-      sign from the skew part when it is nonzero. At theta = pi the sign
-      is genuinely ambiguous and either choice reproduces the matrix;
-    * otherwise the textbook v = theta / (2 sin(theta)) vee(R - R^T),
-      with sin(theta) read off the skew part itself (||vee|| = |sin
-      theta|) and theta = atan2(sin, cos). Re-evaluating sin(arccos(c))
-      instead would amplify the arccos rounding by 1/sin^2(theta) near
-      pi, costing ~1e-8 rad already at theta = pi - 1e-4.
-    """
-    m = r.rows
-    orth, det_res = validity_residuals(m)
-    if not (orth <= ORTHONORMALITY_TOL and det_res <= DETERMINANT_TOL):
-        raise InvalidRotationError(
-            "log_map input is not a rotation "
-            f"(orthogonality residual {orth:.3e}, "
-            f"determinant residual {det_res:.3e})")
-    c = _clamp((m[0][0] + m[1][1] + m[2][2] - 1.0) * 0.5, -1.0, 1.0)
-    wx = (m[2][1] - m[1][2]) * 0.5
-    wy = (m[0][2] - m[2][0]) * 0.5
-    wz = (m[1][0] - m[0][1]) * 0.5
-    s = math.sqrt(wx * wx + wy * wy + wz * wz)
-    theta = math.atan2(s, c)
-    if theta < LOG_SMALL:
-        return RotationVector((wx, wy, wz))
-    if theta > LOG_NEAR_PI:
-        return RotationVector(_log_near_pi(m, (wx, wy, wz)))
-    k = theta / s
-    return RotationVector((k * wx, k * wy, k * wz))
-
-
-def _log_near_pi(m, skew: Vec3) -> Vec3:
-    # B = (sym(R) + I)/2 = h I + (1 - h) u u^T with h = (1 + cos theta)/2.
-    b01 = (m[0][1] + m[1][0]) * 0.25
-    b02 = (m[0][2] + m[2][0]) * 0.25
-    b12 = (m[1][2] + m[2][1]) * 0.25
-    d0 = (m[0][0] + 1.0) * 0.5
-    d1 = (m[1][1] + 1.0) * 0.5
-    d2 = (m[2][2] + 1.0) * 0.5
-    c = _clamp((m[0][0] + m[1][1] + m[2][2] - 1.0) * 0.5, -1.0, 1.0)
-    h = (1.0 + c) * 0.5
-    denom = 1.0 - h
-    diag = (d0, d1, d2)
-    off = ((None, b01, b02), (b01, None, b12), (b02, b12, None))
-    i = max(range(3), key=lambda k: diag[k])
-    ui = math.sqrt(max((diag[i] - h) / denom, 0.0))
-    if ui == 0.0:
-        ui = 1.0  # fully degenerate numerically; pick an axis entry
-    u = [0.0, 0.0, 0.0]
-    u[i] = ui
-    for j in range(3):
-        if j != i:
-            u[j] = off[i][j] / (denom * ui)
-    un = math.sqrt(u[0] * u[0] + u[1] * u[1] + u[2] * u[2])
-    u = [u[0] / un, u[1] / un, u[2] / un]
-    s = norm3(skew)  # |sin theta|
-    if s > 0.0 and (u[0] * skew[0] + u[1] * skew[1] + u[2] * skew[2]) < 0.0:
-        u = [-u[0], -u[1], -u[2]]
-    theta = math.pi - math.asin(_clamp(s, 0.0, 1.0))
-    return (theta * u[0], theta * u[1], theta * u[2])
+    """Rotation vector of r, canonical chart (norm <= pi): Shoemake's
+    matrix_to_quat, then quat_to_rotation_vector's 2 atan2(|v|, w). No
+    branch on the angle; within 4 eps theta of the exact vector from
+    1e-14 rad up to and including pi. Raises InvalidRotationError where
+    matrix_to_quat does."""
+    return quat_to_rotation_vector(matrix_to_quat(r))
 
 
 def canonicalize_rotation_vector(v: RotationVector) -> RotationVector:

@@ -238,6 +238,20 @@ def test_batch_ingestion_rejects_nan():
                                           (0.0, 0.0, 1.0))))
 
 
+@pytest.mark.parametrize("tag", ROTATION_REPRESENTATIONS)
+@pytest.mark.parametrize("rows", [
+    ((math.nan, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+    ((2.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 2.0)),
+], ids=["nan", "2I"])
+def test_batch_ingestion_rejects_invalid_every_row(tag, rows):
+    # a quaternion-hub row counts matrix_to_quat's check as its own; the
+    # matrix-hub rows validate explicitly
+    from rotrepr import RotationMatrix
+    from rotrepr.bench import _ingest
+    with pytest.raises(RotationError):
+        _ingest(tag)(RotationMatrix(rows))
+
+
 def test_batch_close_to_scalar():
     cfg = BenchConfig(trials=200, warmup=20, batch=50)
     scalar = time_composition("quaternion", cfg).micros

@@ -528,6 +528,68 @@ def _haar_axis(rng):
             return (v[0] / n, v[1] / n, v[2] / n)
 
 
+# log_map against 40-digit mpmath: rotation angles around the old
+# 1e-7 and pi - 1e-6 branch seams, and at pi itself
+LOG_ORACLE_ANGLES = [1e-14, 1e-12, 1e-9, 1e-7 * (1 - 1e-3), 1e-7 * (1 + 1e-3),
+                     1e-6, 1e-4, 0.5, 1.0, 2.0, 3.0]
+LOG_ORACLE_PI_GAPS = [1e-2, 1e-4, 1.001e-6, 1e-6, 0.999e-6, 1e-8, 1e-13, 0.0]
+
+
+def _log_oracle_error(axis, theta) -> float:
+    """|log_map(R) - theta u| for the rotation by the mpf angle theta
+    about the unit vector along axis, built in 40-digit mpmath and
+    rounded once to a float matrix. At theta = pi either sign of u is
+    exact."""
+    import mpmath as mp
+    with mp.workdps(40):
+        n = mp.sqrt(sum(mp.mpf(c) ** 2 for c in axis))
+        ux, uy, uz = (mp.mpf(c) / n for c in axis)
+        s, omc = mp.sin(theta), 1 - mp.cos(theta)
+        rows = ((1 - omc * (uy * uy + uz * uz), omc * ux * uy - s * uz,
+                 omc * ux * uz + s * uy),
+                (omc * ux * uy + s * uz, 1 - omc * (ux * ux + uz * uz),
+                 omc * uy * uz - s * ux),
+                (omc * ux * uz - s * uy, omc * uy * uz + s * ux,
+                 1 - omc * (ux * ux + uy * uy)))
+        v = log_map(RotationMatrix(tuple(tuple(float(c) for c in row)
+                                         for row in rows))).v
+        exact = (theta * ux, theta * uy, theta * uz)
+        errors = [mp.sqrt(sum((got - sign * ref) ** 2
+                              for got, ref in zip(v, exact)))
+                  for sign in ((1, -1) if theta == mp.pi else (1,))]
+        return float(min(errors))
+
+
+@pytest.mark.parametrize("theta", LOG_ORACLE_ANGLES)
+def test_log_map_oracle(theta, rng):
+    # the dropped near-identity branch returned the skew part, off by
+    # theta^3/6: 7.5 eps theta just below 1e-7 rad
+    for _ in range(40):
+        assert _log_oracle_error(_haar_axis(rng), theta) <= 4 * EPS * theta
+
+
+@pytest.mark.parametrize("gap", LOG_ORACLE_PI_GAPS)
+def test_log_map_near_pi_oracle(gap, rng):
+    # the dropped near-pi branch read the axis off the diagonal and the
+    # angle off arcsin(|sin theta|); just below pi - 1e-6 the textbook
+    # branch it handed over to was off by 3.3e5 eps theta
+    import mpmath as mp
+    with mp.workdps(40):
+        theta = mp.pi - mp.mpf(gap)
+    for _ in range(40):
+        assert _log_oracle_error(_haar_axis(rng), theta) <= 4 * EPS * float(theta)
+
+
+def test_exp_log_round_trip_near_pi(rng):
+    # within 4e-15 rad for theta in pi - [1e-8, 1e-3]; the three-branch
+    # log map lost 1.7e-10 rad just below pi - 1e-6
+    gaps = [10.0 ** (-k / 4) for k in range(12, 33)] + [1.001e-6, 0.999e-6]
+    for gap in gaps:
+        for _ in range(20):
+            r = axis_angle_to_matrix(AxisAngle(_haar_axis(rng), math.pi - gap))
+            assert relative_angle(exp_map(log_map(r)), r) <= 4e-15
+
+
 def test_canonicalize_rotation_vector():
     v = canonicalize_rotation_vector(RotationVector((0.0, 0.0, 4.0)))
     assert v.norm() <= math.pi
