@@ -528,8 +528,9 @@ def _haar_axis(rng):
             return (v[0] / n, v[1] / n, v[2] / n)
 
 
-# log_map against 40-digit mpmath: rotation angles around the old
-# 1e-7 and pi - 1e-6 branch seams, and at pi itself
+# log_map against 40-digit mpmath: angles straddling 1e-7 and pi - 1e-6,
+# where a log map with near-identity and near-pi branches switches
+# formula, and pi itself
 LOG_ORACLE_ANGLES = [1e-14, 1e-12, 1e-9, 1e-7 * (1 - 1e-3), 1e-7 * (1 + 1e-3),
                      1e-6, 1e-4, 0.5, 1.0, 2.0, 3.0]
 LOG_ORACLE_PI_GAPS = [1e-2, 1e-4, 1.001e-6, 1e-6, 0.999e-6, 1e-8, 1e-13, 0.0]
@@ -562,7 +563,7 @@ def _log_oracle_error(axis, theta) -> float:
 
 @pytest.mark.parametrize("theta", LOG_ORACLE_ANGLES)
 def test_log_map_oracle(theta, rng):
-    # the dropped near-identity branch returned the skew part, off by
+    # the skew part alone, a near-identity branch's answer, is off by
     # theta^3/6: 7.5 eps theta just below 1e-7 rad
     for _ in range(40):
         assert _log_oracle_error(_haar_axis(rng), theta) <= 4 * EPS * theta
@@ -570,9 +571,9 @@ def test_log_map_oracle(theta, rng):
 
 @pytest.mark.parametrize("gap", LOG_ORACLE_PI_GAPS)
 def test_log_map_near_pi_oracle(gap, rng):
-    # the dropped near-pi branch read the axis off the diagonal and the
-    # angle off arcsin(|sin theta|); just below pi - 1e-6 the textbook
-    # branch it handed over to was off by 3.3e5 eps theta
+    # theta / (2 sin theta) vee(R - R^T), the textbook formula, is off
+    # by 2.3e5 eps theta just below pi - 1e-6, where a near-pi branch
+    # would take over
     import mpmath as mp
     with mp.workdps(40):
         theta = mp.pi - mp.mpf(gap)
@@ -581,8 +582,8 @@ def test_log_map_near_pi_oracle(gap, rng):
 
 
 def test_exp_log_round_trip_near_pi(rng):
-    # within 4e-15 rad for theta in pi - [1e-8, 1e-3]; the three-branch
-    # log map lost 1.7e-10 rad just below pi - 1e-6
+    # within 4e-15 rad for theta in pi - [1e-8, 1e-3]; the textbook
+    # formula loses 1.5e-10 rad just below pi - 1e-6
     gaps = [10.0 ** (-k / 4) for k in range(12, 33)] + [1.001e-6, 0.999e-6]
     for gap in gaps:
         for _ in range(20):
