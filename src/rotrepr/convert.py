@@ -204,8 +204,9 @@ def exp_map(v: RotationVector) -> RotationMatrix:
 def log_map(r: RotationMatrix) -> RotationVector:
     """Rotation vector of r, canonical chart (norm <= pi): Shoemake's
     matrix_to_quat, then quat_to_rotation_vector's 2 atan2(|v|, w). No
-    branch on the angle; within 4 eps theta of the exact vector from
-    1e-14 rad up to and including pi. Raises InvalidRotationError where
+    branch on the angle: for a matrix rounded once from an exact
+    rotation the result is within 4 eps theta of theta u from 1e-14 rad
+    up to and including pi. Raises InvalidRotationError where
     matrix_to_quat does."""
     return quat_to_rotation_vector(matrix_to_quat(r))
 
