@@ -259,6 +259,8 @@ def _parse_xyz(path: str) -> PointSet:
             points.append([float(p) for p in parts])
         except ValueError as exc:
             raise CliInputError(f"{path}:{lineno}: {exc}") from exc
+        if not all(map(math.isfinite, points[-1])):
+            raise CliInputError(f"{path}:{lineno}: coordinates must be finite")
     if not points:
         raise CliInputError(f"{path}: no points found")
     return PointSet(np.array(points))
@@ -271,12 +273,14 @@ def cmd_register(args) -> int:
         raise CliInputError(f"--tol must be > 0, got {args.tol}")
     source = _parse_xyz(args.source)
     target = _parse_xyz(args.target)
-    if args.method == "horn":
-        transform, rms = horn_align(source, target)
-        iterations = None
-    else:
-        result = icp(source, target, max_iter=args.max_iter, tol=args.tol)
-        transform, rms, iterations = result.transform, result.rms, result.iterations
+    try:
+        if args.method == "horn":
+            (transform, rms), iterations = horn_align(source, target), None
+        else:
+            result = icp(source, target, max_iter=args.max_iter, tol=args.tol)
+            transform, rms, iterations = result.transform, result.rms, result.iterations
+    except DegenerateInputError as exc:  # coordinates too large to align
+        raise CliInputError(str(exc)) from exc
     quat = matrix_to_quat(transform.rotation)
     print(f"method: {args.method}")
     print(f"quaternion: {_format_row(quat.as_tuple())}")

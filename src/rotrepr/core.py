@@ -349,10 +349,11 @@ def project_to_so3(m) -> RotationMatrix:
 def _so3_factor(u, vt) -> RotationMatrix:
     """U diag(1, 1, det(UV^T)) V^T of an SVD; UV^T is orthogonal, so the
     sign of its plain cofactor determinant (+-1) is exact."""
-    (a, b, c), (d, e, f), (g, h, i) = (u @ vt).tolist()
+    (a, b, c), (d, e, f), (g, h, i) = rows = (u @ vt).tolist()
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    r0, r1, r2 = ((u * np.array([1.0, 1.0, 1.0 if det >= 0.0 else -1.0])) @ vt).tolist()
-    return RotationMatrix((tuple(r0), tuple(r1), tuple(r2)))
+    if not det >= 0.0:
+        rows = ((u * np.array([1.0, 1.0, -1.0])) @ vt).tolist()
+    return RotationMatrix(tuple(map(tuple, rows)))
 
 
 def geodesic_distance(r1: RotationMatrix, r2: RotationMatrix) -> float:

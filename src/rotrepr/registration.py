@@ -1,14 +1,15 @@
 """Rigid point-set registration: Horn's closed form and point-to-point ICP.
 
-Horn's method recovers the globally optimal rotation for corresponded
-clouds from the dominant eigenvector of a symmetric 4x4 matrix built from
-the cross-covariance; that eigenproblem goes to LAPACK's symmetric
-eigensolver (``np.linalg.eigh``). ICP alternates exact brute-force
-nearest neighbours with Horn alignment.
+Horn's method takes the optimal rotation of corresponded clouds from the
+top eigenvector of a symmetric 4x4 matrix built from their cross-covariance
+H (LAPACK's ``np.linalg.eigh``); ICP alternates exact brute-force nearest
+neighbours with it. A collinear source raises DegeneracyError; a scatter or
+M that overflows (coordinates of about 1e154 and up) DegenerateInputError.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ from .core import RotationMatrix, UnitQuaternion, Vec3
 from .convert import quat_to_matrix
 from .errors import ContractViolationError, DegeneracyError, DegenerateInputError
 
-SCATTER_RANK_TOL = 1e-12
+SCATTER_RANK_TOL = 1e-12  # middle over largest scatter eigenvalue
 NN_CHUNK = 256
 
 
@@ -66,12 +67,13 @@ def eig_sym4(m) -> tuple[np.ndarray, np.ndarray]:
     violation. Eigenvector signs, and the basis chosen within a repeated
     eigenvalue, are LAPACK's.
     """
-    a = np.array(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.shape != (4, 4):
         raise ContractViolationError(f"expected shape (4, 4), got {a.shape}")
-    if float(np.max(np.abs(a - a.T))) > 1e-9:
+    at = a.T
+    if abs(a - at).max() > 1e-9:
         raise ContractViolationError("eig_sym4 requires a symmetric matrix")
-    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
+    vals, vecs = np.linalg.eigh(0.5 * (a + at))
     return vals[::-1], vecs[:, ::-1]
 
 
@@ -91,36 +93,39 @@ def horn_align(source: PointSet, target: PointSet) -> tuple[RigidTransform, floa
     """
     p = source.points
     q = target.points
-    if p.shape[0] != q.shape[0]:
+    n = p.shape[0]
+    if n != q.shape[0]:
         raise DegeneracyError(
-            f"corresponded clouds differ in size: {p.shape[0]} vs {q.shape[0]}")
+            f"corresponded clouds differ in size: {n} vs {q.shape[0]}")
     _check_cloud(p, "source")
-    p_bar = p.mean(axis=0)
-    q_bar = q.mean(axis=0)
+    p_bar = np.add.reduce(p) / n
+    q_bar = np.add.reduce(q) / n
     pc = p - p_bar
     qc = q - q_bar
-    scatter = pc.T @ pc
-    eigvals = np.linalg.eigvalsh(scatter)
-    if eigvals[0] < SCATTER_RANK_TOL and eigvals[1] < SCATTER_RANK_TOL:
+    try:
+        _, e1, e2 = np.linalg.eigvalsh(pc.T @ pc).tolist()
+    except np.linalg.LinAlgError:
+        e1 = e2 = math.nan
+    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = (pc.T @ qc).tolist()
+    tr = h00 + h11 + h22
+    d0, d1, d2 = h12 - h21, h20 - h02, h01 - h10
+    m11, m22, m33 = (h00 + h00) - tr, (h11 + h11) - tr, (h22 + h22) - tr
+    s01, s02, s12 = h01 + h10, h02 + h20, h12 + h21
+    m = (tr, d0, d1, d2, m11, m22, m33, s01, s02, s12)
+    # eig_sym4 doubles M's entries as it symmetrizes: keep all below 2^1023
+    if not all(abs(x) < 2.0 ** 1023 for x in (e1, e2) + m):
+        raise DegenerateInputError("scatter or M overflows: coordinates too large")
+    if e1 <= SCATTER_RANK_TOL * e2:
         raise DegeneracyError(
             "source cloud is collinear; rotation about its axis is unobservable")
-    h = pc.T @ qc
-    delta = (h[1, 2] - h[2, 1], h[2, 0] - h[0, 2], h[0, 1] - h[1, 0])
-    m = np.empty((4, 4))
-    m[0, 0] = h[0, 0] + h[1, 1] + h[2, 2]
-    m[0, 1:] = delta
-    m[1:, 0] = delta
-    m[1:, 1:] = h + h.T - np.trace(h) * np.eye(3)
-    _, vecs = eig_sym4(m)
-    top = vecs[:, 0]
-    quat = UnitQuaternion(float(top[0]), float(top[1]),
-                          float(top[2]), float(top[3])).normalized()
-    rot = quat_to_matrix(quat)
+    _, vecs = eig_sym4(np.array(((tr, d0, d1, d2), (d0, m11, s01, s02),
+                                 (d1, s01, m22, s12), (d2, s02, s12, m33))))
+    rot = quat_to_matrix(UnitQuaternion(*vecs[:, 0].tolist()).normalized())
     r = rot.as_array()
     t = q_bar - r @ p_bar
     residuals = p @ r.T + t - q
-    rms = float(np.sqrt(np.mean(np.sum(residuals * residuals, axis=1))))
-    return RigidTransform(rot, (float(t[0]), float(t[1]), float(t[2]))), rms
+    rms = math.sqrt(np.add.reduce(np.add.reduce(residuals * residuals, axis=1)) / n)
+    return RigidTransform(rot, tuple(t.tolist())), rms
 
 
 def _nearest_neighbors(src: np.ndarray, dst: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from rotrepr import (
     AxisAngle,
     ContractViolationError,
     DegeneracyError,
+    DegenerateInputError,
     PointSet,
     RigidTransform,
     UnitQuaternion,
@@ -108,6 +109,70 @@ def test_eig_sym4_does_not_modify_input(rng):
     assert np.array_equal(m, before)
 
 
+def _old_eig_sym4(m):
+    # reference: the copying form, with numpy's wrappers
+    a = np.array(m, dtype=float)
+    if a.shape != (4, 4):
+        raise ContractViolationError(f"expected shape (4, 4), got {a.shape}")
+    if float(np.max(np.abs(a - a.T))) > 1e-9:
+        raise ContractViolationError("eig_sym4 requires a symmetric matrix")
+    vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
+    return vals[::-1], vecs[:, ::-1]
+
+
+def _outcome(f, m):
+    try:
+        return f(m)
+    except Exception as exc:  # the exception type is the outcome compared
+        return type(exc)
+
+
+@pytest.mark.parametrize("asym, raises", [(2e-9, True), (1e-3, True),
+                                          (1e-9, False), (5e-10, False)])
+def test_eig_sym4_asymmetry_threshold(asym, raises):
+    m = np.diag([4.0, 3.0, 2.0, 1.0])
+    m[1, 2] = asym
+    if raises:
+        with pytest.raises(ContractViolationError, match="symmetric"):
+            eig_sym4(m)
+    else:
+        _assert_eigendecomposition(0.5 * (m + m.T), *eig_sym4(m))
+
+
+def test_eig_sym4_accepts_any_array_like(rng):
+    a = np.array([[rng.normal() for _ in range(4)] for _ in range(4)])
+    m = a + a.T
+    ints = np.array([[4, 1, 0, 0], [1, 3, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]])
+    for like in (m, m.tolist(), np.asfortranarray(m), m.T, ints):
+        before = np.array(like, dtype=float)
+        got_vals, got_vecs = eig_sym4(like)
+        ref_vals, ref_vecs = _old_eig_sym4(before)
+        assert np.array_equal(got_vals, ref_vals)
+        assert np.array_equal(got_vecs, ref_vecs)
+        assert np.array_equal(np.array(like, dtype=float), before)
+
+
+def _nan_at(*cells):
+    m = np.diag([4.0, 3.0, 2.0, 1.0])
+    for i, j in cells:
+        m[i, j] = np.nan
+    return m
+
+
+@pytest.mark.parametrize("m", [np.full((4, 4), np.nan), _nan_at((0, 0)),
+                               _nan_at((1, 2), (2, 1)), _nan_at((0, 3))],
+                         ids=["all", "diagonal", "symmetric-pair", "one-entry"])
+def test_eig_sym4_nan_as_reference(m):
+    # NaN passes the asymmetry check; LAPACK's answer or error is kept
+    got, ref = _outcome(eig_sym4, m), _outcome(_old_eig_sym4, m)
+    assert got is not ContractViolationError
+    if isinstance(ref, type):
+        assert got is ref
+    else:
+        for g, r in zip(got, ref):
+            assert np.array_equal(g, r, equal_nan=True)
+
+
 # ---------------------------------------------------------------------------
 # horn_align
 
@@ -188,6 +253,54 @@ def test_horn_matches_scipy_align_vectors(rng, n):
         assert diff.magnitude() < 1e-9
 
 
+def _old_horn_align(p, q):
+    # reference: centroids by mean, M assembled by slices, copying eig_sym4
+    p_bar = p.mean(axis=0)
+    q_bar = q.mean(axis=0)
+    pc = p - p_bar
+    qc = q - q_bar
+    h = pc.T @ qc
+    delta = (h[1, 2] - h[2, 1], h[2, 0] - h[0, 2], h[0, 1] - h[1, 0])
+    m = np.empty((4, 4))
+    m[0, 0] = h[0, 0] + h[1, 1] + h[2, 2]
+    m[0, 1:] = delta
+    m[1:, 0] = delta
+    m[1:, 1:] = h + h.T - np.trace(h) * np.eye(3)
+    _, vecs = _old_eig_sym4(m)
+    top = vecs[:, 0]
+    quat = UnitQuaternion(float(top[0]), float(top[1]),
+                          float(top[2]), float(top[3])).normalized()
+    rot = quat_to_matrix(quat)
+    r = rot.as_array()
+    t = q_bar - r @ p_bar
+    residuals = p @ r.T + t - q
+    rms = float(np.sqrt(np.mean(np.sum(residuals * residuals, axis=1))))
+    return rot.rows, (float(t[0]), float(t[1]), float(t[2])), rms
+
+
+@pytest.mark.parametrize("n", [3, 4, 50, 200, 2000])
+def test_horn_bit_identical_to_reference(n):
+    gen = np.random.default_rng(n)
+    cases = 0
+    for offset in (0.0, 1.0, 1e3, 1e6):
+        for kind in ("exact", "noisy", "coplanar"):
+            for _ in range(4):
+                p = (gen.normal(size=(n, 3)) * 10.0 ** gen.uniform(-2, 2)
+                     + gen.normal(size=3) * offset)
+                if kind == "coplanar":
+                    p[:, 2] = offset
+                r0 = np.linalg.qr(gen.normal(size=(3, 3)))[0]
+                q = p @ r0.T + gen.normal(size=3) * (offset + 1.0)
+                if kind == "noisy":
+                    q += gen.normal(size=q.shape) * 0.05
+                transform, rms = horn_align(PointSet(p), PointSet(q))
+                got = (transform.rotation.rows, transform.translation, rms)
+                assert got == _old_horn_align(p, q)
+                assert all(type(v) is float for v in transform.translation + (rms,))
+                cases += 1
+    assert cases == 48
+
+
 def test_horn_size_mismatch(rng):
     with pytest.raises(DegeneracyError):
         horn_align(PointSet(_cloud(rng, 10)), PointSet(_cloud(rng, 11)))
@@ -203,6 +316,47 @@ def test_horn_collinear_degenerate():
     line = PointSet(np.array([[float(i), 0.0, 0.0] for i in range(10)]))
     with pytest.raises(DegeneracyError):
         horn_align(line, line)
+
+
+@pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0), (1.0, 2.0, 3.0)])
+@pytest.mark.parametrize("scale", [1e-7, 1.0, 1e3, 1e6])
+def test_horn_collinear_degenerate_at_any_scale(direction, scale):
+    line = PointSet(np.array([[i * scale * d for d in direction]
+                              for i in range(10)]))
+    with pytest.raises(DegeneracyError, match="collinear"):
+        horn_align(line, line)
+
+
+def test_horn_coincident_points_degenerate():
+    same = PointSet(np.full((5, 3), 2.5))
+    with pytest.raises(DegeneracyError, match="collinear"):
+        horn_align(same, same)
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e-3, 1e6])
+def test_horn_accepts_small_and_large_clouds(rng, scale):
+    src = _cloud(rng, 10) * scale
+    r0 = haar_matrix(rng)
+    t0 = np.array([rng.normal(), rng.normal(), rng.normal()]) * scale
+    transform, rms = horn_align(PointSet(src), PointSet(src @ r0.as_array().T + t0))
+    assert relative_angle(transform.rotation, r0) < 1e-9
+    assert np.linalg.norm(np.array(transform.translation) - t0) < 1e-9 * scale
+    assert rms < 1e-12 * scale
+
+
+@pytest.mark.parametrize("source_scale, target_scale",
+                         [(1e160, 1e160), (1e200, 1e200), (1e300, 1e300),
+                          (1e160, 1e-160),  # the scatter overflows, H does not
+                          (1e100, 1e207)])  # H is finite, M's doubled entries are not
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_horn_and_icp_reject_overflowing_clouds(rng, source_scale, target_scale):
+    src = PointSet(_cloud(rng, 20) * source_scale)
+    tgt = PointSet(_cloud(rng, 20) * target_scale)
+    with pytest.raises(DegenerateInputError, match="too large"):
+        horn_align(src, tgt)
+    if source_scale == target_scale:
+        with pytest.raises(DegenerateInputError, match="too large"):
+            icp(src, tgt)
 
 
 def test_horn_invariant_under_common_rigid_motion(rng):

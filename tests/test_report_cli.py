@@ -296,6 +296,43 @@ def test_register_degenerate_cloud_exit_1(capsys, tmp_path):
     assert "collinear" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "1e400", "-inf"])
+def test_register_non_finite_value_reports_line(capsys, tmp_path, value):
+    bad = tmp_path / "bad.xyz"
+    bad.write_text(f"0 0 0\n1 0 0\n0 {value} 0\n")
+    good = tmp_path / "good.xyz"
+    good.write_text("0 0 0\n1 0 0\n0 1 0\n")
+    code, _, err = run_cli(capsys, "register", "--source", str(bad),
+                           "--target", str(good))
+    assert code == 2
+    assert f"{bad}:3: coordinates must be finite" in err
+
+
+@pytest.mark.parametrize("method", ["horn", "icp"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_register_overflowing_cloud_exit_2(capsys, tmp_path, rng, method):
+    huge = tmp_path / "huge.xyz"
+    huge.write_text("\n".join(
+        " ".join(repr(rng.normal() * 1e200) for _ in range(3)) for _ in range(10)))
+    code, out, err = run_cli(capsys, "register", "--source", str(huge),
+                             "--target", str(huge), "--method", method)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "too large" in err
+
+
+def test_register_tiny_cloud_is_not_collinear(capsys, tmp_path, rng):
+    tiny = tmp_path / "tiny.xyz"
+    tiny.write_text("\n".join(
+        " ".join(repr(rng.normal() * 1e-7) for _ in range(3)) for _ in range(10)))
+    code, out, _ = run_cli(capsys, "register", "--source", str(tiny),
+                           "--target", str(tiny), "--method", "horn")
+    assert code == 0
+    fields = dict(line.split(": ") for line in out.strip().splitlines())
+    quat = [float(v) for v in fields["quaternion"].split(",")]
+    assert quat == pytest.approx([1, 0, 0, 0], abs=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # cmd_sample
 
