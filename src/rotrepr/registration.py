@@ -3,8 +3,11 @@
 Horn's method takes the optimal rotation of corresponded clouds from the
 top eigenvector of a symmetric 4x4 matrix built from their cross-covariance
 H (LAPACK's ``np.linalg.eigh``); ICP alternates exact brute-force nearest
-neighbours with it. A collinear source raises DegeneracyError; a scatter or
-M that overflows (coordinates of about 1e154 and up) DegenerateInputError.
+neighbours with it, found from p.(-2q) + |q|^2 + |p|^2 in blocks of
+NN_CHUNK = 64 source rows, so one block of distances to 2000 targets
+(1 MB) stays in cache. A collinear source raises DegeneracyError; a
+scatter, M or distance that overflows (coordinates of about 1e154 and
+up) DegenerateInputError.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from .convert import quat_to_matrix
 from .errors import ContractViolationError, DegeneracyError, DegenerateInputError
 
 SCATTER_RANK_TOL = 1e-12  # middle over largest scatter eigenvalue
-NN_CHUNK = 256
+NN_CHUNK = 64  # source rows per distance block
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,25 +126,42 @@ def horn_align(source: PointSet, target: PointSet) -> tuple[RigidTransform, floa
     rot = quat_to_matrix(UnitQuaternion(*vecs[:, 0].tolist()).normalized())
     r = rot.as_array()
     t = q_bar - r @ p_bar
-    residuals = p @ r.T + t - q
-    rms = math.sqrt(np.add.reduce(np.add.reduce(residuals * residuals, axis=1)) / n)
-    return RigidTransform(rot, tuple(t.tolist())), rms
+    return RigidTransform(rot, tuple(t.tolist())), _rms(p @ r.T + t - q)
+
+
+def _rms(residuals: np.ndarray) -> float:
+    """RMS of the residual norms, rescaled by max |r| only if the squares overflow."""
+    total = np.add.reduce(np.add.reduce(residuals * residuals, axis=1))
+    if math.isfinite(total):
+        return math.sqrt(total / residuals.shape[0])
+    scale = np.abs(residuals).max()
+    return float(scale * _rms(residuals / scale))
 
 
 def _nearest_neighbors(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Index of each src point's nearest dst point, exact brute force.
+    """Index of each src point's nearest dst point (exact brute force; the
+    first index wins a tie), one block of NN_CHUNK source rows at a time.
 
-    Chunked so the (n, m) distance block never exceeds NN_CHUNK rows.
+    p.(-2q) equals (p.q) * -2 bit for bit, since a power of two scales
+    exactly, and (-2 dst).T keeps dst.T's layout, so BLAS runs the same
+    kernel. A one-row tail joins the block before it: numpy sends a
+    one-row product to gemv, which rounds differently. Raises
+    DegenerateInputError if a distance could overflow; every partial sum
+    is at most 2 (max |p|^2 + max |q|^2).
     """
-    out = np.empty(src.shape[0], dtype=np.intp)
-    dst_sq = np.sum(dst * dst, axis=1)
-    for start in range(0, src.shape[0], NN_CHUNK):
-        block = src[start:start + NN_CHUNK]
-        d2 = block @ dst.T
-        d2 *= -2.0
+    n = src.shape[0]
+    out = np.empty(n, dtype=np.intp)
+    dst_sq = np.add.reduce(dst * dst, axis=1)
+    src_sq = np.add.reduce(src * src, axis=1)[:, None]
+    if not math.isfinite(2.0 * (src_sq.max() + dst_sq.max())):
+        raise DegenerateInputError("point distances overflow: coordinates too large")
+    m2dt = (-2.0 * dst).T
+    starts = range(0, max(n - 1, 1), NN_CHUNK)
+    for start, stop in zip(starts, [*starts[1:], n]):
+        d2 = src[start:stop] @ m2dt
         d2 += dst_sq
-        d2 += np.sum(block * block, axis=1)[:, None]
-        out[start:start + NN_CHUNK] = np.argmin(d2, axis=1)
+        d2 += src_sq[start:stop]
+        out[start:stop] = np.argmin(d2, axis=1)
     return out
 
 
@@ -167,8 +187,7 @@ def icp(source: PointSet, target: PointSet, max_iter: int = 100,
     transform = RigidTransform.identity()
     moved = source.points
     matches = _nearest_neighbors(moved, target.points)
-    rms = float(np.sqrt(np.mean(
-        np.sum((moved - target.points[matches]) ** 2, axis=1))))
+    rms = _rms(moved - target.points[matches])
     if max_iter == 0:
         return IcpResult(transform, 0, rms)
     iterations = 0

@@ -17,6 +17,7 @@ from rotrepr import (
     relative_angle,
 )
 from rotrepr.convert import axis_angle_to_matrix, quat_to_matrix
+from rotrepr.registration import _nearest_neighbors
 
 from conftest import haar_matrix
 
@@ -464,6 +465,125 @@ def test_icp_rms_monotone(rng):
         moved = transform.apply(src)
     for a, b in zip(rms_seq, rms_seq[1:]):
         assert b <= a + 1e-12
+
+
+def _old_nearest_neighbors(src, dst):
+    # reference: one product per 256 rows, scaled by -2 afterwards
+    out = np.empty(src.shape[0], dtype=np.intp)
+    dst_sq = np.sum(dst * dst, axis=1)
+    for start in range(0, src.shape[0], 256):
+        block = src[start:start + 256]
+        d2 = block @ dst.T
+        d2 *= -2.0
+        d2 += dst_sq
+        d2 += np.sum(block * block, axis=1)[:, None]
+        out[start:start + 256] = np.argmin(d2, axis=1)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 3, 63, 64, 65, 129, 2000])
+@pytest.mark.parametrize("m", [5, 2000])  # fewer and more targets than a block's rows
+def test_nearest_neighbors_match_reference(n, m):
+    gen = np.random.default_rng(1000 * n + m)
+    for scale in (1e-3, 1.0, 1e3, 1e6):
+        src = gen.normal(size=(n, 3)) * scale
+        dst = gen.normal(size=(m, 3)) * scale + gen.normal(size=3) * scale
+        got = _nearest_neighbors(src, dst)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, _old_nearest_neighbors(src, dst))
+
+
+@pytest.mark.parametrize("n", [1, 2, 65, 129, 2000])
+def test_nearest_neighbors_match_reference_on_near_ties(n):
+    # each source point has three targets 1e-6 away along the three axes;
+    # rounding alone picks among them, so equal indices mean the search
+    # rounds as the reference does (a one-row product through gemv, or
+    # -2 folded into a copy of dst in another layout, flips some)
+    gen = np.random.default_rng(n)
+    for _ in range(max(3, 2000 // n)):
+        src = gen.normal(size=(n, 3)) * 10.0
+        dst = np.concatenate([src + [1e-6, 0, 0], src + [0, 1e-6, 0], src + [0, 0, 1e-6]])
+        assert np.array_equal(_nearest_neighbors(src, dst), _old_nearest_neighbors(src, dst))
+
+
+def test_nearest_neighbors_first_duplicate_wins():
+    gen = np.random.default_rng(5)
+    base = gen.normal(size=(40, 3))
+    dst = np.concatenate([base, base[::-1], base])  # each point three times
+    first = {tuple(p): i for i, p in reversed(list(enumerate(dst.tolist())))}
+    src = np.concatenate([base, base + gen.normal(size=base.shape) * 1e-3])
+    got = _nearest_neighbors(src, dst)
+    assert np.array_equal(got, _old_nearest_neighbors(src, dst))
+    assert got[:40].tolist() == [first[tuple(p)] for p in base.tolist()]
+    assert all(first[tuple(dst[i])] == i for i in got.tolist())
+
+
+def _old_icp(source, target, max_iter=100, tol=1e-10):
+    # reference: the ICP loop on the 256-row search and the mean-based rms
+    transform = RigidTransform.identity()
+    moved = source.points
+    matches = _old_nearest_neighbors(moved, target.points)
+    rms = float(np.sqrt(np.mean(
+        np.sum((moved - target.points[matches]) ** 2, axis=1))))
+    iterations = 0
+    for iteration in range(1, max_iter + 1):
+        transform, step_rms = horn_align(source, PointSet(target.points[matches]))
+        iterations = iteration
+        improvement = rms - step_rms
+        rms = step_rms
+        if improvement < tol:
+            break
+        moved = transform.apply(source.points)
+        matches = _old_nearest_neighbors(moved, target.points)
+    return transform.rotation.rows, transform.translation, rms, iterations
+
+
+@pytest.mark.parametrize("degrees", [1.0, 3.0, 8.0])
+def test_icp_bit_identical_to_reference(degrees):
+    gen = np.random.default_rng(int(degrees * 10))
+    src = gen.normal(size=(2000, 3))
+    axis = gen.normal(size=3)
+    r0 = axis_angle_to_matrix(AxisAngle(tuple(axis / np.linalg.norm(axis)),
+                                        math.radians(degrees)))
+    tgt = (src @ r0.as_array().T + gen.uniform(-0.05, 0.05, size=3)
+           + gen.normal(size=src.shape) * 1e-3)[gen.permutation(2000)]
+    source, target = PointSet(src), PointSet(tgt)
+    for max_iter in (0, 100):
+        result = icp(source, target, max_iter=max_iter)
+        got = (result.transform.rotation.rows, result.transform.translation,
+               result.rms, result.iterations)
+        assert got == _old_icp(source, target, max_iter=max_iter)
+        assert type(result.rms) is float
+
+
+@pytest.mark.parametrize("source_scale, target_scale", [(1e150, 1e157), (1e100, 1e207)])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_icp_rejects_overflowing_distances(rng, source_scale, target_scale):
+    # the 256-row search matched every point to target 0 here and went on
+    src = PointSet(_cloud(rng, 20) * source_scale)
+    tgt = PointSet(_cloud(rng, 20) * target_scale)
+    with pytest.raises(DegenerateInputError, match="too large"):
+        _nearest_neighbors(src.points, tgt.points)
+    with pytest.raises(DegenerateInputError, match="too large"):
+        icp(src, tgt)
+
+
+def test_icp_accepts_large_clouds_below_overflow(rng):
+    pts = PointSet(_cloud(rng, 20) * 1e150)
+    result = icp(pts, pts)
+    assert result.iterations == 1
+    assert result.rms < 1e-12 * 1e150
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_horn_rms_rescales_when_squares_overflow(rng):
+    src = _cloud(rng, 20)
+    tgt = _cloud(rng, 20) * 1e306
+    transform, rms = horn_align(PointSet(src), PointSet(tgt))
+    assert math.isfinite(rms)
+    scaled = (transform.apply(src) - tgt) / 1e306
+    expected = 1e306 * math.sqrt(np.mean(np.sum(scaled * scaled, axis=1)))
+    assert rms == pytest.approx(expected, rel=1e-14)
 
 
 def test_icp_needs_three_points(rng):

@@ -321,6 +321,31 @@ def test_register_overflowing_cloud_exit_2(capsys, tmp_path, rng, method):
     assert err.startswith("error: ") and "too large" in err
 
 
+@pytest.mark.parametrize("method", ["horn", "icp"])
+def test_register_overflow_prints_no_numpy_warnings(tmp_path, rng, method):
+    # a separate interpreter, so stderr is what a user sees
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import rotrepr
+    huge = tmp_path / "huge.xyz"
+    huge.write_text("\n".join(
+        " ".join(repr(rng.normal() * 1e200) for _ in range(3)) for _ in range(10)))
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=str(Path(rotrepr.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rotrepr.cli", "register", "--source", str(huge),
+         "--target", str(huge), "--method", method],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "RuntimeWarning" not in proc.stderr
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error: ") and "too large" in proc.stderr
+
+
 def test_register_tiny_cloud_is_not_collinear(capsys, tmp_path, rng):
     tiny = tmp_path / "tiny.xyz"
     tiny.write_text("\n".join(
