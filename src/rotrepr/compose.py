@@ -62,7 +62,7 @@ def matrix_mul(r1: RotationMatrix, r2: RotationMatrix) -> RotationMatrix:
             raise InvalidRotationError(
                 f"matrix product is not finite (orthogonality residual {orth})")
         return project_to_so3(rows)
-    return RotationMatrix(rows)
+    return _tuple_new(RotationMatrix, (rows,))
 
 
 def _hub_product(rep):

@@ -79,7 +79,7 @@ def _unit_quat(q) -> UnitQuaternion:
 
 
 def _axis_angle_quat(aa: AxisAngle) -> tuple[float, float, float, float]:
-    (ux, uy, uz), theta = aa.axis, aa.angle
+    (ux, uy, uz), theta = aa
     half = 0.5 * theta
     if -SMALL_ANGLE < theta < SMALL_ANGLE:
         s = half - theta * theta * theta / 48.0
@@ -167,11 +167,11 @@ def axis_angle_to_matrix(aa: AxisAngle) -> RotationMatrix:
     c = math.cos(aa.angle)
     s = math.sin(aa.angle)
     omc = 1.0 - c
-    return RotationMatrix((
+    return _tuple_new(RotationMatrix, ((
         (c + ux * ux * omc, ux * uy * omc - uz * s, ux * uz * omc + uy * s),
         (uy * ux * omc + uz * s, c + uy * uy * omc, uy * uz * omc - ux * s),
         (uz * ux * omc - uy * s, uz * uy * omc + ux * s, c + uz * uz * omc),
-    ))
+    ),))
 
 
 def exp_map(v: RotationVector) -> RotationMatrix:
@@ -194,11 +194,11 @@ def exp_map(v: RotationVector) -> RotationMatrix:
         a = math.sin(theta) / theta
         b = (1.0 - math.cos(theta)) / theta2
     # I + a [v]x + b [v]x^2 expanded entry-wise
-    return RotationMatrix((
+    return _tuple_new(RotationMatrix, ((
         (1.0 - b * (vy * vy + vz * vz), b * vx * vy - a * vz, b * vx * vz + a * vy),
         (b * vx * vy + a * vz, 1.0 - b * (vx * vx + vz * vz), b * vy * vz - a * vx),
         (b * vx * vz - a * vy, b * vy * vz + a * vx, 1.0 - b * (vx * vx + vy * vy)),
-    ))
+    ),))
 
 
 def log_map(r: RotationMatrix) -> RotationVector:
@@ -251,21 +251,28 @@ def quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
     """R = (w^2 - |v|^2) I + 2 v v^T + 2 w [v]x.
 
     Every entry is a sum of two-component products, so R(q) and R(-q) are
-    bit-for-bit identical. The quaternion is renormalized internally;
-    a zero quaternion is degenerate input.
+    bit-for-bit identical. The quaternion is renormalized internally,
+    rescaled first by its largest component where n2 would overflow or
+    underflow; a zero or non-finite quaternion is degenerate input.
     """
     w, x, y, z = q
     n2 = w * w + x * x + y * y + z * z
-    if n2 < 1e-300:
-        raise DegenerateInputError("zero quaternion does not define a rotation")
+    if not 1e-300 <= n2 < math.inf:
+        if not all(map(math.isfinite, (w, x, y, z))):
+            raise DegenerateInputError(f"quaternion {(w, x, y, z)!r} is not finite")
+        m = max(abs(w), abs(x), abs(y), abs(z))
+        if m == 0.0:
+            raise DegenerateInputError("zero quaternion does not define a rotation")
+        w, x, y, z = w / m, x / m, y / m, z / m
+        n2 = w * w + x * x + y * y + z * z
     n = math.sqrt(n2)
     w, x, y, z = w / n, x / n, y / n, z / n
     a = w * w - (x * x + y * y + z * z)
-    return RotationMatrix((
+    return _tuple_new(RotationMatrix, ((
         (a + 2.0 * x * x, 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)),
         (2.0 * (x * y + w * z), a + 2.0 * y * y, 2.0 * (y * z - w * x)),
         (2.0 * (x * z - w * y), 2.0 * (y * z + w * x), a + 2.0 * z * z),
-    ))
+    ),))
 
 
 def matrix_to_quat(r: RotationMatrix) -> UnitQuaternion:
@@ -336,21 +343,21 @@ _TAIT_BRYAN = {"ZYX": (1, 2, 3, 1.0), "XYZ": (3, 2, 1, -1.0)}
 
 def _euler_quat(e: EulerAngles) -> tuple[float, float, float, float]:
     # the half-angle quaternion product, written out for ZYX and XYZ
-    conv = e.convention
-    if conv.intrinsic and conv.axes in _TAIT_BRYAN:
-        ca, sa = math.cos(0.5 * e.alpha), math.sin(0.5 * e.alpha)
-        cb, sb = math.cos(0.5 * e.beta), math.sin(0.5 * e.beta)
-        cg, sg = math.cos(0.5 * e.gamma), math.sin(0.5 * e.gamma)
-        if conv.axes == "ZYX":
+    alpha, beta, gamma, (axes, intrinsic) = e
+    if intrinsic and axes in _TAIT_BRYAN:
+        ca, sa = math.cos(0.5 * alpha), math.sin(0.5 * alpha)
+        cb, sb = math.cos(0.5 * beta), math.sin(0.5 * beta)
+        cg, sg = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
+        if axes == "ZYX":
             return (ca * cb * cg + sa * sb * sg, ca * cb * sg - sa * sb * cg,
                     ca * sb * cg + sa * cb * sg, sa * cb * cg - ca * sb * sg)
         return (ca * cb * cg - sa * sb * sg, sa * cb * cg + ca * sb * sg,
                 ca * sb * cg - sa * cb * sg, ca * cb * sg + sa * sb * cg)
-    angles = e.as_tuple()
+    angles = (alpha, beta, gamma)
     q = (1.0, 0.0, 0.0, 0.0)
-    for k in ((0, 1, 2) if conv.intrinsic else (2, 1, 0)):
+    for k in ((0, 1, 2) if intrinsic else (2, 1, 0)):
         factor = [math.cos(0.5 * angles[k]), 0.0, 0.0, 0.0]
-        factor["XYZ".index(conv.axes[k]) + 1] = math.sin(0.5 * angles[k])
+        factor["XYZ".index(axes[k]) + 1] = math.sin(0.5 * angles[k])
         q = _hamilton(q, factor)
     return q
 
@@ -368,22 +375,22 @@ def euler_to_matrix(e: EulerAngles) -> RotationMatrix:
     Rz(a) Ry(b) Rx(g)), extrinsic ones in reverse. ZYX and XYZ use the
     symbolically expanded product, the rest the quaternion product.
     """
-    conv = e.convention
-    ca, sa = math.cos(e.alpha), math.sin(e.alpha)
-    cb, sb = math.cos(e.beta), math.sin(e.beta)
-    cg, sg = math.cos(e.gamma), math.sin(e.gamma)
+    alpha, beta, gamma, conv = e
+    ca, sa = math.cos(alpha), math.sin(alpha)
+    cb, sb = math.cos(beta), math.sin(beta)
+    cg, sg = math.cos(gamma), math.sin(gamma)
     if conv is ZYX or (conv.intrinsic and conv.axes == "ZYX"):
-        return RotationMatrix((
+        return _tuple_new(RotationMatrix, ((
             (ca * cb, ca * sb * sg - sa * cg, ca * sb * cg + sa * sg),
             (sa * cb, sa * sb * sg + ca * cg, sa * sb * cg - ca * sg),
             (-sb, cb * sg, cb * cg),
-        ))
+        ),))
     if conv.intrinsic and conv.axes == "XYZ":
-        return RotationMatrix((
+        return _tuple_new(RotationMatrix, ((
             (cb * cg, -cb * sg, sb),
             (ca * sg + sa * sb * cg, ca * cg - sa * sb * sg, -sa * cb),
             (sa * sg - ca * sb * cg, sa * cg + ca * sb * sg, ca * cb),
-        ))
+        ),))
     return quat_to_matrix(_euler_quat(e))
 
 
@@ -423,12 +430,7 @@ def quat_to_euler(q, convention: EulerConvention | None = None) -> EulerAngles:
     alpha = parity * math.remainder(alpha, math.tau)
     gamma = math.remainder(gamma, math.tau)
     beta = 2.0 * math.atan2(hcd, hab) - 0.5 * math.pi
-    # EulerAngles(...) without the four object.__setattr__ calls of the
-    # frozen __init__, which cost a fifth of an Euler compose_in
-    e = object.__new__(EulerAngles)
-    f = e.__dict__
-    f["alpha"], f["beta"], f["gamma"], f["convention"] = alpha, beta, gamma, convention
-    return e
+    return _tuple_new(EulerAngles, (alpha, beta, gamma, convention))
 
 
 def matrix_to_euler(r: RotationMatrix,
@@ -446,31 +448,49 @@ def matrix_to_euler(r: RotationMatrix,
 def sixd_to_matrix(s: SixD) -> RotationMatrix:
     """Gram-Schmidt recovery: b1 = a1/|a1|, b2 = normalized rejection of
     a2 from b1, b3 = b1 x b2, assembled as columns. Plain floats (on
-    3-vectors numpy's call overhead outweighs the arithmetic); hypot
-    keeps the norms of huge columns from overflowing."""
+    3-vectors numpy's call overhead outweighs the arithmetic). hypot
+    keeps the norms of huge columns from overflowing; where a norm still
+    does, both columns are rescaled first (see _sixd_rescaled)."""
     x1, y1, z1 = s.a1
     x2, y2, z2 = s.a2
     n1 = math.hypot(x1, y1, z1)
-    if n1 <= GRAM_SCHMIDT_TOL:
-        raise DegenerateInputError("6D first column is numerically zero")
+    if not GRAM_SCHMIDT_TOL < n1 < math.inf:
+        if n1 <= GRAM_SCHMIDT_TOL:
+            raise DegenerateInputError("6D first column is numerically zero")
+        return _sixd_rescaled(s)
     x1, y1, z1 = x1 / n1, y1 / n1, z1 / n1
     p = x1 * x2 + y1 * y2 + z1 * z2
     x2, y2, z2 = x2 - p * x1, y2 - p * y1, z2 - p * z1
     n2 = math.hypot(x2, y2, z2)
-    if n2 <= GRAM_SCHMIDT_TOL:
-        raise DegenerateInputError(
-            "6D columns are parallel; Gram-Schmidt is ill-posed")
+    if not GRAM_SCHMIDT_TOL < n2 < math.inf:
+        if n2 <= GRAM_SCHMIDT_TOL:
+            raise DegenerateInputError(
+                "6D columns are parallel; Gram-Schmidt is ill-posed")
+        return _sixd_rescaled(s)
     x2, y2, z2 = x2 / n2, y2 / n2, z2 / n2
-    return RotationMatrix((
+    return _tuple_new(RotationMatrix, ((
         (x1, x2, y1 * z2 - z1 * y2),
         (y1, y2, z1 * x2 - x1 * z2),
         (z1, z2, x1 * y2 - y1 * x2),
-    ))
+    ),))
+
+
+def _sixd_rescaled(s: SixD) -> RotationMatrix:
+    """sixd_to_matrix with each column divided by its largest |component|
+    (Gram-Schmidt is invariant to a positive scale of either column), so
+    no norm or projection overflows. A non-finite component raises
+    DegenerateInputError."""
+    if not all(map(math.isfinite, s.a1 + s.a2)):
+        raise DegenerateInputError(f"6D columns {s.a1 + s.a2!r} are not finite")
+    m1, m2 = max(map(abs, s.a1)), max(map(abs, s.a2))
+    return sixd_to_matrix(_tuple_new(SixD, (tuple(c / m1 for c in s.a1),
+                                            tuple(c / m2 for c in s.a2))))
 
 
 def matrix_to_sixd(r: RotationMatrix) -> SixD:
     """First two columns of the rotation."""
-    return SixD(r.column(0), r.column(1))
+    (a, b, _), (d, e, _), (g, h, _) = r.rows
+    return _tuple_new(SixD, ((a, d, g), (b, e, h)))
 
 
 # ---------------------------------------------------------------------------

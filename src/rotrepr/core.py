@@ -7,18 +7,16 @@ Conventions used across the package:
   on column vectors (p' = R p);
 * all angles are radians.
 
-The small value types are immutable and safe to share between threads.
-UnitQuaternion, AxisAngle and RotationVector are named tuples of plain
-floats (they are built and read on every hot quaternion-hub path); the
-others are frozen plain-float dataclasses. numpy
-enters only where a matrix factorization is genuinely needed (SVD
-projection).
+The value types are immutable named tuples of plain floats, safe to
+share between threads. Each compares equal to and hashes like the plain
+tuple of its fields (RotationMatrix(rows) == (rows,)); use _replace and
+_asdict, not dataclasses.replace/asdict. numpy enters only where a
+matrix factorization is genuinely needed (SVD projection).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -112,17 +110,14 @@ class UnitQuaternion(NamedTuple):
 
 # tuple.__new__(UnitQuaternion, (w, x, y, z)) builds the same value as
 # the class call without the Python frame of the generated __new__,
-# which costs more than the tuple itself. The kernels behind the
-# quaternion-hub timing columns (matrix_to_quat, quat_mul, slerp and
-# the quaternion -> axis-angle / rotation-vector spokes) construct the
-# named tuples through it.
+# which costs more than the tuple itself. Every kernel constructs the
+# value types through it.
 _tuple_new = tuple.__new__
 
 Row3 = tuple[float, float, float]
 
 
-@dataclass(frozen=True)
-class RotationMatrix:
+class RotationMatrix(NamedTuple):
     """3x3 rotation matrix stored as a tuple of row tuples."""
 
     rows: tuple[Row3, Row3, Row3]
@@ -192,8 +187,12 @@ _VALID_AXES = {"XYZ", "XZY", "YXZ", "YZX", "ZXY", "ZYX",
                "XYX", "XZX", "YXY", "YZY", "ZXZ", "ZYZ"}
 
 
-@dataclass(frozen=True)
-class EulerConvention:
+class _EulerConventionFields(NamedTuple):
+    axes: str
+    intrinsic: bool = True
+
+
+class EulerConvention(_EulerConventionFields):
     """Ordered axis triple plus intrinsic/extrinsic flag.
 
     Intrinsic conventions compose in name order: axes "ZYX" with angles
@@ -201,14 +200,18 @@ class EulerConvention:
     the reversed product.
     """
 
-    axes: str
-    intrinsic: bool = True
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.axes not in _VALID_AXES:
+    def __new__(cls, axes: str, intrinsic: bool = True):
+        if axes not in _VALID_AXES:
             raise DegenerateInputError(
-                f"unknown Euler axis sequence {self.axes!r}; "
+                f"unknown Euler axis sequence {axes!r}; "
                 f"expected one of {sorted(_VALID_AXES)}")
+        return _tuple_new(cls, (axes, intrinsic))
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks the axes too
+        return cls(*iterable)
 
     @property
     def tag(self) -> str:
@@ -219,8 +222,7 @@ ZYX = EulerConvention("ZYX")
 XYZ = EulerConvention("XYZ")
 
 
-@dataclass(frozen=True)
-class EulerAngles:
+class EulerAngles(NamedTuple):
     """Angle triple in radians under a named convention."""
 
     alpha: float
@@ -259,8 +261,7 @@ class RotationVector(NamedTuple):
         return self.v
 
 
-@dataclass(frozen=True)
-class SixD:
+class SixD(NamedTuple):
     """Continuous 6D representation: two (unconstrained) 3-vectors that
     Gram-Schmidt into the first two columns of a rotation."""
 
@@ -275,8 +276,7 @@ class SixD:
 # operations
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     """Outcome of the rotation-matrix check with both residuals."""
 
     ok: bool
@@ -353,7 +353,7 @@ def _so3_factor(u, vt) -> RotationMatrix:
     det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     if not det >= 0.0:
         rows = ((u * np.array([1.0, 1.0, -1.0])) @ vt).tolist()
-    return RotationMatrix(tuple(map(tuple, rows)))
+    return _tuple_new(RotationMatrix, (tuple(map(tuple, rows)),))
 
 
 def geodesic_distance(r1: RotationMatrix, r2: RotationMatrix) -> float:

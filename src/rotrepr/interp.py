@@ -128,14 +128,14 @@ def linear_rotation_vector(v1: RotationVector, v2: RotationVector,
 
 def linear_sixd(s1: SixD, s2: SixD, t: float) -> RotationMatrix:
     """Affine blend of both 6D columns followed by Gram-Schmidt."""
-    blend = SixD(
+    blend = _tuple_new(SixD, (
         ((1.0 - t) * s1.a1[0] + t * s2.a1[0],
          (1.0 - t) * s1.a1[1] + t * s2.a1[1],
          (1.0 - t) * s1.a1[2] + t * s2.a1[2]),
         ((1.0 - t) * s1.a2[0] + t * s2.a2[0],
          (1.0 - t) * s1.a2[1] + t * s2.a2[1],
          (1.0 - t) * s1.a2[2] + t * s2.a2[2]),
-    )
+    ))
     try:
         return sixd_to_matrix(blend)
     except DegenerateInputError as exc:
@@ -150,8 +150,8 @@ def linear_euler(e1: EulerAngles, e2: EulerAngles, t: float) -> EulerAngles:
     da = wrap_angle(e2.alpha - e1.alpha)
     db = wrap_angle(e2.beta - e1.beta)
     dg = wrap_angle(e2.gamma - e1.gamma)
-    return EulerAngles(e1.alpha + t * da, e1.beta + t * db, e1.gamma + t * dg,
-                       e1.convention)
+    return _tuple_new(EulerAngles, (e1.alpha + t * da, e1.beta + t * db,
+                                    e1.gamma + t * dg, e1.convention))
 
 
 def fisher_blend(f1: MatrixFisher, f2: MatrixFisher, t: float) -> MatrixFisher:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +46,7 @@ class PointSet:
         return self.points.shape[0]
 
 
-@dataclass(frozen=True)
-class RigidTransform:
+class RigidTransform(NamedTuple):
     """Rotation followed by translation: p -> R p + t."""
 
     rotation: RotationMatrix
@@ -165,8 +165,7 @@ def _nearest_neighbors(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class IcpResult:
+class IcpResult(NamedTuple):
     transform: RigidTransform
     iterations: int
     rms: float

@@ -15,6 +15,7 @@ from rotrepr import (
     UnsupportedConventionError,
     compose_in,
     relative_angle,
+    validate,
 )
 from rotrepr.convert import (
     GIMBAL_COS_BETA,
@@ -176,6 +177,25 @@ def test_quat_to_matrix_even_in_q_bit_for_bit(rng):
 def test_quat_to_matrix_zero_quaternion_raises():
     with pytest.raises(DegenerateInputError):
         quat_to_matrix(UnitQuaternion(0.0, 0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("q", [(1e200, 0.0, 0.0, 0.0), (1e-170, 0.0, 0.0, 1e-170),
+                               (1e308, -1e308, 1e308, 1e308), (5e-324, 0.0, 0.0, 0.0)])
+def test_quat_to_matrix_huge_and_tiny_quaternions(q):
+    # n2 overflows to inf or underflows below 1e-300; the direction is valid
+    q = UnitQuaternion(*q)
+    exact = quat_to_matrix(UnitQuaternion(*(math.copysign(1.0, c) if c else 0.0
+                                            for c in q)))
+    for r in (quat_to_matrix(q), convert(q, "matrix")):
+        assert validate(r)
+        assert frobenius(r, exact) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_quat_to_matrix_non_finite_raises(bad):
+    for q in ((bad, 0.0, 0.0, 0.0), (0.0, 0.0, bad, 0.0)):
+        with pytest.raises(DegenerateInputError):
+            quat_to_matrix(UnitQuaternion(*q))
 
 
 def test_matrix_to_quat_examples():
@@ -718,6 +738,26 @@ def test_sixd_huge_columns(rng):
         assert frobenius(sixd_to_matrix(huge), r) < 1e-14
 
 
+@pytest.mark.parametrize("a1, a2", [
+    ((1.0, 0.0, 0.0), (1.5e308, -1.5e308, 1e308)),   # the rejection's norm overflows
+    ((1.5e308, 1.5e308, 0.0), (0.0, 1.0, 0.0)),       # the first column's norm does
+])
+def test_sixd_overflowing_norms(a1, a2):
+    r = sixd_to_matrix(SixD(a1, a2))
+    assert validate(r)
+    scaled = SixD(tuple(v / max(map(abs, a1)) for v in a1),
+                  tuple(v / max(map(abs, a2)) for v in a2))
+    assert frobenius(r, sixd_to_matrix(scaled)) < 1e-15
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_sixd_non_finite_columns_raise(bad):
+    for s in (SixD((bad, 0.0, 0.0), (0.0, 1.0, 0.0)),
+              SixD((1.0, 0.0, 0.0), (0.0, bad, 1.0))):
+        with pytest.raises(DegenerateInputError):
+            sixd_to_matrix(s)
+
+
 def test_matrix_to_sixd_examples(rng):
     s = matrix_to_sixd(RotationMatrix.identity())
     assert s.a1 == (1.0, 0.0, 0.0)
@@ -759,6 +799,8 @@ def test_convert_sixd_to_rotvec(rng):
 
 @pytest.mark.parametrize("rep", _REGISTRY, ids=lambda rep: rep.tag)
 def test_registry_entry(rep, rng):
+    # every result has exactly the registry's type: compose_in dispatches
+    # on exact types, so a plain tuple or a subclass would not compose
     for _ in range(20):
         r = haar_matrix(rng)
         value = rep.from_matrix(r)
@@ -766,10 +808,14 @@ def test_registry_entry(rep, rng):
         assert tag_of(value) == rep.tag
         assert convert(r, rep.tag) == value
         assert len(rep.components(value)) == rep.arity
+        assert type(rep.to_matrix(value)) is RotationMatrix
         assert relative_angle(rep.to_matrix(value), r) < 1e-9
         via_hub = rep.from_hub(rep.to_hub(value))
         assert type(via_hub) is rep.type
         assert relative_angle(rep.to_matrix(via_hub), r) < 1e-9
+        assert type(compose_in(rep.tag, value, via_hub)) is rep.type
+        for out in _REGISTRY:
+            assert type(convert(value, out.tag)) is out.type
 
 
 def test_registry_tags_cli_choices_and_report_rows():

@@ -405,3 +405,63 @@ def test_canonicalize_idempotent_and_sign(w, x, y, z):
         assert first >= 0.0
     else:
         assert c.w > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the value types are named tuples
+
+
+def _value_types():
+    from rotrepr import (AxisAngle, EulerAngles, EulerConvention, IcpResult,
+                         RigidTransform, RotationVector, SixD, ValidationResult)
+    from rotrepr.core import XYZ
+    m = RotationMatrix.identity()
+    return [
+        UnitQuaternion(0.6, 0.0, 0.8, 0.0),
+        m,
+        EulerAngles(0.1, 0.2, 0.3, XYZ),
+        EulerConvention("ZXZ", False),
+        AxisAngle((0.0, 1.0, 0.0), 0.5),
+        RotationVector((0.1, 0.2, 0.3)),
+        SixD((1.0, 0.0, 0.0), (0.5, 1.0, 0.0)),
+        ValidationResult(True, 0.0, 1e-16),
+        RigidTransform(m, (1.0, 2.0, 3.0)),
+        IcpResult(RigidTransform(m, (1.0, 2.0, 3.0)), 4, 1e-3),
+    ]
+
+
+@pytest.mark.parametrize("value", _value_types(), ids=lambda v: type(v).__name__)
+def test_value_type_is_the_tuple_of_its_fields(value):
+    import pickle
+    fields = tuple(getattr(value, name) for name in value._fields)
+    assert value == fields and hash(value) == hash(fields)
+    assert tuple(value) == fields
+    for name in value._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0.0)
+    with pytest.raises(AttributeError):
+        value.extra = 1.0
+    back = pickle.loads(pickle.dumps(value))
+    assert back == value and type(back) is type(value)
+
+
+def test_euler_value_types():
+    from rotrepr import EulerAngles, EulerConvention
+    from rotrepr.core import ZYX
+    assert EulerAngles(0.1, 0.2, 0.3).convention is ZYX
+    assert EulerConvention("ZYX") == ZYX == ("ZYX", True)
+    assert EulerConvention("XYX", intrinsic=False).tag == "xyx-extrinsic"
+    for axes in ("ABC", "zyx", "ZY"):
+        with pytest.raises(DegenerateInputError):
+            EulerConvention(axes)
+    with pytest.raises(DegenerateInputError):
+        ZYX._replace(axes="ABC")
+    assert ZYX._replace(intrinsic=False) == EulerConvention("ZYX", False)
+
+
+def test_validation_result_truth_is_ok():
+    from rotrepr import ValidationResult
+    assert not ValidationResult(False, 1.0, 0.0)
+    assert ValidationResult(True, 0.0, 0.0)
+    assert not validate(RotationMatrix(((2.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                        (0.0, 0.0, 1.0))))

@@ -1,28 +1,38 @@
-"""The names perfbench's tracer wraps must exist in rotrepr.
+"""The names and value types perfbench uses must still work in rotrepr.
 
 `perfbench/tracer.py` wraps kernels by name, and paper-table brackets
 the `SUITE_FUNCTIONS` entry points to compute its `op2_ms`. A refactor
 that renames or drops one of them breaks the benchmark without any
-error, so every name is resolved here.
+error, so every name is resolved here. pose-stream builds every value
+type from raw components and paper-table reads the report rows with
+`dataclasses.asdict`, so one small pass of each runs here too.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+def _load(name):
+    """perfbench/<name>.py as a module, with perfbench/ on sys.path for
+    its own imports (common, tracer)."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                      PERFBENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(PERFBENCH))
     return module
 
 
-tracer = _tracer()
+tracer = _load("tracer")
 
 
 @pytest.mark.parametrize("layer", sorted(tracer.LAYER_FUNCTIONS))
@@ -47,3 +57,34 @@ def test_suite_functions_resolve():
 def test_importing_modules_exist():
     for name in tracer.IMPORTING_MODULES:
         importlib.import_module(f"rotrepr.{name}")
+
+
+def test_pose_stream_runs_one_frame_of_every_tag():
+    pose_stream = _load("pose_stream")
+    inputs = pose_stream.generate(7)
+    n_tags = len(tracer.TAGS)
+    frames = inputs["haar"][:n_tags]
+    build = pose_stream._builders()
+    for tag, raw in zip(tracer.TAGS, frames):
+        build[tag](raw)
+    results = pose_stream.run_block(frames, inputs["calib"])
+    assert len(results) == n_tags
+    assert pose_stream.run_block(frames, inputs["calib"]) == results
+    verdicts = pose_stream.check_block("haar", frames, inputs["calib"], results,
+                                       None, {})
+    assert verdicts == [None] * n_tags
+
+
+def test_paper_table_check_passes_on_a_small_table():
+    from rotrepr.bench import BenchConfig, full_table
+    from rotrepr.report import ReportDocument
+
+    paper_table = _load("paper_table")
+    rows = full_table(BenchConfig(seed=42, n_stability=50, m_singularity=400,
+                                  n_edge=20, n_pairs=20, trials=20, warmup=5,
+                                  batch=10))
+    meta = {"seed": 42, "suite": "all"}
+    outcome = paper_table.Outcome()
+    paper_table.check_table(rows, ReportDocument("csv", rows, meta).render(),
+                            ReportDocument("json", rows, meta).render(), outcome)
+    assert outcome.verdicts == {"table": None}
