@@ -63,10 +63,7 @@ def test_pose_stream_runs_one_frame_of_every_tag():
     pose_stream = _load("pose_stream")
     inputs = pose_stream.generate(7)
     n_tags = len(tracer.TAGS)
-    frames = inputs["haar"][:n_tags]
-    build = pose_stream._builders()
-    for tag, raw in zip(tracer.TAGS, frames):
-        build[tag](raw)
+    frames = inputs["haar"][:n_tags]  # one per tag, built by _builders()
     results = pose_stream.run_block(frames, inputs["calib"])
     assert len(results) == n_tags
     assert pose_stream.run_block(frames, inputs["calib"]) == results
