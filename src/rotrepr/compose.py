@@ -20,6 +20,7 @@ from .core import (
     ORTHONORMALITY_TOL,
     RotationMatrix,
     UnitQuaternion,
+    _rescaled,
     _tuple_new,
     mat_mul_rows,
     orthogonality_residual,
@@ -33,17 +34,25 @@ def quat_mul(p: UnitQuaternion, q: UnitQuaternion) -> UnitQuaternion:
     """Hamilton product pq, renormalized.
 
     pq = p0 q0 - p.q + p0 q + q0 p + p x q; composing rotations so that
-    quat_to_matrix(pq) = quat_to_matrix(p) quat_to_matrix(q).
+    quat_to_matrix(pq) = quat_to_matrix(p) quat_to_matrix(q). Where
+    the product's squared norm would overflow or underflow, both
+    operands are rescaled by their largest component first; a zero or
+    non-finite operand raises DegenerateInputError.
     """
     w, x, y, z = _hamilton(p, q)
-    n = math.sqrt(w * w + x * x + y * y + z * z)
+    n2 = w * w + x * x + y * y + z * z
+    if not 1e-300 <= n2 < math.inf:
+        zero = "zero quaternion does not define a rotation"
+        w, x, y, z = _hamilton(_rescaled(p, zero), _rescaled(q, zero))
+        n2 = w * w + x * x + y * y + z * z
+    n = math.sqrt(n2)
     return _tuple_new(UnitQuaternion, (w / n, x / n, y / n, z / n))
 
 
 def quat_conjugate(q: UnitQuaternion) -> UnitQuaternion:
     """q* negates the vector part; for unit q this is also the inverse."""
     w, x, y, z = q
-    return UnitQuaternion(w, -x, -y, -z)
+    return _tuple_new(UnitQuaternion, (w, -x, -y, -z))
 
 
 quat_inverse = quat_conjugate

@@ -7,7 +7,8 @@ Euler angles also have direct spokes to and from the quaternion.
 One registry entry per representation tag holds its value type, report
 row name, arity, storage size, spokes, hub and component order; every
 tag dispatch in the package (convert, compose_in, interpolation, the
-benchmark rows and the CLI) is derived from it.
+benchmark rows and the CLI) is derived from it, convert's routes once
+at import.
 
 Every extraction from a matrix (quaternion, axis-angle, rotation
 vector, Euler angles) goes through Shoemake's matrix_to_quat once, so
@@ -36,6 +37,7 @@ from .core import (
     RotationVector,
     SixD,
     UnitQuaternion,
+    _rescaled,
     _tuple_new,
     canonicalize,
 )
@@ -226,21 +228,23 @@ def canonicalize_rotation_vector(v: RotationVector) -> RotationVector:
     if wrapped > math.pi:
         wrapped -= 2.0 * math.pi
     scale = wrapped / theta
-    return RotationVector((v.v[0] * scale, v.v[1] * scale, v.v[2] * scale))
+    return _tuple_new(RotationVector,
+                      ((v.v[0] * scale, v.v[1] * scale, v.v[2] * scale),))
 
 
 def axis_angle_to_rotation_vector(aa: AxisAngle) -> RotationVector:
-    return RotationVector((aa.axis[0] * aa.angle, aa.axis[1] * aa.angle,
-                           aa.axis[2] * aa.angle))
+    return _tuple_new(RotationVector, ((aa.axis[0] * aa.angle, aa.axis[1] * aa.angle,
+                                        aa.axis[2] * aa.angle),))
 
 
 def rotation_vector_to_axis_angle(v: RotationVector) -> AxisAngle:
     theta = v.norm()
     if theta <= TINY_ANGLE:
-        return AxisAngle(DEFAULT_AXIS, theta)
+        return _tuple_new(AxisAngle, (DEFAULT_AXIS, theta))
     if not math.isfinite(theta):
         raise _non_finite_norm(theta)
-    return AxisAngle((v.v[0] / theta, v.v[1] / theta, v.v[2] / theta), theta)
+    return _tuple_new(AxisAngle,
+                      ((v.v[0] / theta, v.v[1] / theta, v.v[2] / theta), theta))
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +262,7 @@ def quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
     w, x, y, z = q
     n2 = w * w + x * x + y * y + z * z
     if not 1e-300 <= n2 < math.inf:
-        if not all(map(math.isfinite, (w, x, y, z))):
-            raise DegenerateInputError(f"quaternion {(w, x, y, z)!r} is not finite")
-        m = max(abs(w), abs(x), abs(y), abs(z))
-        if m == 0.0:
-            raise DegenerateInputError("zero quaternion does not define a rotation")
-        w, x, y, z = w / m, x / m, y / m, z / m
+        w, x, y, z = _rescaled((w, x, y, z), "zero quaternion does not define a rotation")
         n2 = w * w + x * x + y * y + z * z
     n = math.sqrt(n2)
     w, x, y, z = w / n, x / n, y / n, z / n
@@ -337,7 +336,8 @@ def matrix_to_quat(r: RotationMatrix) -> UnitQuaternion:
 
 
 # intrinsic axes -> the extrinsic sequence (i, j, k) of the same rotation
-# as component indices of q, and its parity: ZYX (a, b, g) is XYZ (g, b, a)
+# as component indices of q, and its parity: ZYX (a, b, g) is XYZ (g, b, a).
+# One row per extractable convention; _euler_spoke binds a row once.
 _TAIT_BRYAN = {"ZYX": (1, 2, 3, 1.0), "XYZ": (3, 2, 1, -1.0)}
 
 
@@ -394,6 +394,41 @@ def euler_to_matrix(e: EulerAngles) -> RotationMatrix:
     return quat_to_matrix(_euler_quat(e))
 
 
+def _euler_spoke(convention: EulerConvention) -> Callable:
+    """quat_to_euler with the convention resolved once: a spoke from a
+    (w, x, y, z) sequence to EulerAngles. Raises
+    UnsupportedConventionError for a convention _TAIT_BRYAN has no row
+    for."""
+    spec = _TAIT_BRYAN.get(convention.axes) if convention.intrinsic else None
+    if spec is None:
+        raise UnsupportedConventionError(
+            f"Euler extraction supports intrinsic ZYX and XYZ only, "
+            f"got {convention.tag}")
+    i, j, k, parity = spec
+
+    def spoke(q) -> EulerAngles:
+        w, qi, qj, qk = q[0], q[i], q[j], q[k] * parity
+        a, b, c, d = w - qj, qi + qk, qj + w, qk - qi
+        hab, hcd = math.hypot(a, b), math.hypot(c, d)
+        h = math.hypot(hab, hcd)
+        if h == 0.0:
+            raise DegenerateInputError("zero quaternion does not define a rotation")
+        half_sum = math.atan2(b, a)
+        half_diff = math.atan2(d, c)
+        if 2.0 * (hab / h) * (hcd / h) < GIMBAL_COS_BETA:  # |cos beta|
+            gamma = 0.0
+            alpha = 2.0 * (half_sum if hab > hcd else half_diff)
+        else:
+            gamma = half_sum - half_diff
+            alpha = half_sum + half_diff
+        # both lie in [-2 pi, 2 pi]; the IEEE remainder wraps them exactly
+        alpha = parity * math.remainder(alpha, math.tau)
+        gamma = math.remainder(gamma, math.tau)
+        beta = 2.0 * math.atan2(hcd, hab) - 0.5 * math.pi
+        return _tuple_new(EulerAngles, (alpha, beta, gamma, convention))
+    return spoke
+
+
 def quat_to_euler(q, convention: EulerConvention | None = None) -> EulerAngles:
     """Intrinsic ZYX (default) or XYZ angles of the (w, x, y, z)
     sequence q, after Bernardes & Viollet (2022, PLoS ONE 17(11)): from
@@ -405,32 +440,7 @@ def quat_to_euler(q, convention: EulerConvention | None = None) -> EulerAngles:
     beta| < 1e-7) gamma is zero and alpha absorbs the free rotation,
     exact at beta = +-pi/2 and O(|cos beta|) elsewhere in the band.
     Other conventions raise UnsupportedConventionError."""
-    convention = convention or ZYX
-    spec = _TAIT_BRYAN.get(convention.axes) if convention.intrinsic else None
-    if spec is None:
-        raise UnsupportedConventionError(
-            f"Euler extraction supports intrinsic ZYX and XYZ only, "
-            f"got {convention.tag}")
-    i, j, k, parity = spec
-    w, qi, qj, qk = q[0], q[i], q[j], q[k] * parity
-    a, b, c, d = w - qj, qi + qk, qj + w, qk - qi
-    hab, hcd = math.hypot(a, b), math.hypot(c, d)
-    h = math.hypot(hab, hcd)
-    if h == 0.0:
-        raise DegenerateInputError("zero quaternion does not define a rotation")
-    half_sum = math.atan2(b, a)
-    half_diff = math.atan2(d, c)
-    if 2.0 * (hab / h) * (hcd / h) < GIMBAL_COS_BETA:  # |cos beta|
-        gamma = 0.0
-        alpha = 2.0 * (half_sum if hab > hcd else half_diff)
-    else:
-        gamma = half_sum - half_diff
-        alpha = half_sum + half_diff
-    # both lie in [-2 pi, 2 pi]; the IEEE remainder wraps them exactly
-    alpha = parity * math.remainder(alpha, math.tau)
-    gamma = math.remainder(gamma, math.tau)
-    beta = 2.0 * math.atan2(hcd, hab) - 0.5 * math.pi
-    return _tuple_new(EulerAngles, (alpha, beta, gamma, convention))
+    return _euler_spoke(convention or ZYX)(q)
 
 
 def matrix_to_euler(r: RotationMatrix,
@@ -529,6 +539,14 @@ def _same(value):
     return value
 
 
+def _chain(f, *rest) -> Callable:
+    """f, then each of rest, as one callable; _same hops dropped."""
+    if not rest:
+        return f
+    g = _chain(*rest)
+    return g if f is _same else f if g is _same else lambda value: g(f(value))
+
+
 def _entry(tag, row, value_type, arity, storage_bytes, components, to_matrix,
            from_matrix, quat_spokes=None, convention=None) -> _Rep:
     """quat_spokes (to_quat, from_quat) put the entry on the quaternion
@@ -539,19 +557,19 @@ def _entry(tag, row, value_type, arity, storage_bytes, components, to_matrix,
                 components, to_matrix, from_matrix, hub, to_hub, from_hub)
 
 
+_ZYX_SPOKE, _XYZ_SPOKE = _euler_spoke(ZYX), _euler_spoke(XYZ)
+
 _REGISTRY = (
     _entry(QUAT, "quaternion", UnitQuaternion, 4, 32, UnitQuaternion.as_tuple,
            quat_to_matrix, matrix_to_quat, quat_spokes=(_same, _unit_quat)),
     _entry(MATRIX, "matrix", RotationMatrix, 9, 72, RotationMatrix.as_flat,
            _same, _same),
     _entry(EULER_ZYX, "euler", EulerAngles, 3, 24, EulerAngles.as_tuple,
-           euler_to_matrix, lambda r: matrix_to_euler(r, ZYX),
-           quat_spokes=(_euler_quat, lambda q: quat_to_euler(q, ZYX)),
-           convention=ZYX),
+           euler_to_matrix, _chain(matrix_to_quat, _ZYX_SPOKE),
+           quat_spokes=(_euler_quat, _ZYX_SPOKE), convention=ZYX),
     _entry(EULER_XYZ, None, EulerAngles, 3, 24, EulerAngles.as_tuple,
-           euler_to_matrix, lambda r: matrix_to_euler(r, XYZ),
-           quat_spokes=(_euler_quat, lambda q: quat_to_euler(q, XYZ)),
-           convention=XYZ),
+           euler_to_matrix, _chain(matrix_to_quat, _XYZ_SPOKE),
+           quat_spokes=(_euler_quat, _XYZ_SPOKE), convention=XYZ),
     _entry(AXIS_ANGLE, "axis-angle", AxisAngle, 4, 24, AxisAngle.as_tuple,
            axis_angle_to_matrix, lambda r: quat_to_axis_angle(matrix_to_quat(r)),
            quat_spokes=(_axis_angle_quat, quat_to_axis_angle)),
@@ -580,27 +598,38 @@ def tag_of(value: Representation) -> str:
     return euler.tag if euler is not None else f"euler-{value.convention.tag}"
 
 
-def convert(value: Representation, dst: str) -> Representation:
-    """Convert between representations via the nearest hub.
+def _route(rep: _Rep, out: _Rep) -> Callable:
+    """What convert applies to a value of rep's type bound for out's tag.
 
     Axis-angle and rotation vector interconvert directly; a route from a
     quaternion-hub tag starts on the quaternion, every other route goes
-    through the matrix.
+    through the matrix. An Euler value comes back as itself when its
+    convention is the destination's.
     """
-    out = _BY_TAG.get(dst)
-    if out is None:
-        raise DegenerateInputError(f"unknown destination representation {dst!r}")
-    src = tag_of(value)
-    if src == dst:
-        return value
-    if src == AXIS_ANGLE and dst == ROTVEC:
-        return axis_angle_to_rotation_vector(value)
-    if src == ROTVEC and dst == AXIS_ANGLE:
-        return rotation_vector_to_axis_angle(value)
-    rep = _BY_TYPE[type(value)]
-    if rep.hub == MATRIX:
-        return out.from_matrix(rep.to_matrix(value))
-    q = rep.to_hub(value)
-    if out.hub == QUAT:
-        return out.from_hub(q)
-    return out.from_matrix(quat_to_matrix(q))
+    if rep is out and out.convention is None:
+        return _same
+    route = _DIRECT.get((rep.tag, out.tag)) or (
+        _chain(rep.to_matrix, out.from_matrix) if rep.hub == MATRIX
+        else _chain(rep.to_hub, out.from_hub) if out.hub == QUAT
+        else _chain(rep.to_hub, quat_to_matrix, out.from_matrix))
+    if rep.type is not out.type:
+        return route
+    return lambda e: e if e.convention == out.convention else route(e)
+
+
+_DIRECT = {(AXIS_ANGLE, ROTVEC): axis_angle_to_rotation_vector,
+           (ROTVEC, AXIS_ANGLE): rotation_vector_to_axis_angle}
+# (value type, destination tag) -> route, resolved once from the registry
+_ROUTES = {(rep.type, out.tag): _route(rep, out)
+           for rep in _BY_TYPE.values() for out in _REGISTRY}
+
+
+def convert(value: Representation, dst: str) -> Representation:
+    """Convert between representations via the nearest hub, along the
+    route _route resolved for the value's type and dst at import."""
+    route = _ROUTES.get((type(value), dst))
+    if route is None:
+        if dst not in _BY_TAG:
+            raise DegenerateInputError(f"unknown destination representation {dst!r}")
+        tag_of(value)  # raises: every registered type has a route to every tag
+    return route(value)

@@ -82,11 +82,16 @@ class UnitQuaternion(NamedTuple):
         return math.sqrt(w * w + x * x + y * y + z * z)
 
     def normalized(self) -> "UnitQuaternion":
-        n = self.norm()
-        if n < 1e-300:
-            raise DegenerateInputError("zero quaternion cannot be normalized")
+        """self / |self|, rescaled first by its largest component where
+        the squared norm would overflow or underflow; a zero or
+        non-finite quaternion raises DegenerateInputError."""
         w, x, y, z = self
-        return UnitQuaternion(w / n, x / n, y / n, z / n)
+        n2 = w * w + x * x + y * y + z * z
+        if not 1e-300 <= n2 < math.inf:
+            w, x, y, z = _rescaled(self, "zero quaternion cannot be normalized")
+            n2 = w * w + x * x + y * y + z * z
+        n = math.sqrt(n2)
+        return _tuple_new(UnitQuaternion, (w / n, x / n, y / n, z / n))
 
     def dot(self, other: "UnitQuaternion") -> float:
         w1, x1, y1, z1 = self
@@ -113,6 +118,20 @@ class UnitQuaternion(NamedTuple):
 # which costs more than the tuple itself. Every kernel constructs the
 # value types through it.
 _tuple_new = tuple.__new__
+
+
+def _rescaled(q, zero_message: str) -> tuple[float, float, float, float]:
+    """The (w, x, y, z) sequence q divided by its largest |component|:
+    the rare branch of a renormalization whose squared norm left
+    [1e-300, inf). Raises DegenerateInputError for a non-finite
+    component, or with zero_message for the zero quaternion."""
+    if not all(map(math.isfinite, q)):
+        raise DegenerateInputError(f"quaternion {tuple(q)!r} is not finite")
+    m = max(map(abs, q))
+    if m == 0.0:
+        raise DegenerateInputError(zero_message)
+    w, x, y, z = q
+    return (w / m, x / m, y / m, z / m)
 
 Row3 = tuple[float, float, float]
 
@@ -145,11 +164,11 @@ class RotationMatrix(NamedTuple):
 
     def transpose(self) -> "RotationMatrix":
         r = self.rows
-        return RotationMatrix((
+        return _tuple_new(RotationMatrix, ((
             (r[0][0], r[1][0], r[2][0]),
             (r[0][1], r[1][1], r[2][1]),
             (r[0][2], r[1][2], r[2][2]),
-        ))
+        ),))
 
     def apply(self, p: Vec3) -> Vec3:
         r = self.rows
@@ -404,7 +423,7 @@ def sample_uniform(rng: Rng) -> UnitQuaternion:
         w, x, y, z = rng.normal(), rng.normal(), rng.normal(), rng.normal()
         n = math.sqrt(w * w + x * x + y * y + z * z)
         if n > 0.0:
-            return UnitQuaternion(w / n, x / n, y / n, z / n)
+            return _tuple_new(UnitQuaternion, (w / n, x / n, y / n, z / n))
 
 
 def rotate_vector(q: UnitQuaternion, p: Vec3) -> Vec3:

@@ -111,18 +111,19 @@ def matrix_geodesic(r1: RotationMatrix, r2: RotationMatrix, t: float) -> Rotatio
 
 def _geodesic_at(r1: RotationMatrix, v, t: float) -> RotationMatrix:
     """R1 exp(t v), with v = log(R1^T R2) computed by the caller."""
-    return matrix_mul(r1, exp_map(RotationVector((v[0] * t, v[1] * t, v[2] * t))))
+    return matrix_mul(r1, exp_map(_tuple_new(RotationVector,
+                                             ((v[0] * t, v[1] * t, v[2] * t),))))
 
 
 def linear_rotation_vector(v1: RotationVector, v2: RotationVector,
                            t: float) -> RotationMatrix:
     """exp of the affine blend (1-t) v1 + t v2; geodesic only when the
     endpoints' rotation vectors are parallel."""
-    blend = RotationVector((
+    blend = _tuple_new(RotationVector, ((
         (1.0 - t) * v1.v[0] + t * v2.v[0],
         (1.0 - t) * v1.v[1] + t * v2.v[1],
         (1.0 - t) * v1.v[2] + t * v2.v[2],
-    ))
+    ),))
     return exp_map(blend)
 
 

@@ -19,6 +19,7 @@ from rotrepr import (
 )
 from rotrepr.convert import (
     REPRESENTATION_TAGS,
+    _hamilton,
     axis_angle_to_matrix,
     convert,
     quat_to_matrix,
@@ -50,6 +51,46 @@ def test_quat_mul_ij_equals_k():
     k = UnitQuaternion(0.0, 0.0, 0.0, 1.0)
     assert quat_mul(i, j) == k
     assert quat_mul(j, i).as_tuple() == pytest.approx((0, 0, 0, -1), abs=1e-15)
+
+
+@pytest.mark.parametrize("p, q, product", [
+    ((1e200, 0.0, 0.0, 0.0), (1e200, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+    ((1e-170, 0.0, 0.0, 0.0), (1e-170, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+    ((1e160, 1e160, 0.0, 0.0), (1e160, 1e160, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)),
+    ((0.0, 1e-200, 0.0, 0.0), (0.0, 0.0, 3e-150, 0.0), (0.0, 0.0, 0.0, 1.0)),
+    ((1e300, 0.0, 0.0, 0.0), (0.0, 0.0, 1e-300, 0.0), (0.0, 0.0, 1.0, 0.0)),
+])
+def test_quat_mul_huge_and_tiny_operands(p, q, product):
+    # the product's squared norm overflows to inf (or inf - inf = nan)
+    # or underflows below 1e-300; both operands are rescaled first
+    p, q = UnitQuaternion(*p), UnitQuaternion(*q)
+    for out in (quat_mul(p, q), compose_in("quat", p, q)):
+        assert type(out) is UnitQuaternion
+        assert out == pytest.approx(product, abs=1e-16)
+        assert out.norm() == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", [(0.0, 0.0, 0.0, 0.0), (math.nan, 0.0, 0.0, 0.0),
+                                 (0.0, math.inf, 0.0, 0.0)])
+def test_quat_mul_zero_or_non_finite_operand_raises(bad, rng):
+    q = haar_quat(rng)
+    for p1, p2 in ((UnitQuaternion(*bad), q), (q, UnitQuaternion(*bad))):
+        with pytest.raises(DegenerateInputError):
+            quat_mul(p1, p2)
+        with pytest.raises(DegenerateInputError):
+            compose_in("quat", p1, p2)
+
+
+def test_quat_mul_in_range_bit_identical(rng):
+    # in range the product is divided by sqrt(w^2 + x^2 + y^2 + z^2) of
+    # the Hamilton product, as before the rescaling branch
+    for k in (1e-70, 0.01, 1.0, 3.0, 1e70):
+        for _ in range(50):
+            p = UnitQuaternion(*(c * k for c in haar_quat(rng)))
+            q = haar_quat(rng)
+            w, x, y, z = _hamilton(p, q)
+            n = math.sqrt(w * w + x * x + y * y + z * z)
+            assert repr(quat_mul(p, q)) == repr(UnitQuaternion(w / n, x / n, y / n, z / n))
 
 
 def test_quat_mul_matches_matrix_route(rng):

@@ -34,8 +34,17 @@ from rotrepr.convert import (
     quat_to_euler,
     quat_to_matrix,
     sixd_to_matrix,
+    AXIS_ANGLE,
+    MATRIX,
+    QUAT,
     REPRESENTATION_TAGS,
+    ROTVEC,
+    _BY_TAG,
+    _BY_TYPE,
     _REGISTRY,
+    _ROUTES,
+    axis_angle_to_rotation_vector,
+    rotation_vector_to_axis_angle,
     tag_of,
 )
 from rotrepr.core import DEFAULT_AXIS, TINY_ANGLE, XYZ, ZYX
@@ -816,6 +825,139 @@ def test_registry_entry(rep, rng):
         assert type(compose_in(rep.tag, value, via_hub)) is rep.type
         for out in _REGISTRY:
             assert type(convert(value, out.tag)) is out.type
+
+
+def _reference_convert(value, dst):
+    """convert with its route worked out on every call, as before the
+    routes were resolved once at import: the oracle for the route table."""
+    out = _BY_TAG.get(dst)
+    if out is None:
+        raise DegenerateInputError(f"unknown destination representation {dst!r}")
+    src = tag_of(value)
+    if src == dst:
+        return value
+    if src == AXIS_ANGLE and dst == ROTVEC:
+        return axis_angle_to_rotation_vector(value)
+    if src == ROTVEC and dst == AXIS_ANGLE:
+        return rotation_vector_to_axis_angle(value)
+    rep = _BY_TYPE[type(value)]
+    if rep.hub == MATRIX:
+        return out.from_matrix(rep.to_matrix(value))
+    q = rep.to_hub(value)
+    if out.hub == QUAT:
+        return out.from_hub(q)
+    return out.from_matrix(quat_to_matrix(q))
+
+
+def _outcome(value, dst):
+    """(type, repr) of convert's result, or of the exception it raised;
+    repr tells -0.0 from 0.0."""
+    try:
+        result = convert(value, dst)
+    except Exception as exc:  # the oracle compares every exception
+        return type(exc), str(exc)
+    return type(result), repr(result)
+
+
+def _reference_outcome(value, dst):
+    try:
+        result = _reference_convert(value, dst)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(result), repr(result)
+
+
+# Euler conventions without a registry tag: they convert from their
+# angles to every tag through the euler-zyx entry
+OTHER_CONVENTIONS = [EulerConvention("ZXZ"), EulerConvention("XYX"),
+                     EulerConvention("YZX"), EulerConvention("ZYZ", intrinsic=False),
+                     EulerConvention("ZYX", intrinsic=False),
+                     EulerConvention("XYZ", intrinsic=False), EulerConvention("YXY")]
+
+
+def _route_sources(rng):
+    """Haar and seam values of every tag, Euler values in conventions
+    without a tag, and values some spoke rejects."""
+    matrices = [haar_matrix(rng) for _ in range(12)]
+    matrices += [RotationMatrix.identity(), RotationMatrix(RZ90_ROWS),
+                 quat_to_matrix(UnitQuaternion(0.0, 1.0, 0.0, 0.0)),
+                 quat_to_matrix(UnitQuaternion(0.0, 0.0, SQ2, -SQ2)),
+                 exp_map(RotationVector((math.pi - 1e-9, 0.0, 0.0))),
+                 euler_to_matrix(EulerAngles(0.3, math.pi / 2, -0.2)),
+                 euler_to_matrix(EulerAngles(0.3, -math.pi / 2 + 1e-9, 0.1, XYZ))]
+    matrices += [exp_map(RotationVector((t, -0.5 * t, 0.25 * t)))
+                 for t in (1e-3, 1e-5, 1e-9, 1e-13)]
+    values = [rep.from_matrix(r) for rep in _REGISTRY for r in matrices]
+    for conv in OTHER_CONVENTIONS:
+        values += [EulerAngles(rng.uniform(-3.0, 3.0), rng.uniform(-1.5, 1.5),
+                               rng.uniform(-3.0, 3.0), conv) for _ in range(4)]
+        values += [EulerAngles(0.0, 0.0, 0.0, conv), EulerAngles(0.4, 1e-9, -0.4, conv),
+                   EulerAngles(1.0, math.pi / 2, 0.5, conv)]
+    values += [
+        UnitQuaternion(-0.5, 0.5, -0.5, 0.5), UnitQuaternion(3.0, -1.0, 2.0, 0.5),
+        UnitQuaternion(0.0, 0.0, 0.0, 0.0), UnitQuaternion(1e200, 0.0, 0.0, 0.0),
+        UnitQuaternion(math.nan, 0.0, 0.0, 1.0),
+        AxisAngle(DEFAULT_AXIS, 0.0), AxisAngle((0.0, 1.0, 0.0), math.pi),
+        AxisAngle((SQ2, 0.0, -SQ2), 1e-6),
+        RotationVector((0.0, 0.0, 0.0)), RotationVector((4.0, -1.0, 2.0)),
+        RotationVector((1e-14, 0.0, 0.0)), RotationVector((1e200, 0.0, 0.0)),
+        RotationVector((math.nan, 0.0, 0.0)),
+        SixD((2.0, 0.0, 0.0), (1.0, 3.0, 0.0)), SixD((1.0, 0.0, 0.0), (2.0, 0.0, 0.0)),
+        SixD((0.0, 0.0, 0.0), (0.0, 1.0, 0.0)), SixD((1e300, 1e300, 0.0), (0.0, 1.0, 1.0)),
+        RotationMatrix(((1.0, 0.1, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))),
+        RotationMatrix(((math.nan, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))),
+    ]
+    return values
+
+
+def test_route_table_matches_reference_convert(rng):
+    # every (source, destination) pair: the same value, bit for bit, with
+    # the same exact type, or the same exception with the same message
+    sources = _route_sources(rng)
+    assert {tag_of(v) for v in sources} >= set(REPRESENTATION_TAGS)
+    assert len({v.convention for v in sources if type(v) is EulerAngles}) >= 8
+    for value in sources:
+        for dst in REPRESENTATION_TAGS:
+            assert _outcome(value, dst) == _reference_outcome(value, dst), (value, dst)
+
+
+def test_convert_same_tag_returns_the_value_itself(rng):
+    for rep in _REGISTRY:
+        value = rep.from_matrix(haar_matrix(rng))
+        assert convert(value, rep.tag) is value
+    for conv in OTHER_CONVENTIONS:
+        e = EulerAngles(0.1, 0.2, 0.3, conv)
+        assert convert(e, "euler-zyx") is not e
+        assert tag_of(convert(e, "euler-zyx")) == "euler-zyx"
+    # the convention is compared by value, as tag_of does
+    e = EulerAngles(0.1, 0.2, 0.3, EulerConvention("XYZ"))
+    assert e.convention is not XYZ
+    assert convert(e, "euler-xyz") is e
+
+
+@pytest.mark.parametrize("value, dst", [
+    (RotationMatrix.identity(), "octonion"),
+    (UnitQuaternion.identity(), "euler-zxz-intrinsic"),
+    (EulerAngles(0.1, 0.2, 0.3, EulerConvention("ZXZ")), "euler-zxz-intrinsic"),
+    (EulerAngles(0.1, 0.2, 0.3), "euler-zyx-extrinsic"),
+    ((1.0, 0.0, 0.0, 0.0), "quat"),
+    (None, "matrix"),
+    ("quat", "quat"),
+    (((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), "matrix"),
+    (None, "octonion"),
+])
+def test_convert_errors_match_reference(value, dst):
+    # unknown destination first, then a value that is no representation;
+    # an Euler tag without a registry entry is an unknown destination
+    got, want = _outcome(value, dst), _reference_outcome(value, dst)
+    assert got == want
+    assert got[0] is DegenerateInputError
+
+
+def test_route_table_one_entry_per_type_and_tag():
+    types = {rep.type for rep in _REGISTRY}
+    assert set(_ROUTES) == {(t, rep.tag) for t in types for rep in _REGISTRY}
+    assert len(_ROUTES) == len(types) * len(REPRESENTATION_TAGS) == 42
 
 
 def test_registry_tags_cli_choices_and_report_rows():

@@ -322,15 +322,79 @@ def test_unit_quaternion_methods():
         UnitQuaternion(0.0, 0.0, 0.0, 0.0).normalized()
 
 
+@pytest.mark.parametrize("q, unit", [
+    ((1e200, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)),
+    ((1e-170, 0.0, 0.0, 1e-170), (math.sqrt(0.5), 0.0, 0.0, math.sqrt(0.5))),
+    ((1e308, -1e308, 1e308, 1e308), (0.5, -0.5, 0.5, 0.5)),
+    ((0.0, -5e-324, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0)),
+])
+def test_normalized_huge_and_tiny_quaternions(q, unit):
+    # the squared norm overflows to inf or underflows below 1e-300
+    out = UnitQuaternion(*q).normalized()
+    assert type(out) is UnitQuaternion
+    assert out == pytest.approx(unit, abs=2.3e-16)
+    assert out.norm() == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_normalized_non_finite_raises(bad):
+    for q in ((bad, 0.0, 0.0, 0.0), (0.5, 0.5, bad, 0.5)):
+        with pytest.raises(DegenerateInputError, match="not finite"):
+            UnitQuaternion(*q).normalized()
+
+
+def test_normalized_in_range_bit_identical(rng):
+    # the common path divides by sqrt(w^2 + x^2 + y^2 + z^2), as before
+    for k in (1e-140, 1e-3, 1.0, 7.0, 1e150):
+        for _ in range(50):
+            w, x, y, z = (c * k * rng.uniform(0.5, 2.0) for c in sample_uniform(rng))
+            n = math.sqrt(w * w + x * x + y * y + z * z)
+            assert repr(UnitQuaternion(w, x, y, z).normalized()) == repr(
+                UnitQuaternion(w / n, x / n, y / n, z / n))
+
+
 def test_quaternion_kernels_return_the_value_type(rng):
     from rotrepr.compose import quat_mul
     from rotrepr.convert import matrix_to_quat
     from rotrepr.interp import nlerp, slerp
     q1, q2 = haar_quat(rng), haar_quat(rng)
     for out in (quat_mul(q1, q2), matrix_to_quat(quat_to_matrix(q1)),
-                slerp(q1, q2, 0.3), nlerp(q1, q2, 0.3)):
+                slerp(q1, q2, 0.3), nlerp(q1, q2, 0.3), sample_uniform(rng)):
         assert type(out) is UnitQuaternion
         assert out.norm() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_kernels_build_exact_value_types(rng):
+    # kernels build their results with tuple.__new__; each must equal the
+    # class-built value and have exactly its type
+    from rotrepr.compose import quat_conjugate
+    from rotrepr.convert import (axis_angle_to_rotation_vector,
+                                 canonicalize_rotation_vector,
+                                 rotation_vector_to_axis_angle)
+    from rotrepr.core import RotationVector
+    from rotrepr.interp import _geodesic_at, linear_rotation_vector
+    q, r = haar_quat(rng), haar_matrix(rng)
+    v = RotationVector((0.3, -2.0, 4.0))
+    cases = [
+        (quat_conjugate(q), UnitQuaternion(q.w, -q.x, -q.y, -q.z)),
+        (r.transpose(), RotationMatrix(tuple(zip(*r.rows)))),
+        (axis_angle_to_rotation_vector(AxisAngle((0.0, 0.6, 0.8), 2.0)),
+         RotationVector((0.0, 1.2, 1.6))),
+        (rotation_vector_to_axis_angle(RotationVector((0.0, 0.0, 0.0))),
+         AxisAngle((0.0, 0.0, 1.0), 0.0)),
+        (rotation_vector_to_axis_angle(RotationVector((0.0, 3.0, 4.0))),
+         AxisAngle((0.0, 0.6, 0.8), 5.0)),
+        (canonicalize_rotation_vector(v), RotationVector(tuple(
+            c * ((math.fmod(v.norm(), 2.0 * math.pi) - 2.0 * math.pi) / v.norm())
+            for c in v.v))),
+    ]
+    for got, want in cases:
+        assert type(got) is type(want)
+        assert got == want
+    for got in (_geodesic_at(r, (0.1, 0.2, 0.3), 0.5),
+                linear_rotation_vector(v, RotationVector((0.0, 0.0, 0.0)), 0.5)):
+        assert type(got) is RotationMatrix
+        assert validate(got).ok
 
 
 # ---------------------------------------------------------------------------
