@@ -133,6 +133,7 @@ def _rescaled(q, zero_message: str) -> tuple[float, float, float, float]:
     w, x, y, z = q
     return (w / m, x / m, y / m, z / m)
 
+
 Row3 = tuple[float, float, float]
 
 

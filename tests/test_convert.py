@@ -849,20 +849,12 @@ def _reference_convert(value, dst):
     return out.from_matrix(quat_to_matrix(q))
 
 
-def _outcome(value, dst):
-    """(type, repr) of convert's result, or of the exception it raised;
-    repr tells -0.0 from 0.0."""
+def _outcome(conv, value, dst):
+    """(type, repr) of conv's result, or (type, message) of the exception
+    it raised; repr tells -0.0 from 0.0."""
     try:
-        result = convert(value, dst)
+        result = conv(value, dst)
     except Exception as exc:  # the oracle compares every exception
-        return type(exc), str(exc)
-    return type(result), repr(result)
-
-
-def _reference_outcome(value, dst):
-    try:
-        result = _reference_convert(value, dst)
-    except Exception as exc:
         return type(exc), str(exc)
     return type(result), repr(result)
 
@@ -918,7 +910,8 @@ def test_route_table_matches_reference_convert(rng):
     assert len({v.convention for v in sources if type(v) is EulerAngles}) >= 8
     for value in sources:
         for dst in REPRESENTATION_TAGS:
-            assert _outcome(value, dst) == _reference_outcome(value, dst), (value, dst)
+            assert (_outcome(convert, value, dst)
+                    == _outcome(_reference_convert, value, dst)), (value, dst)
 
 
 def test_convert_same_tag_returns_the_value_itself(rng):
@@ -949,7 +942,7 @@ def test_convert_same_tag_returns_the_value_itself(rng):
 def test_convert_errors_match_reference(value, dst):
     # unknown destination first, then a value that is no representation;
     # an Euler tag without a registry entry is an unknown destination
-    got, want = _outcome(value, dst), _reference_outcome(value, dst)
+    got, want = _outcome(convert, value, dst), _outcome(_reference_convert, value, dst)
     assert got == want
     assert got[0] is DegenerateInputError
 
