@@ -30,8 +30,8 @@ from .core import (
     RotationVector,
     SixD,
     UnitQuaternion,
+    _project_stack,
     canonicalize,
-    project_to_so3,
     relative_angle,
     sample_uniform,
     validity_residuals,
@@ -160,7 +160,7 @@ def haar_matrix(rng: Rng) -> RotationMatrix:
 
 def _direction(rng: Rng, dim: int, norm: float) -> tuple[float, ...]:
     while True:
-        d = [rng.normal() for _ in range(dim)]
+        d = rng.normals(dim)
         n = math.sqrt(sum(v * v for v in d))
         if n > 0.0:
             # a list, not a generator: tuple(generator) over-allocates
@@ -192,14 +192,16 @@ class StabilityResult:
     failures: int
 
 
-def _stability_sample(tag: str, rng: Rng) -> RotationMatrix:
+def _stability_sample(tag: str, rng: Rng):
+    """A Haar matrix and, for the Euler row, its angles, which keep
+    Euler round trips away from the gimbal band (None for other rows)."""
     if tag != EULER:
-        return haar_matrix(rng)
-    # Euler round-trips are tested away from the gimbal band.
+        return haar_matrix(rng), None
     while True:
         r = haar_matrix(rng)
-        if abs(matrix_to_euler(r).beta) <= EULER_BETA_EXCLUSION:
-            return r
+        angles = matrix_to_euler(r)
+        if abs(angles.beta) <= EULER_BETA_EXCLUSION:
+            return r, angles
 
 
 def stability_suite(tag: str, cfg: BenchConfig) -> StabilityResult:
@@ -209,12 +211,15 @@ def stability_suite(tag: str, cfg: BenchConfig) -> StabilityResult:
     tallied as a failure.
     """
     rng = _suite_rng(cfg, f"stability/{tag}")
+    rep = _row_rep(tag)
     total = 0.0
     failures = 0
     for _ in range(cfg.n_stability):
-        r = _stability_sample(tag, rng)
+        r, value = _stability_sample(tag, rng)
         try:
-            total += relative_angle(round_trip(tag, r), r)
+            if value is None:
+                value = rep.from_matrix(r)
+            total += relative_angle(rep.to_matrix(value), r)
         except RotationError:
             total += math.pi
             failures += 1
@@ -259,13 +264,14 @@ def gimbal_susceptibility(tag: str, cfg: BenchConfig) -> float:
     branch and the distance is O(1).
     """
     rng = _suite_rng(cfg, f"gimbal/{tag}")
+    if tag == MATRIX:
+        return _matrix_gimbal_hits(rng, cfg) / cfg.m_singularity
     rep = _row_rep(tag)
     eta = cfg.perturbation_norm
     hits = 0
     for _ in range(cfg.m_singularity):
         # each row sets the perturbed value, its unperturbed parameters
-        # and the parameter distance; the matrix row has no chart to
-        # re-extract and projects the perturbed entries instead
+        # and the parameter distance
         dist_of = _tuple_dist
         if tag == EULER:
             ref = (rng.uniform(-math.pi, math.pi),
@@ -282,14 +288,6 @@ def gimbal_susceptibility(tag: str, cfg: BenchConfig) -> float:
                                   q.y + d[2], q.z + d[3]).normalized()
             ref = q.as_tuple()
             dist_of = _quat_param_dist
-        elif tag == MATRIX:
-            ref = haar_matrix(rng).as_flat()
-            d = _direction(rng, 9, eta)
-            pert = [ref[i] + d[i] for i in range(9)]
-            fixed = project_to_so3([pert[0:3], pert[3:6], pert[6:9]])
-            if _tuple_dist(fixed.as_flat(), ref) > cfg.tau:
-                hits += 1
-            continue
         elif tag == AXIS_ANGLE:
             axis = _direction(rng, 3, 1.0)
             theta = rng.uniform(0.0, GIMBAL_BAND_HALFWIDTH)
@@ -313,6 +311,23 @@ def gimbal_susceptibility(tag: str, cfg: BenchConfig) -> float:
         if dist_of(extracted, ref) > cfg.tau:
             hits += 1
     return hits / cfg.m_singularity
+
+
+_PROJECT_CHUNK = 256  # draws per SVD stack: bounds the stack's memory
+
+
+def _matrix_gimbal_hits(rng: Rng, cfg: BenchConfig) -> int:
+    """The matrix row has no chart to re-extract: it projects the
+    perturbed entries back onto SO(3), one SVD stack per chunk of draws."""
+    hits = 0
+    for start in range(0, cfg.m_singularity, _PROJECT_CHUNK):
+        draws = [(haar_matrix(rng).as_flat(), _direction(rng, 9, cfg.perturbation_norm))
+                 for _ in range(min(_PROJECT_CHUNK, cfg.m_singularity - start))]
+        perts = [[[ref[i] + d[i] for i in range(r, r + 3)] for r in (0, 3, 6)]
+                 for ref, d in draws]
+        for (ref, _), fixed in zip(draws, _project_stack(perts)):
+            hits += _tuple_dist(fixed.as_flat(), ref) > cfg.tau
+    return hits
 
 
 def broken_quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
@@ -424,9 +439,8 @@ def interpolation_pairs(cfg: BenchConfig) -> list[tuple[RotationMatrix,
     rng = _suite_rng(cfg, "interp/pairs")
     pairs = []
     for _ in range(cfg.n_pairs):
-        jitter = RotationVector((rng.normal() * INTERP_START_JITTER,
-                                 rng.normal() * INTERP_START_JITTER,
-                                 rng.normal() * INTERP_START_JITTER))
+        jitter = RotationVector(tuple([v * INTERP_START_JITTER
+                                       for v in rng.normals(3)]))
         pairs.append((exp_map(jitter), haar_matrix(rng)))
     return pairs
 

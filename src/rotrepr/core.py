@@ -359,21 +359,32 @@ def project_to_so3(m) -> RotationMatrix:
     a = np.asarray(m.rows if isinstance(m, RotationMatrix) else m, dtype=float)
     if a.shape != (3, 3):
         raise DegenerateInputError(f"expected shape (3, 3), got {a.shape}")
-    u, sigma, vt = np.linalg.svd(a)
-    if sigma[-1] < 1e-12:
-        raise DegenerateInputError(
-            f"matrix is rank-deficient (singular values {sigma.tolist()})")
-    return _so3_factor(u, vt)
+    return _project_stack(a[None])[0]
 
 
-def _so3_factor(u, vt) -> RotationMatrix:
-    """U diag(1, 1, det(UV^T)) V^T of an SVD; UV^T is orthogonal, so the
-    sign of its plain cofactor determinant (+-1) is exact."""
-    (a, b, c), (d, e, f), (g, h, i) = rows = (u @ vt).tolist()
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if not det >= 0.0:
-        rows = ((u * np.array([1.0, 1.0, -1.0])) @ vt).tolist()
-    return _tuple_new(RotationMatrix, (tuple(map(tuple, rows)),))
+def _project_stack(a) -> list[RotationMatrix]:
+    """project_to_so3 of each matrix of a (k, 3, 3) array, through one
+    SVD and one stacked U V^T; each result is bit-identical to its own
+    projection. The first rank-deficient member raises."""
+    u, sigma, vt = np.linalg.svd(np.asarray(a, dtype=float))
+    low = sigma[:, 2] < 1e-12
+    if low.any():
+        raise DegenerateInputError(f"matrix is rank-deficient "
+                                   f"(singular values {sigma[low.argmax()].tolist()})")
+    return _so3_factors(u, vt)
+
+
+def _so3_factors(u, vt) -> list[RotationMatrix]:
+    """U diag(1, 1, det(UV^T)) V^T of each SVD in a stack; UV^T is
+    orthogonal, so the sign of its plain cofactor determinant (+-1) is
+    exact."""
+    out = []
+    for j, rows in enumerate((u @ vt).tolist()):
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        if not a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) >= 0.0:
+            rows = ((u[j] * np.array([1.0, 1.0, -1.0])) @ vt[j]).tolist()
+        out.append(_tuple_new(RotationMatrix, (tuple(map(tuple, rows)),)))
+    return out
 
 
 def geodesic_distance(r1: RotationMatrix, r2: RotationMatrix) -> float:
@@ -421,7 +432,7 @@ def relative_angle(r1: RotationMatrix, r2: RotationMatrix) -> float:
 def sample_uniform(rng: Rng) -> UnitQuaternion:
     """Haar-uniform rotation as a normalized 4-normal quaternion."""
     while True:
-        w, x, y, z = rng.normal(), rng.normal(), rng.normal(), rng.normal()
+        w, x, y, z = rng.normals(4)
         n = math.sqrt(w * w + x * x + y * y + z * z)
         if n > 0.0:
             return _tuple_new(UnitQuaternion, (w / n, x / n, y / n, z / n))

@@ -52,19 +52,24 @@ def _hemisphere(q1: UnitQuaternion, q2: UnitQuaternion):
     return q2, d
 
 
-def _nlerp_pair(q1: UnitQuaternion, q2: UnitQuaternion, t: float) -> UnitQuaternion:
-    if q1 == q2:
-        return q1  # keep constant paths exactly constant
+def _nlerp_pair(q1: UnitQuaternion, q2: UnitQuaternion, t: float,
+                unit: bool = False) -> UnitQuaternion:
+    if q1 == q2:  # keep constant paths exactly constant, and unit
+        return q1 if abs(q1.dot(q1) - 1.0) <= 1e-15 else q1.normalized()
     w1, x1, y1, z1 = q1
     w2, x2, y2, z2 = q2
     w = (1.0 - t) * w1 + t * w2
     x = (1.0 - t) * x1 + t * x2
     y = (1.0 - t) * y1 + t * y2
     z = (1.0 - t) * z1 + t * z2
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    if n < 1e-15:
-        raise DegenerateInputError(
-            "nlerp blend vanished (exactly antipodal endpoints)")
+    n2 = w * w + x * x + y * y + z * z
+    if not 1e-300 <= n2 < math.inf:
+        if unit:  # unit endpoints, one hemisphere: n2 >= 1/2 unless t overflows
+            raise DegenerateInputError(f"nlerp blend is not finite at t={t!r}")
+        # huge, tiny or zero endpoints: blend the normalized pair
+        p1 = q1.normalized()
+        return _nlerp_pair(p1, _hemisphere(p1, q2.normalized())[0], t, True)
+    n = math.sqrt(n2)
     return _tuple_new(UnitQuaternion, (w / n, x / n, y / n, z / n))
 
 
@@ -74,7 +79,8 @@ def slerp(q1: UnitQuaternion, q2: UnitQuaternion, t: float) -> UnitQuaternion:
     q2 is negated first when q1.q2 < 0 so the short arc is taken; below
     an arc of 0.001 rad on the quaternion sphere the sin weights are
     ill-conditioned and nlerp is returned instead (identical to slerp at
-    that separation to well below 1e-12).
+    that separation to well below 1e-12). Huge or tiny endpoints, whose
+    blend's squared norm leaves [1e-300, inf), are normalized first.
     """
     q2c, d = _hemisphere(q1, q2)
     d = _clamp(d, -1.0, 1.0)
@@ -90,7 +96,10 @@ def slerp(q1: UnitQuaternion, q2: UnitQuaternion, t: float) -> UnitQuaternion:
     x = k1 * x1 + k2 * x2
     y = k1 * y1 + k2 * y2
     z = k1 * z1 + k2 * z2
-    n = math.sqrt(w * w + x * x + y * y + z * z)
+    n2 = w * w + x * x + y * y + z * z
+    if not 1e-300 <= n2 < math.inf and math.isfinite(t):
+        return slerp(q1.normalized(), q2.normalized(), t)
+    n = math.sqrt(n2)
     return _tuple_new(UnitQuaternion, (w / n, x / n, y / n, z / n))
 
 
@@ -99,6 +108,8 @@ def nlerp(q1: UnitQuaternion, q2: UnitQuaternion, t: float) -> UnitQuaternion:
 
     Agrees with slerp to O(upsilon^3) (max deviation ~0.032 upsilon^3 rad
     in rotation space), hence indistinguishable at small separations.
+    A blend whose squared norm leaves [1e-300, inf) is taken again
+    between the normalized endpoints, where a zero endpoint raises.
     """
     q2c, _ = _hemisphere(q1, q2)
     return _nlerp_pair(q1, q2c, t)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RotationMatrix, UnitQuaternion, _so3_factor, canonicalize
+from .core import RotationMatrix, UnitQuaternion, _so3_factors, canonicalize
 from .errors import DegeneracyError, DegenerateInputError, NonUniqueModeError
 
 RANK_TOL = 1e-12
@@ -85,7 +85,7 @@ def fisher_mode(d: MatrixFisher) -> RotationMatrix:
     if rank < 3:
         raise DegeneracyError(
             f"Fisher parameter is rank-deficient (rank {rank}); mode undefined")
-    return _so3_factor(u, vt)
+    return _so3_factors(u[None], vt[None])[0]
 
 
 def fisher_concentration(d: MatrixFisher) -> tuple[float, float, float]:

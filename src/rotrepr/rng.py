@@ -10,8 +10,10 @@ to libm rounding of log/sin/cos.
 Outputs are generated in blocks: by LCG jump-ahead (Brown 1994, "Random
 number generation with arbitrary strides") the state k steps on is
 A[k] s + S[k] inc mod 2^64, so a refill steps a whole block on numpy
-uint64 arrays, bit-identical to stepping once per output. numpy is
-imported on the first draw, not with this module.
+uint64 arrays, bit-identical to stepping once per output. The refill
+also makes, on numpy and exactly, the double that random() takes from
+each output and the next; random(), normal() and normals() read those.
+numpy is imported on the first draw, not with this module.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ class Rng:
     """
 
     __slots__ = ("seed", "stream", "_state", "_inc", "_cached_normal",
-                 "_buf", "_pos")
+                 "_block", "_words", "_dbl", "_pos")
 
     def __init__(self, seed: int, stream: int = _DEFAULT_STREAM):
         self.seed = seed & _MASK64
@@ -65,10 +67,15 @@ class Rng:
         # pcg32_srandom: step from 0, add the seed, step again
         self._state = ((inc + self.seed) * _PCG_MULT + inc) & _MASK64
         self._cached_normal: float | None = None
-        self._buf, self._pos = [], 0
+        # _block: buffered outputs (numpy uint32), unread from _pos on;
+        # _words: the same as a list, made by the block's first next_u32;
+        # _dbl[j]: the double random() makes from outputs j and j + 1
+        self._block = self._words = self._dbl = []
+        self._pos = 0
 
-    def _refill(self) -> list[int]:
-        """Buffer the next block of outputs after the unread ones."""
+    def _refill(self) -> None:
+        """Buffer the next block of outputs after the unread ones. Every
+        buffer is replaced, never mutated, so copies stay independent."""
         import numpy as np
         if not _JUMP:
             mults = np.cumprod(np.array([1] + [_PCG_MULT] * _BLOCK, dtype=np.uint64))
@@ -80,51 +87,81 @@ class Rng:
         x = (((old >> 18) ^ old) >> 27).astype(np.uint32)
         rot = (old >> 59).astype(np.uint32)
         out = (x >> rot) | (x << ((32 - rot) & 31))
-        buf = self._buf[self._pos:] + out.tolist()
-        self._buf, self._pos = buf, 0
-        return buf
+        rest = self._block[self._pos:]
+        block = np.concatenate((rest, out)) if len(rest) else out
+        # every step is exact: 27 + 26 bits fit the 53-bit mantissa
+        dbl = ((block[:-1] >> 5) * 67108864.0 + (block[1:] >> 6)) \
+            * (1.0 / 9007199254740992.0)
+        self._block, self._words, self._dbl, self._pos = block, [], dbl.tolist(), 0
 
     def next_u32(self) -> int:
         i = self._pos
         try:
-            out = self._buf[i]
+            out = self._words[i]
         except IndexError:
-            out, i = self._refill()[0], 0
+            if i >= len(self._block):
+                self._refill()
+                i = 0
+            self._words = self._block.tolist()
+            out = self._words[i]
         self._pos = i + 1
         return out
 
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 random mantissa bits from
         two outputs: 27 from the first, 26 from the second."""
-        buf, i = self._buf, self._pos
+        i = self._pos
         try:
-            hi, lo = buf[i], buf[i + 1]
+            value = self._dbl[i]
         except IndexError:
-            buf, i = self._refill(), 0
-            hi, lo = buf[0], buf[1]
+            self._refill()
+            i, value = 0, self._dbl[0]
         self._pos = i + 2
-        return ((hi >> 5) * 67108864.0 + (lo >> 6)) * (1.0 / 9007199254740992.0)
+        return value
 
     def uniform(self, low: float, high: float) -> float:
         return low + (high - low) * self.random()
 
-    def normal(self) -> float:
-        """Standard normal deviate via Box-Muller (second value cached)."""
-        if self._cached_normal is not None:
-            value = self._cached_normal
-            self._cached_normal = None
-            return value
-        u1 = self.random()
-        while u1 <= 0.0:
+    def _pair(self) -> tuple[float, float]:
+        """Both deviates of the next Box-Muller pair. The fast path reads
+        the two buffered doubles; near a block's end, or for u1 = 0, the
+        uniforms come through random()."""
+        i = self._pos
+        try:
+            u1, u2 = self._dbl[i], self._dbl[i + 2]
+        except IndexError:
+            u1 = 0.0
+        if u1 > 0.0:
+            self._pos = i + 4
+        else:
             u1 = self.random()
-        u2 = self.random()
+            while u1 <= 0.0:
+                u1 = self.random()
+            u2 = self.random()
         radius = math.sqrt(-2.0 * math.log(u1))
         angle = 2.0 * math.pi * u2
-        self._cached_normal = radius * math.sin(angle)
-        return radius * math.cos(angle)
+        return radius * math.cos(angle), radius * math.sin(angle)
+
+    def normal(self) -> float:
+        """Standard normal deviate via Box-Muller (second value cached)."""
+        value = self._cached_normal
+        if value is None:
+            value, self._cached_normal = self._pair()
+        else:
+            self._cached_normal = None
+        return value
 
     def normals(self, n: int) -> list[float]:
-        return [self.normal() for _ in range(n)]
+        """n standard normal deviates in one call: the values, and the
+        stream consumed, of n calls to normal()."""
+        out = [] if n <= 0 or self._cached_normal is None else [self._cached_normal]
+        if out:
+            self._cached_normal = None
+        while len(out) < n:
+            out += self._pair()
+        if len(out) > n:
+            self._cached_normal = out.pop()
+        return out
 
     def derive(self, label: str) -> "Rng":
         """Independent child stream; deterministic in (seed, label)."""

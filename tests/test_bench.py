@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from rotrepr import RotationVector, relative_angle
+from rotrepr import RotationVector, project_to_so3, relative_angle
+from rotrepr import bench as bench_mod
 from rotrepr.bench import (
     A_MEM_CASES,
     REPORT_FIELDS,
@@ -83,6 +84,21 @@ def test_stability_deterministic():
 def test_gimbal_euler_fires():
     cfg = BenchConfig(m_singularity=2000)
     assert gimbal_susceptibility("euler", cfg) > 0.1
+
+
+def test_gimbal_matrix_chunks_match_per_matrix_projection():
+    # 600 draws cross two 256-draw SVD stacks; at this tau about half hit
+    cfg = BenchConfig(m_singularity=600, tau=5e-7)
+    rng = bench_mod._suite_rng(cfg, "gimbal/matrix")
+    hits = 0
+    for _ in range(cfg.m_singularity):
+        ref = bench_mod.haar_matrix(rng).as_flat()
+        d = bench_mod._direction(rng, 9, cfg.perturbation_norm)
+        pert = [ref[i] + d[i] for i in range(9)]
+        fixed = project_to_so3([pert[0:3], pert[3:6], pert[6:9]])
+        hits += bench_mod._tuple_dist(fixed.as_flat(), ref) > cfg.tau
+    assert 100 < hits < 500
+    assert gimbal_susceptibility("matrix", cfg) == hits / cfg.m_singularity
 
 
 def test_gimbal_quaternion_and_matrix_quiet():

@@ -22,7 +22,7 @@ from rotrepr import (
 )
 from rotrepr.compose import matrix_mul
 from rotrepr.convert import axis_angle_to_matrix, quat_to_matrix
-from rotrepr.core import AxisAngle, mat_mul_rows
+from rotrepr.core import AxisAngle, _project_stack, mat_mul_rows
 
 from conftest import haar_matrix, haar_quat
 
@@ -120,6 +120,33 @@ def test_so3_factor_bit_identical_to_old_formula(rng):
         assert fisher_mode(MatrixFisher(a)) == expected
         assert all(type(v) is float for row in expected.rows for v in row)
     assert reflections > 100
+
+
+def test_project_stack_bit_identical_to_each_projection(rng):
+    gen = np.random.default_rng(11)
+    flip = np.diag([1.0, 1.0, -1.0])
+    for size in (1, 2, 7, 256):
+        stack = [haar_matrix(rng).as_array() + gen.normal(size=(3, 3)) * 1e-6
+                 for _ in range(size)]
+        stack[-1] = stack[-1] @ flip  # det(UV^T) = -1: the sign fix
+        flipped = np.linalg.det(stack[-1]) < 0.0
+        out = _project_stack(stack)
+        assert flipped and len(out) == size
+        assert out == [project_to_so3(a) for a in stack]
+        assert all(type(v) is float for r in out for row in r.rows for v in row)
+        assert out[-1] == _old_so3_factor(stack[-1])
+
+
+def test_project_stack_reports_first_rank_deficient_member(rng):
+    line = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+    plane = np.diag([1.0, 1.0, 0.0])
+    stack = [haar_matrix(rng).as_array(), line, haar_matrix(rng).as_array(), plane]
+    with pytest.raises(DegenerateInputError) as first:
+        _project_stack(stack)
+    with pytest.raises(DegenerateInputError) as alone:
+        project_to_so3(line)
+    assert str(first.value) == str(alone.value)
+    assert "rank-deficient" in str(first.value)
 
 
 # ---------------------------------------------------------------------------

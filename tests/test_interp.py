@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotrepr import (
     AxisAngle,
@@ -26,7 +28,8 @@ from rotrepr.convert import (
     matrix_to_sixd,
     quat_to_matrix,
 )
-from rotrepr.errors import DegenerateInputError
+from rotrepr.core import validate
+from rotrepr.errors import DegenerateInputError, RotationError
 from rotrepr.compose import matrix_mul
 from rotrepr.interp import _METHODS, INTERPOLATION_METHODS, linear_euler
 
@@ -128,6 +131,51 @@ def test_slerp_fallback_below_threshold_is_nlerp():
     q2 = UnitQuaternion(math.cos(4e-4), 0.0, 0.0, math.sin(4e-4))
     for t in (0.25, 0.5, 0.8):
         assert slerp(q1, q2, t) == nlerp(q1, q2, t)
+
+
+# ---------------------------------------------------------------------------
+# slerp and nlerp on huge, tiny and non-unit endpoints
+
+_MAGNITUDE = st.one_of(st.just(0.0),
+                       st.floats(min_value=5e-324, max_value=2.2250738585072e-308),
+                       st.floats(min_value=1e-300, max_value=1.7e308))
+_COMPONENT = st.builds(lambda m, negative: -m if negative else m,
+                       _MAGNITUDE, st.booleans())
+_QUAT = st.builds(UnitQuaternion, _COMPONENT, _COMPONENT, _COMPONENT, _COMPONENT)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_QUAT, _QUAT, st.floats(min_value=0.0, max_value=1.0))
+def test_slerp_nlerp_finite_endpoints_give_rotation_or_rotation_error(q1, q2, t):
+    for interpolate in (slerp, nlerp):
+        try:
+            out = interpolate(q1, q2, t)
+        except RotationError:
+            continue
+        assert validate(quat_to_matrix(out)).ok, (interpolate.__name__, out)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170, 5e-324, 1.7e308])
+def test_slerp_nlerp_rescale_huge_and_tiny_endpoints(scale):
+    q1 = UnitQuaternion(scale, 0.0, 0.0, 0.0)
+    q2 = UnitQuaternion(0.0, 0.0, 0.0, scale)
+    u1, u2 = UnitQuaternion.identity(), UnitQuaternion(0.0, 0.0, 0.0, 1.0)
+    for t in (0.0, 0.5, 0.8):
+        for f in (slerp, nlerp):
+            assert f(q1, q2, t) == pytest.approx(f(u1, u2, t), abs=1e-15)
+    for f in (slerp, nlerp):  # equal endpoints come back normalized
+        assert f(q1, q1, 0.3) == UnitQuaternion.identity()
+
+
+def test_slerp_nlerp_equal_non_unit_endpoints_normalized(rng):
+    q = UnitQuaternion(3.0, 0.0, 0.0, -4.0)
+    for f in (slerp, nlerp):
+        assert f(q, q, 0.4) == pytest.approx((0.6, 0.0, 0.0, -0.8), abs=1e-16)
+        with pytest.raises(DegenerateInputError):
+            f(UnitQuaternion(0.0, 0.0, 0.0, 0.0), UnitQuaternion(0.0, 0.0, 0.0, 0.0),
+              0.5)
+    q = haar_quat(rng)  # a unit endpoint still comes back as itself
+    assert slerp(q, q, 0.4) is q and nlerp(q, q, 0.4) is q
 
 
 # ---------------------------------------------------------------------------

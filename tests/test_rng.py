@@ -107,12 +107,17 @@ class ScalarPcg32:
         self.cached = radius * math.sin(angle)
         return radius * math.cos(angle)
 
+    def normals(self, n: int) -> list[float]:
+        return [self.normal() for _ in range(n)]
+
 
 def _interleaved(gen, ops):
     out = []
     for op in ops:
         if op == "uniform":
             out.append(gen.uniform(-2.5, 7.0))
+        elif isinstance(op, int):
+            out.append(gen.normals(op))
         else:
             out.append(getattr(gen, op)())
     return out
@@ -134,6 +139,36 @@ def test_interleaved_draws_match_scalar_reference(case):
            for _ in range(pick.randint(1, 6000))]
     assert _interleaved(Rng(seed, stream), ops) == \
         _interleaved(ScalarPcg32(seed, stream), ops)
+
+
+@pytest.mark.parametrize("case", range(12))
+def test_normals_interleaved_match_scalar_reference(case):
+    # an int op is normals(op): up to 1400 deviates (2800 outputs) cross
+    # refills at every offset the other draws leave
+    pick = random.Random(1000 + case)
+    seed, stream = pick.getrandbits(64), pick.choice([54, pick.getrandbits(64)])
+    ops = [pick.choice(["next_u32", "random", "normal", "uniform",
+                        pick.randint(0, 9), pick.randint(0, 1400)])
+           for _ in range(pick.randint(1, 400))]
+    assert _interleaved(Rng(seed, stream), ops) == \
+        _interleaved(ScalarPcg32(seed, stream), ops)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 511, 512, 513, 1023, 1024, 3001])
+@pytest.mark.parametrize("lead", [(), ("next_u32",), ("normal",),
+                                  ("next_u32", "normal"), ("random", "next_u32") * 1023])
+def test_normals_matches_calls_to_normal(n, lead):
+    # odd offsets, a cached value pending, and a block boundary a few
+    # outputs ahead; then copy.copy continues independently
+    rng, ref = Rng(77, 3), ScalarPcg32(77, 3)
+    _interleaved(rng, lead)
+    _interleaved(ref, lead)
+    twin = copy.copy(rng)
+    expected = ref.normals(n)
+    assert rng.normals(n) == expected
+    after = ["normal", "next_u32", "random", "normal", 5]
+    assert _interleaved(rng, after) == _interleaved(ref, after)
+    assert [twin.normal() for _ in range(n)] == expected
 
 
 def test_derived_streams_match_scalar_reference():
