@@ -19,7 +19,6 @@ numpy is imported on the first draw, not with this module.
 from __future__ import annotations
 
 import math
-from array import array
 
 _MASK64 = (1 << 64) - 1
 
@@ -59,7 +58,7 @@ class Rng:
     """
 
     __slots__ = ("seed", "stream", "_state", "_inc", "_cached_normal",
-                 "_words", "_dbl", "_pos")
+                 "_block", "_words", "_dbl", "_pos")
 
     def __init__(self, seed: int, stream: int = _DEFAULT_STREAM):
         self.seed = seed & _MASK64
@@ -68,9 +67,11 @@ class Rng:
         # pcg32_srandom: step from 0, add the seed, step again
         self._state = ((inc + self.seed) * _PCG_MULT + inc) & _MASK64
         self._cached_normal: float | None = None
-        # _words: buffered outputs, unread from _pos on; _dbl[j]: the
-        # double random() makes from outputs j and j + 1
-        self._words, self._dbl, self._pos = array("I"), array("d"), 0
+        # _block: buffered outputs (numpy uint32), unread from _pos on;
+        # _words: the same as a list, made by the block's first next_u32;
+        # _dbl[j]: the double random() makes from outputs j and j + 1
+        self._block = self._words = self._dbl = []
+        self._pos = 0
 
     def _refill(self) -> None:
         """Buffer the next block of outputs after the unread ones. Every
@@ -86,23 +87,23 @@ class Rng:
         x = (((old >> 18) ^ old) >> 27).astype(np.uint32)
         rot = (old >> 59).astype(np.uint32)
         out = (x >> rot) | (x << ((32 - rot) & 31))
-        rest = np.frombuffer(self._words[self._pos:], np.uint32)
-        block = np.concatenate((rest, out))
+        rest = self._block[self._pos:]
+        block = np.concatenate((rest, out)) if len(rest) else out
         # every step is exact: 27 + 26 bits fit the 53-bit mantissa
         dbl = ((block[:-1] >> 5) * 67108864.0 + (block[1:] >> 6)) \
             * (1.0 / 9007199254740992.0)
-        # arrays, not lists: a list of 2047 floats raised the first
-        # refill's peak RSS by about 0.4 MB
-        self._words, self._dbl = array("I", block.tobytes()), array("d", dbl.tobytes())
-        self._pos = 0
+        self._block, self._words, self._dbl, self._pos = block, [], dbl.tolist(), 0
 
     def next_u32(self) -> int:
         i = self._pos
         try:
             out = self._words[i]
         except IndexError:
-            self._refill()
-            out, i = self._words[0], 0
+            if i >= len(self._block):
+                self._refill()
+                i = 0
+            self._words = self._block.tolist()
+            out = self._words[i]
         self._pos = i + 1
         return out
 
