@@ -7,7 +7,8 @@ taxonomy, composition / interpolation / batch timing, and the heuristic
 score tables. Every non-timing metric is a pure function of (seed,
 config): each (suite, representation) pair draws from its own derived
 RNG stream, so partial suites reproduce the numbers of a full run
-bit-for-bit.
+bit-for-bit. Float sums run left to right from 0.0, as sum() did until
+Python 3.12 compensated it, so the numbers do not depend on the Python.
 
 Representation tags: euler, axis-angle, quaternion, matrix, exp-map,
 sixd, fisher. The fisher row carries storage and heuristic fields only.
@@ -18,7 +19,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, fields
-from functools import partial
+from functools import partial, reduce
+from operator import add
 from typing import Callable
 
 from .core import (
@@ -161,7 +163,7 @@ def haar_matrix(rng: Rng) -> RotationMatrix:
 def _direction(rng: Rng, dim: int, norm: float) -> tuple[float, ...]:
     while True:
         d = rng.normals(dim)
-        n = math.sqrt(sum(v * v for v in d))
+        n = math.sqrt(reduce(add, [v * v for v in d], 0.0))
         if n > 0.0:
             # a list, not a generator: tuple(generator) over-allocates
             # and shrinks its result, which raised the paper table's peak
@@ -238,13 +240,18 @@ def _euler_param_dist(a, b) -> float:
 
 
 def _quat_param_dist(a, b) -> float:
-    plus = sum((x - y) ** 2 for x, y in zip(a, b))
-    minus = sum((x + y) ** 2 for x, y in zip(a, b))
+    plus = minus = 0.0
+    for x, y in zip(a, b):
+        plus += (x - y) ** 2
+        minus += (x + y) ** 2
     return math.sqrt(min(plus, minus))
 
 
 def _tuple_dist(a, b) -> float:
-    return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+    total = 0.0
+    for x, y in zip(a, b):
+        total += (x - y) ** 2
+    return math.sqrt(total)
 
 
 def gimbal_susceptibility(tag: str, cfg: BenchConfig) -> float:
@@ -401,8 +408,8 @@ def derivative_continuity(interpolator: Interpolator, r1: RotationMatrix,
         a = interpolator.eval(t - cfg.dt / 2.0)
         b = interpolator.eval(t + cfg.dt / 2.0)
         speeds.append(relative_angle(a, b) / cfg.dt)
-    mean = sum(speeds) / k
-    var = sum((s - mean) ** 2 for s in speeds) / k
+    mean = reduce(add, speeds, 0.0) / k
+    var = reduce(add, [(s - mean) ** 2 for s in speeds], 0.0) / k
     return math.sqrt(var) / (mean + cfg.delta_reg)
 
 
@@ -532,7 +539,7 @@ def robustness_suite(tag: str, cfg: BenchConfig) -> RobustnessResult:
         else:
             errors.append(err)
     if errors:
-        eps_avg = sum(errors) / len(errors)
+        eps_avg = reduce(add, errors, 0.0) / len(errors)
         eps_max = max(errors)
     else:
         eps_avg = eps_max = math.nan

@@ -108,8 +108,8 @@ def build_value(tag: str, values: list[float]):
         return EulerAngles(values[0], values[1], values[2],
                            _BY_TAG[tag].convention)
     if tag == "axis-angle":
-        axis = (values[0], values[1], values[2])
-        n = math.sqrt(sum(v * v for v in axis))
+        x, y, z = values[0], values[1], values[2]
+        n = math.sqrt(x * x + y * y + z * z)
         theta = values[3]
         if theta < 0.0 or theta > math.pi:
             raise CliInputError(
@@ -119,7 +119,7 @@ def build_value(tag: str, values: list[float]):
                 raise CliInputError(
                     f"axis norm {n!r} deviates from 1 beyond 1e-6 "
                     "(unit-axis invariant)")
-            axis = (axis[0] / n, axis[1] / n, axis[2] / n)
+            axis = (x / n, y / n, z / n)
         else:
             axis = (0.0, 0.0, 1.0)
         return AxisAngle(axis, theta)

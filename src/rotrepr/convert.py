@@ -99,8 +99,9 @@ def axis_angle_to_quat(aa: AxisAngle) -> UnitQuaternion:
 def quat_to_axis_angle(q: UnitQuaternion) -> AxisAngle:
     """theta = 2 atan2(|v|, w) after canonicalization, accurate at every
     angle (2 arccos(w) loses all digits of a 1e-9 rad rotation); axis is
-    v/|v|, defaulting to +z below 1e-12 rad. Scale invariant: q need not
-    be normalized."""
+    v/|v|, through math.hypot at or below 1e-12 rad, where the squares
+    may underflow, and +z for v = 0. Scale invariant: q need not be
+    normalized."""
     w, x, y, z = q
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
@@ -111,7 +112,7 @@ def quat_to_axis_angle(q: UnitQuaternion) -> AxisAngle:
         raise DegenerateInputError("zero quaternion does not define a rotation")
     theta = 2.0 * math.atan2(vn, w)
     if theta <= TINY_ANGLE:
-        return _tuple_new(AxisAngle, (DEFAULT_AXIS, theta))
+        return _tuple_new(AxisAngle, (_tiny_axis(x, y, z), theta))
     return _tuple_new(AxisAngle, ((x / vn, y / vn, z / vn), theta))
 
 
@@ -237,10 +238,23 @@ def axis_angle_to_rotation_vector(aa: AxisAngle) -> RotationVector:
                                         aa.axis[2] * aa.angle),))
 
 
+def _tiny_axis(x: float, y: float, z: float) -> tuple[float, float, float]:
+    """Unit axis of a tiny vector part, scaled by its largest |component|
+    first so subnormal parts keep it unit; +z for the zero vector."""
+    m = max(abs(x), abs(y), abs(z))
+    if m == 0.0:
+        return DEFAULT_AXIS
+    x, y, z = x / m, y / m, z / m
+    n = math.hypot(x, y, z)
+    return (x / n, y / n, z / n)
+
+
 def rotation_vector_to_axis_angle(v: RotationVector) -> AxisAngle:
+    """theta = |v| and axis v/theta; at or below 1e-12 rad the axis goes
+    through math.hypot (+z for v = 0), so a tiny rotation keeps it."""
     theta = v.norm()
     if theta <= TINY_ANGLE:
-        return _tuple_new(AxisAngle, (DEFAULT_AXIS, theta))
+        return _tuple_new(AxisAngle, (_tiny_axis(*v.v), theta))
     if not math.isfinite(theta):
         raise _non_finite_norm(theta)
     return _tuple_new(AxisAngle,
@@ -488,11 +502,14 @@ def sixd_to_matrix(s: SixD) -> RotationMatrix:
 def _sixd_rescaled(s: SixD) -> RotationMatrix:
     """sixd_to_matrix with each column divided by its largest |component|
     (Gram-Schmidt is invariant to a positive scale of either column), so
-    no norm or projection overflows. A non-finite component raises
-    DegenerateInputError."""
+    no norm or projection overflows. A non-finite component or a zero
+    second column raises DegenerateInputError (a zero first column has
+    raised before the rescale)."""
     if not all(map(math.isfinite, s.a1 + s.a2)):
         raise DegenerateInputError(f"6D columns {s.a1 + s.a2!r} are not finite")
     m1, m2 = max(map(abs, s.a1)), max(map(abs, s.a2))
+    if m2 == 0.0:
+        raise DegenerateInputError("6D columns are parallel; Gram-Schmidt is ill-posed")
     return sixd_to_matrix(_tuple_new(SixD, (tuple(c / m1 for c in s.a1),
                                             tuple(c / m2 for c in s.a2))))
 

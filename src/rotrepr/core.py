@@ -354,7 +354,8 @@ def project_to_so3(m) -> RotationMatrix:
 
     Returns U diag(1, 1, det(UV^T)) V^T; the determinant correction keeps
     the result in SO(3) rather than O(3). Raises DegenerateInputError for
-    rank-deficient input (smallest singular value below 1e-12).
+    a non-finite entry and for rank-deficient input (smallest singular
+    value below 1e-12).
     """
     a = np.asarray(m.rows if isinstance(m, RotationMatrix) else m, dtype=float)
     if a.shape != (3, 3):
@@ -365,8 +366,14 @@ def project_to_so3(m) -> RotationMatrix:
 def _project_stack(a) -> list[RotationMatrix]:
     """project_to_so3 of each matrix of a (k, 3, 3) array, through one
     SVD and one stacked U V^T; each result is bit-identical to its own
-    projection. The first rank-deficient member raises."""
-    u, sigma, vt = np.linalg.svd(np.asarray(a, dtype=float))
+    projection. The first non-finite member raises (numpy's SVD never
+    returns on an infinite entry and fails on a NaN), else the first
+    rank-deficient one."""
+    a = np.asarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        bad = a[np.isfinite(a).all(axis=(1, 2)).argmin()]
+        raise DegenerateInputError(f"matrix is not finite (entries {bad.tolist()})")
+    u, sigma, vt = np.linalg.svd(a)
     low = sigma[:, 2] < 1e-12
     if low.any():
         raise DegenerateInputError(f"matrix is rank-deficient "

@@ -2,12 +2,13 @@
 
 Horn's method takes the optimal rotation of corresponded clouds from the
 top eigenvector of a symmetric 4x4 matrix built from their cross-covariance
-H (LAPACK's ``np.linalg.eigh``); ICP alternates exact brute-force nearest
-neighbours with it, found from p.(-2q) + |q|^2 + |p|^2 in blocks of
-NN_CHUNK = 64 source rows, so one block of distances to 2000 targets
-(1 MB) stays in cache. A collinear source raises DegeneracyError; a
-scatter, M or distance that overflows (coordinates of about 1e154 and
-up) DegenerateInputError.
+H, calling LAPACK's ``np.linalg.eigh`` on it directly (``eig_sym4`` stays
+the public helper that checks and symmetrizes its input). ICP alternates
+the same solver with exact brute-force nearest neighbours, found from
+p.(-2q) + |q|^2 + |p|^2 in blocks of NN_CHUNK = 64 source rows, so one
+block of distances to 2000 targets (1 MB) stays in cache. A collinear
+source raises DegeneracyError; a scatter, M or distance that overflows
+(coordinates of about 1e154 and up) DegenerateInputError.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import RotationMatrix, UnitQuaternion, Vec3
+from .core import RotationMatrix, UnitQuaternion, Vec3, _tuple_new
 from .convert import quat_to_matrix
 from .errors import ContractViolationError, DegeneracyError, DegenerateInputError
 
@@ -94,17 +95,23 @@ def horn_align(source: PointSet, target: PointSet) -> tuple[RigidTransform, floa
     largest eigenvalue is the optimal quaternion; t = q_bar - R p_bar.
     Returns the transform and the RMS of the per-point residual norms.
     """
-    p = source.points
-    q = target.points
+    return _horn(source.points, target.points)
+
+
+def _horn(p: np.ndarray, q: np.ndarray) -> tuple[RigidTransform, float]:
+    """horn_align on finite (n, 3) float arrays. One reduction over the
+    (n, 6) pair gives both centroids (numpy sums axis 0 row by row). M is
+    symmetric by construction, so below the guard's 2^1023 eig_sym4's
+    check and 0.5 * (M + M^T) are exact identities on it, and eigh on M
+    itself gives eig_sym4's top eigenvector (eigh's last column)."""
     n = p.shape[0]
     if n != q.shape[0]:
         raise DegeneracyError(
             f"corresponded clouds differ in size: {n} vs {q.shape[0]}")
     _check_cloud(p, "source")
-    p_bar = np.add.reduce(p) / n
-    q_bar = np.add.reduce(q) / n
-    pc = p - p_bar
-    qc = q - q_bar
+    bar = np.add.reduce(np.concatenate((p, q), axis=1)) / n
+    p_bar, q_bar = bar[:3], bar[3:]
+    pc, qc = p - p_bar, q - q_bar
     try:
         _, e1, e2 = np.linalg.eigvalsh(pc.T @ pc).tolist()
     except np.linalg.LinAlgError:
@@ -114,19 +121,25 @@ def horn_align(source: PointSet, target: PointSet) -> tuple[RigidTransform, floa
     d0, d1, d2 = h12 - h21, h20 - h02, h01 - h10
     m11, m22, m33 = (h00 + h00) - tr, (h11 + h11) - tr, (h22 + h22) - tr
     s01, s02, s12 = h01 + h10, h02 + h20, h12 + h21
-    m = (tr, d0, d1, d2, m11, m22, m33, s01, s02, s12)
-    # eig_sym4 doubles M's entries as it symmetrizes: keep all below 2^1023
-    if not all(abs(x) < 2.0 ** 1023 for x in (e1, e2) + m):
+    # every entry below 2^1023 keeps M + M^T finite; a NaN fails too
+    big = 2.0 ** 1023
+    if not (abs(e1) < big and abs(e2) < big and abs(tr) < big and abs(d0) < big
+            and abs(d1) < big and abs(d2) < big and abs(m11) < big
+            and abs(m22) < big and abs(m33) < big and abs(s01) < big
+            and abs(s02) < big and abs(s12) < big):
         raise DegenerateInputError("scatter or M overflows: coordinates too large")
     if e1 <= SCATTER_RANK_TOL * e2:
         raise DegeneracyError(
             "source cloud is collinear; rotation about its axis is unobservable")
-    _, vecs = eig_sym4(np.array(((tr, d0, d1, d2), (d0, m11, s01, s02),
-                                 (d1, s01, m22, s12), (d2, s02, s12, m33))))
-    rot = quat_to_matrix(UnitQuaternion(*vecs[:, 0].tolist()).normalized())
+    _, vecs = np.linalg.eigh(np.array(((tr, d0, d1, d2), (d0, m11, s01, s02),
+                                       (d1, s01, m22, s12), (d2, s02, s12, m33))))
+    rot = quat_to_matrix(_tuple_new(UnitQuaternion, vecs[:, 3].tolist()).normalized())
     r = rot.as_array()
     t = q_bar - r @ p_bar
-    return RigidTransform(rot, tuple(t.tolist())), _rms(p @ r.T + t - q)
+    res = p @ r.T
+    res += t
+    res -= q
+    return RigidTransform(rot, tuple(t.tolist())), _rms(res)
 
 
 def _rms(residuals: np.ndarray) -> float:
@@ -192,8 +205,7 @@ def icp(source: PointSet, target: PointSet, max_iter: int = 100,
     iterations = 0
     for iteration in range(1, max_iter + 1):
         try:
-            transform, step_rms = horn_align(
-                source, PointSet(target.points[matches]))
+            transform, step_rms = _horn(source.points, target.points[matches])
         except DegeneracyError as exc:
             raise DegeneracyError(
                 f"degenerate correspondences at ICP iteration {iteration}: {exc}"

@@ -27,7 +27,6 @@ from rotrepr.convert import (
 )
 from rotrepr.errors import DegenerateInputError, InvalidRotationError
 
-from rotrepr.core import DEFAULT_AXIS, TINY_ANGLE
 
 from conftest import (SMALL_ANGLES, exact_hamilton, exact_quat, exact_rotation_vector,
                       frobenius, haar_matrix, haar_quat)
@@ -247,11 +246,8 @@ def test_compose_small_angles_oracle(theta, rng):
         angle = math.sqrt(sum(c * c for c in exact))
         got = compose_in("axis-angle", a1, a2)
         assert abs(got.angle - angle) <= 2e-15 * (t1 + t2)
-        if got.angle > TINY_ANGLE:
-            for g, ref in zip(got.axis, exact):
-                assert abs(g * angle - ref) <= 2e-15 * (t1 + t2)
-        else:
-            assert got.axis == DEFAULT_AXIS
+        for g, ref in zip(got.axis, exact):
+            assert abs(g * angle - ref) <= 2e-15 * (t1 + t2)
 
 
 def test_cross_representation_consistency(rng):

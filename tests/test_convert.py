@@ -94,6 +94,33 @@ def test_axis_angle_quat_round_trip(rng):
         assert relative_angle(quat_to_matrix(back), quat_to_matrix(q)) < 1e-12
 
 
+def test_tiny_angle_axis_is_the_true_axis():
+    # at or below TINY_ANGLE the axis was +z, off by about twice the angle
+    c, s = math.cos(2.7e-13), math.sin(2.7e-13)
+    aa = quat_to_axis_angle(UnitQuaternion(c, s, 0.0, 0.0))
+    assert aa.axis == (1.0, 0.0, 0.0)
+    assert aa.angle == pytest.approx(5.4e-13, rel=1e-15)
+    assert quat_to_axis_angle(UnitQuaternion(-c, 0.0, -s, 0.0)).axis == (0.0, 1.0, 0.0)
+    aa = rotation_vector_to_axis_angle(RotationVector((1e-13, 0.0, 0.0)))
+    assert aa == ((1.0, 0.0, 0.0), 1e-13)
+    aa = rotation_vector_to_axis_angle(RotationVector((0.0, -3e-13, 4e-13)))
+    assert aa.axis == pytest.approx((0.0, -0.6, 0.8), abs=2e-16)
+    assert aa.angle <= TINY_ANGLE
+    for v in ((5e-324, 5e-324, 0.0), (1e-170, -2e-170, 2e-170), (1e-310, 0.0, 3e-310)):
+        for aa in (rotation_vector_to_axis_angle(RotationVector(v)),
+                   quat_to_axis_angle(UnitQuaternion(1.0, *v))):
+            assert math.hypot(*aa.axis) == pytest.approx(1.0, abs=1e-15)
+            assert all(a * b >= 0.0 and (a != 0.0) == (b != 0.0)
+                       for a, b in zip(aa.axis, v))
+
+
+@pytest.mark.parametrize("v", [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)])
+def test_zero_rotation_keeps_default_axis(v):
+    assert rotation_vector_to_axis_angle(RotationVector(v)) == (DEFAULT_AXIS, 0.0)
+    assert quat_to_axis_angle(UnitQuaternion(1.0, *v)) == (DEFAULT_AXIS, 0.0)
+    assert quat_to_axis_angle(UnitQuaternion(-2.5, *v)) == (DEFAULT_AXIS, 0.0)
+
+
 def test_quat_to_axis_angle_examples():
     aa = quat_to_axis_angle(UnitQuaternion(SQ2, 0.0, 0.0, SQ2))
     assert aa.axis == pytest.approx((0.0, 0.0, 1.0), abs=1e-15)
@@ -122,11 +149,8 @@ def test_small_angle_extraction_oracle(theta, rng):
             assert abs(got - ref) <= 1e-15 * angle
         aa = convert(q, "axis-angle")
         assert abs(aa.angle - angle) <= 1e-15 * angle
-        if aa.angle > TINY_ANGLE:
-            for got, ref in zip(aa.axis, exact):
-                assert abs(got - ref / angle) <= 1e-15
-        else:
-            assert aa.axis == DEFAULT_AXIS
+        for got, ref in zip(aa.axis, exact):
+            assert abs(got - ref / angle) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -765,6 +789,19 @@ def test_sixd_non_finite_columns_raise(bad):
               SixD((1.0, 0.0, 0.0), (0.0, bad, 1.0))):
         with pytest.raises(DegenerateInputError):
             sixd_to_matrix(s)
+
+
+@pytest.mark.parametrize("a1, a2, message", [
+    ((1.7e308, 1.7e308, 2.35), (0.0, 0.0, 0.0), "parallel"),  # rescaled: was ZeroDivisionError
+    ((1.7e308, -1.7e308, 0.0), (-0.0, 0.0, -0.0), "parallel"),
+    ((1.0, 0.0, 0.0), (0.0, 0.0, 0.0), "parallel"),  # the unscaled branch, same message
+    ((0.0, 0.0, 0.0), (1.7e308, 1.7e308, 0.0), "numerically zero"),
+])
+def test_sixd_zero_column_raises_on_every_branch(a1, a2, message):
+    with pytest.raises(DegenerateInputError, match=message):
+        sixd_to_matrix(SixD(a1, a2))
+    with pytest.raises(DegenerateInputError, match=message):
+        convert(SixD(a1, a2), "quat")
 
 
 def test_matrix_to_sixd_examples(rng):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,6 +151,60 @@ def test_project_stack_reports_first_rank_deficient_member(rng):
         project_to_so3(line)
     assert str(first.value) == str(alone.value)
     assert "rank-deficient" in str(first.value)
+
+
+def test_project_to_so3_infinite_entry_raises_in_a_subprocess():
+    # numpy's SVD never returned on an infinite diagonal entry (and gave
+    # NaNs for an off-diagonal one): a child process with a timeout turns
+    # a regression into a failure, not a hung suite
+    code = """
+import numpy as np
+from rotrepr import DegenerateInputError, project_to_so3
+from rotrepr.core import _project_stack
+stack = np.tile(np.eye(3), (256, 1, 1))
+stack[200, 0, 0] = np.inf
+stack[201, 1, 2] = -np.inf
+for call, arg in ((project_to_so3, stack[200]), (_project_stack, stack),
+                  (project_to_so3, stack[201])):
+    try:
+        call(arg)
+    except DegenerateInputError as exc:
+        print(exc)
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), *sys.path])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, env=env)
+    assert out.returncode == 0, out.stderr
+    alone, stacked, off_diagonal = out.stdout.splitlines()
+    assert alone == stacked
+    assert alone.startswith("matrix is not finite") and "inf" in alone
+    assert off_diagonal.startswith("matrix is not finite") and "-inf" in off_diagonal
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (1, 2), (2, 1)])
+def test_project_to_so3_nan_entry_raises(cell):
+    m = np.eye(3)
+    m[cell] = np.nan
+    with pytest.raises(DegenerateInputError, match="not finite"):
+        project_to_so3(m)
+
+
+def test_project_stack_reports_first_non_finite_member(rng):
+    stack = np.array([haar_matrix(rng).as_array() for _ in range(256)])
+    stack[30] = np.diag([1.0, 1.0, 0.0])  # rank-deficient, but finite
+    stack[100, 2, 0] = np.nan
+    stack[101, 0, 0] = np.nan
+    stack[200, 1, 1] = np.nan
+    with pytest.raises(DegenerateInputError) as first:
+        _project_stack(stack)
+    with pytest.raises(DegenerateInputError) as alone:
+        project_to_so3(stack[100])
+    assert str(first.value) == str(alone.value)
+    assert str(first.value).startswith("matrix is not finite")
+    stack[100:] = np.eye(3)
+    with pytest.raises(DegenerateInputError, match="rank-deficient"):
+        _project_stack(stack)
 
 
 # ---------------------------------------------------------------------------

@@ -300,16 +300,179 @@ def test_horn_bit_identical_to_reference(n):
                 assert all(type(v) is float for v in transform.translation + (rms,))
 
 
-def test_horn_solves_through_module_eig_sym4(monkeypatch, rng):
-    # the --trace 1 benchmark counts eig_sym4 by rebinding the module global
-    import rotrepr.registration as registration
-    calls = []
-    real = registration.eig_sym4
-    monkeypatch.setattr(registration, "eig_sym4",
-                        lambda m: calls.append(m) or real(m))
-    pts = PointSet(_cloud(rng, 20))
-    horn_align(pts, pts)
-    assert len(calls) == 1
+def _horn_align_through_eig_sym4(source, target):
+    # reference: horn_align as it was before it called eigh directly, with
+    # two centroid reductions, the checked eig_sym4 and a class-call quaternion
+    from rotrepr.registration import _check_cloud, _rms
+    p = source.points
+    q = target.points
+    n = p.shape[0]
+    if n != q.shape[0]:
+        raise DegeneracyError(
+            f"corresponded clouds differ in size: {n} vs {q.shape[0]}")
+    _check_cloud(p, "source")
+    p_bar = np.add.reduce(p) / n
+    q_bar = np.add.reduce(q) / n
+    pc = p - p_bar
+    qc = q - q_bar
+    try:
+        _, e1, e2 = np.linalg.eigvalsh(pc.T @ pc).tolist()
+    except np.linalg.LinAlgError:
+        e1 = e2 = math.nan
+    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = (pc.T @ qc).tolist()
+    tr = h00 + h11 + h22
+    d0, d1, d2 = h12 - h21, h20 - h02, h01 - h10
+    m11, m22, m33 = (h00 + h00) - tr, (h11 + h11) - tr, (h22 + h22) - tr
+    s01, s02, s12 = h01 + h10, h02 + h20, h12 + h21
+    m = (tr, d0, d1, d2, m11, m22, m33, s01, s02, s12)
+    if not all(abs(x) < 2.0 ** 1023 for x in (e1, e2) + m):
+        raise DegenerateInputError("scatter or M overflows: coordinates too large")
+    if e1 <= 1e-12 * e2:
+        raise DegeneracyError(
+            "source cloud is collinear; rotation about its axis is unobservable")
+    _, vecs = eig_sym4(np.array(((tr, d0, d1, d2), (d0, m11, s01, s02),
+                                 (d1, s01, m22, s12), (d2, s02, s12, m33))))
+    rot = quat_to_matrix(UnitQuaternion(*vecs[:, 0].tolist()).normalized())
+    r = rot.as_array()
+    t = q_bar - r @ p_bar
+    return RigidTransform(rot, tuple(t.tolist())), _rms(p @ r.T + t - q)
+
+
+def _bits(f, *args):
+    """The outcome of f(*args) as exact bits: the transform and rms as
+    float.hex strings, or the exception's type and message."""
+    try:
+        transform, rms = f(*args)
+    except Exception as exc:  # the exception type and message are the outcome
+        return type(exc), str(exc)
+    values = [v for row in transform.rotation.rows for v in row]
+    values += [*transform.translation, rms]
+    assert all(type(v) is float for v in values)
+    return [float.hex(v) for v in values]
+
+
+def _shaped_cloud(gen, n, shape, scale):
+    p = gen.normal(size=(n, 3))
+    if shape == "collinear":
+        p = np.outer(gen.normal(size=n), gen.normal(size=3))
+    elif shape == "coplanar":
+        p[:, 2] = 0.0
+    elif shape == "coincident":
+        p = np.tile(gen.normal(size=3), (n, 1))
+    return p * scale + gen.normal(size=3) * scale
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 17, 64, 499, 500, 1000, 4096])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_horn_outcome_identical_to_eig_sym4_path(n):
+    # 10 scales x 6 shapes per size; from about 1e154 up the scatter or M
+    # overflows and both raise, and a target 1e150 times larger overflows
+    # M alone from a scale of about 1e100
+    gen = np.random.default_rng(4000 + n)
+    outcomes = set()
+    for scale in (1e-170, 1e-150, 1e-100, 1e-8, 1.0, 1e8, 1e100, 1e150, 1e154, 1e160):
+        for shape in ("gaussian", "noisy", "collinear", "coplanar", "coincident",
+                      "mismatched"):
+            p = _shaped_cloud(gen, n, shape, scale)
+            r0 = np.linalg.qr(gen.normal(size=(3, 3)))[0]
+            q = p @ r0.T + gen.normal(size=3) * scale
+            if shape == "noisy":
+                q += gen.normal(size=q.shape) * 0.05 * scale
+            elif shape == "mismatched":
+                q *= 1e150 if scale <= 1e100 else 1e-150
+            source, target = PointSet(p), PointSet(q)
+            got = _bits(horn_align, source, target)
+            assert got == _bits(_horn_align_through_eig_sym4, source, target)
+            outcomes.add(got[0] if isinstance(got, tuple) else float)
+    assert float in outcomes and DegeneracyError in outcomes
+    assert DegenerateInputError in outcomes
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_horn_outcome_identical_on_size_and_count_errors(rng):
+    for p, q in ((_cloud(rng, 10), _cloud(rng, 11)), (_cloud(rng, 2), _cloud(rng, 2)),
+                 (_cloud(rng, 20) * 1e300, _cloud(rng, 20) * 1e300)):
+        source, target = PointSet(p), PointSet(q)
+        got = _bits(horn_align, source, target)
+        assert isinstance(got, tuple)
+        assert got == _bits(_horn_align_through_eig_sym4, source, target)
+
+
+def _icp_through_eig_sym4(source, target, max_iter=100, tol=1e-10):
+    # reference: the ICP loop before it stepped the solver directly, one
+    # PointSet and one eig_sym4-path Horn per iteration
+    from rotrepr.registration import _check_cloud, _rms
+    _check_cloud(source.points, "source")
+    _check_cloud(target.points, "target")
+    transform = RigidTransform.identity()
+    moved = source.points
+    matches = _nearest_neighbors(moved, target.points)
+    rms = _rms(moved - target.points[matches])
+    if max_iter == 0:
+        return transform, 0, rms
+    iterations = 0
+    for iteration in range(1, max_iter + 1):
+        try:
+            transform, step_rms = _horn_align_through_eig_sym4(
+                source, PointSet(target.points[matches]))
+        except DegeneracyError as exc:
+            raise DegeneracyError(
+                f"degenerate correspondences at ICP iteration {iteration}: {exc}"
+            ) from exc
+        iterations = iteration
+        improvement = rms - step_rms
+        rms = step_rms
+        if improvement < tol:
+            break
+        moved = transform.apply(source.points)
+        matches = _nearest_neighbors(moved, target.points)
+    return transform, iterations, rms
+
+
+def _icp_bits(f, source, target, **kwargs):
+    try:
+        transform, iterations, rms = f(source, target, **kwargs)
+    except Exception as exc:  # the exception type and message are the outcome
+        return type(exc), str(exc)
+    return _bits(lambda: (transform, rms)), iterations
+
+
+def _fixture_clouds():
+    from pathlib import Path
+    fixtures = Path(__file__).parent / "fixtures"
+    return (np.loadtxt(fixtures / "register_source.xyz"),
+            np.loadtxt(fixtures / "register_target.xyz"))
+
+
+def test_icp_identical_to_eig_sym4_path_on_fixture():
+    src, tgt = _fixture_clouds()
+    perm = np.random.default_rng(3).permutation(len(tgt))
+    for target in (tgt, tgt[perm], tgt[::-1]):
+        for max_iter in (0, 1, 2, 100):
+            args = PointSet(src), PointSet(target)
+            got = _icp_bits(icp, *args, max_iter=max_iter)
+            assert got == _icp_bits(_icp_through_eig_sym4, *args, max_iter=max_iter)
+            assert got[1] == min(max_iter, got[1])
+
+
+@pytest.mark.parametrize("n", [3, 50, 400])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_icp_identical_to_eig_sym4_path_on_shuffled_clouds(n):
+    gen = np.random.default_rng(77 + n)
+    iterations = []
+    for degrees in (0.5, 5.0, 30.0):
+        for shape in ("gaussian", "coplanar", "collinear"):
+            src = _shaped_cloud(gen, n, shape, 1.0)
+            axis = gen.normal(size=3)
+            r0 = axis_angle_to_matrix(AxisAngle(tuple(axis / np.linalg.norm(axis)),
+                                                math.radians(degrees)))
+            tgt = (src @ r0.as_array().T + gen.uniform(-0.1, 0.1, size=3)
+                   + gen.normal(size=src.shape) * 1e-3)[gen.permutation(n)]
+            args = PointSet(src), PointSet(tgt)
+            got = _icp_bits(icp, *args)
+            assert got == _icp_bits(_icp_through_eig_sym4, *args)
+            iterations.append(got[1] if isinstance(got[1], int) else 0)
+    assert max(iterations) > 1
 
 
 def test_horn_size_mismatch(rng):
