@@ -366,8 +366,8 @@ def project_to_so3(m) -> RotationMatrix:
 def _project_stack(a) -> list[RotationMatrix]:
     """project_to_so3 of each matrix of a (k, 3, 3) array, through one
     SVD and one stacked U V^T; each result is bit-identical to its own
-    projection. The first non-finite member raises (numpy's SVD never
-    returns on an infinite entry and fails on a NaN), else the first
+    projection. The first non-finite member raises (numpy's SVD can hang
+    on an infinite entry and fails on a NaN), else the first
     rank-deficient one."""
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():

@@ -27,7 +27,6 @@ from rotrepr.convert import (
 )
 from rotrepr.errors import DegenerateInputError, InvalidRotationError
 
-
 from conftest import (SMALL_ANGLES, exact_hamilton, exact_quat, exact_rotation_vector,
                       frobenius, haar_matrix, haar_quat)
 

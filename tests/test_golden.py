@@ -43,19 +43,25 @@ def _compensated_sum(values, start=0):
     return total + comp if comp and math.isfinite(comp) else total
 
 
-def test_seed42_nontiming_fields_bit_identical():
-    _assert_golden()
-
-
 def test_seed42_golden_does_not_depend_on_sum(monkeypatch):
     # the golden was recorded under Python 3.11, whose sum() adds floats
     # left to right; a compensated sum() changed 10 fields
     import rotrepr.bench
     monkeypatch.setattr(rotrepr.bench, "sum", _compensated_sum, raising=False)
-    _assert_golden()
+    test_seed42_nontiming_fields_bit_identical()
 
 
-def _assert_golden():
+def test_bench_distances_sum_left_to_right(monkeypatch):
+    # 1e16 + 1 + 1 + 1 is 1e16 left to right and 1e16 + 4 compensated
+    import rotrepr.bench as bench
+    monkeypatch.setattr(bench, "sum", _compensated_sum, raising=False)
+    a, b = (1e8, 1.0, 1.0, 1.0), (0.0, 0.0, 0.0, 0.0)
+    assert math.sqrt(_compensated_sum(x * x for x in a)) != 1e8
+    assert bench._tuple_dist(a, b) == 1e8
+    assert bench._quat_param_dist(a, b) == 1e8
+
+
+def test_seed42_nontiming_fields_bit_identical():
     expected = json.loads(FIXTURE.read_text())
     got = nontiming_rows()
     assert list(got) == list(expected)

@@ -388,14 +388,35 @@ def test_horn_outcome_identical_to_eig_sym4_path(n):
     assert DegenerateInputError in outcomes
 
 
+def _axis_cloud(c, a):
+    # (+-c, 0, 0), (0, +-a, 0), (0, 0, +-a): centroid 0, scatter rank 3
+    return np.array([[c, 0, 0], [-c, 0, 0], [0, a, 0], [0, -a, 0], [0, 0, a], [0, 0, -a]])
+
+
+@pytest.mark.parametrize("case, match", [
+    ("sizes", "differ in size"), ("two points", "at least 3"),
+    ("huge", "too large"),
+    ("nan only", "too large"),  # h00 = inf, h11 = -inf: tr and m11..m33 NaN, no entry inf
+    ("s12 only", "too large"),  # s12 alone in [2^1023, 2^1024), finite
+])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_horn_outcome_identical_on_size_and_count_errors(rng):
-    for p, q in ((_cloud(rng, 10), _cloud(rng, 11)), (_cloud(rng, 2), _cloud(rng, 2)),
-                 (_cloud(rng, 20) * 1e300, _cloud(rng, 20) * 1e300)):
-        source, target = PointSet(p), PointSet(q)
-        got = _bits(horn_align, source, target)
-        assert isinstance(got, tuple)
-        assert got == _bits(_horn_align_through_eig_sym4, source, target)
+def test_horn_outcome_identical_on_rejected_clouds(rng, case, match):
+    p = q = _axis_cloud(1e5, 1e5)
+    if case == "sizes":
+        p, q = _cloud(rng, 10), _cloud(rng, 11)
+    elif case == "two points":
+        p = q = _cloud(rng, 2)
+    elif case == "huge":
+        p, q = _cloud(rng, 20) * 1e300, _cloud(rng, 20) * 1e300
+    elif case == "nan only":
+        q = p * [1e300, -1e300, 1.0]
+    else:
+        p = _axis_cloud(1e150, 1e150)
+        q = p[:, [0, 2, 1]] * [1.0, 2.7e7, 2.7e7]
+    source, target = PointSet(p), PointSet(q)
+    got = _bits(horn_align, source, target)
+    assert isinstance(got, tuple) and match in got[1]
+    assert got == _bits(_horn_align_through_eig_sym4, source, target)
 
 
 def _icp_through_eig_sym4(source, target, max_iter=100, tol=1e-10):
