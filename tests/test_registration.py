@@ -473,7 +473,7 @@ def test_icp_identical_to_eig_sym4_path_on_fixture():
             args = PointSet(src), PointSet(target)
             got = _icp_bits(icp, *args, max_iter=max_iter)
             assert got == _icp_bits(_icp_through_eig_sym4, *args, max_iter=max_iter)
-            assert got[1] == min(max_iter, got[1])
+            assert got[1] <= max_iter
 
 
 @pytest.mark.parametrize("n", [3, 50, 400])
