@@ -24,8 +24,6 @@ from operator import add
 from typing import Callable
 
 from .core import (
-    DETERMINANT_TOL,
-    ORTHONORMALITY_TOL,
     AxisAngle,
     EulerAngles,
     RotationMatrix,
@@ -36,7 +34,6 @@ from .core import (
     canonicalize,
     relative_angle,
     sample_uniform,
-    validity_residuals,
     wrap_angle,
 )
 from .compose import compose_in
@@ -45,6 +42,8 @@ from .convert import (
     _REGISTRY,
     QUAT,
     ROTVEC,
+    _chain,
+    _checked_matrix,
     axis_angle_to_matrix,
     euler_to_matrix,
     exp_map,
@@ -627,31 +626,15 @@ def _interp_loops(tag: str, cfg: BenchConfig):
     return {(tag, "interp"): _prepared_loop(op, items, cfg.warmup)}, len(items)
 
 
-def _checked_validate(r: RotationMatrix) -> None:
-    orth, det_res = validity_residuals(r.rows)
-    if not (orth <= ORTHONORMALITY_TOL and det_res <= DETERMINANT_TOL):
-        raise RotationError("batch ingestion rejected an invalid matrix")
-
-
 def _ingest(tag: str) -> Callable:
     """Checked batch conversion: validate the incoming matrix once, then
-    convert to the row's representation.
-
-    A quaternion-hub row's from_matrix starts with matrix_to_quat, whose
-    validity check counts as the row's; the matrix-hub rows validate
-    explicitly. Every row pays for input checking exactly once and no
-    row composes unchecked data.
-    """
+    convert to the row's representation. A quaternion-hub row counts the
+    check in matrix_to_quat as its own, a matrix-hub row chains
+    _checked_matrix in front: no row composes unchecked data."""
     rep = _row_rep(tag)
-    conv = rep.from_matrix
     if rep.hub == QUAT:
-        return conv
-
-    def ingest(r: RotationMatrix):
-        _checked_validate(r)
-        return conv(r)
-
-    return ingest
+        return rep.from_matrix
+    return _chain(_checked_matrix, rep.from_matrix)
 
 
 def _batch_loops(tag: str, cfg: BenchConfig):

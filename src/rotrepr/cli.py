@@ -22,28 +22,10 @@ import numpy as np
 
 from . import bench as bench_mod
 from .bench import ALL_SUITES, BenchConfig, BenchSuiteError, full_table
-from .core import (
-    AxisAngle,
-    EulerAngles,
-    RotationMatrix,
-    RotationVector,
-    SixD,
-    UnitQuaternion,
-    canonicalize,
-    relative_angle,
-    sample_uniform,
-    validate,
-)
+from .core import canonicalize, relative_angle, sample_uniform
 from .rng import Rng
-from .convert import (
-    _BY_TAG,
-    _BY_TYPE,
-    REPRESENTATION_TAGS,
-    canonicalize_rotation_vector,
-    convert as convert_value,
-    matrix_to_quat,
-    sixd_to_matrix,
-)
+from .convert import (_BY_TAG, _BY_TYPE, REPRESENTATION_TAGS, convert as convert_value,
+                      matrix_to_quat)
 from .errors import DegenerateInputError, RotationError
 from .interp import (
     _METHODS,
@@ -64,9 +46,6 @@ class CliInputError(RotationError):
 # ---------------------------------------------------------------------------
 # value parsing / printing
 
-QUAT_NORM_TOL = 1e-6
-AXIS_NORM_TOL = 1e-6
-
 
 def _parse_scalars(text: str, n: int, what: str) -> list[float]:
     parts = [p.strip() for p in text.split(",")]
@@ -83,61 +62,12 @@ def _parse_scalars(text: str, n: int, what: str) -> list[float]:
 
 
 def build_value(tag: str, values: list[float]):
-    """Construct and validate a representation from CLI scalars."""
-    if tag == "quat":
-        q = UnitQuaternion(*values)
-        n = q.norm()
-        if n == 0.0:
-            raise CliInputError(
-                "zero quaternion violates the unit-norm invariant")
-        if abs(n - 1.0) > QUAT_NORM_TOL:
-            raise CliInputError(
-                f"quaternion norm {n!r} deviates from 1 beyond 1e-6 "
-                "(unit-norm invariant)")
-        return q
-    if tag == "matrix":
-        m = RotationMatrix.from_rows([values[0:3], values[3:6], values[6:9]])
-        check = validate(m)
-        if not check:
-            raise CliInputError(
-                "matrix violates the rotation invariants (orthogonality "
-                f"residual {check.orthogonality_residual:.3e}, determinant "
-                f"residual {check.determinant_residual:.3e})")
-        return m
-    if tag in ("euler-zyx", "euler-xyz"):
-        return EulerAngles(values[0], values[1], values[2],
-                           _BY_TAG[tag].convention)
-    if tag == "axis-angle":
-        x, y, z = values[0], values[1], values[2]
-        n = math.sqrt(x * x + y * y + z * z)
-        theta = values[3]
-        if theta < 0.0 or theta > math.pi:
-            raise CliInputError(
-                f"axis-angle angle {theta!r} violates the [0, pi] invariant")
-        if theta > 1e-12:
-            if n == 0.0 or abs(n - 1.0) > AXIS_NORM_TOL:
-                raise CliInputError(
-                    f"axis norm {n!r} deviates from 1 beyond 1e-6 "
-                    "(unit-axis invariant)")
-            axis = (x / n, y / n, z / n)
-        else:
-            axis = (0.0, 0.0, 1.0)
-        return AxisAngle(axis, theta)
-    if tag == "rotvec":
-        try:
-            return canonicalize_rotation_vector(
-                RotationVector((values[0], values[1], values[2])))
-        except DegenerateInputError as exc:
-            raise CliInputError(f"rotvec value: {exc}") from exc
-    if tag == "sixd":
-        s = SixD((values[0], values[1], values[2]),
-                 (values[3], values[4], values[5]))
-        try:
-            sixd_to_matrix(s)
-        except DegenerateInputError as exc:
-            raise CliInputError(f"sixd value is degenerate: {exc}") from exc
-        return s
-    raise CliInputError(f"unknown representation {tag!r}")
+    """Construct and validate a representation from CLI scalars, by the
+    tag's registry entry."""
+    try:
+        return _BY_TAG[tag].from_components(values)
+    except RotationError as exc:
+        raise CliInputError(str(exc)) from exc
 
 
 def components(value) -> list[float]:

@@ -5,10 +5,10 @@ rotation matrix the secondary one. Every representation has direct
 spokes to and from the matrix; axis-angle, the rotation vector and
 Euler angles also have direct spokes to and from the quaternion.
 One registry entry per representation tag holds its value type, report
-row name, arity, storage size, spokes, hub and component order; every
-tag dispatch in the package (convert, compose_in, interpolation, the
-benchmark rows and the CLI) is derived from it, convert's routes once
-at import.
+row name, arity, storage size, spokes, hub, component order and the
+checked inverse of that order; every tag dispatch in the package
+(convert, compose_in, interpolation, the benchmark rows and the CLI)
+is derived from it, convert's routes once at import.
 
 Every extraction from a matrix (quaternion, axis-angle, rotation
 vector, Euler angles) goes through Shoemake's matrix_to_quat once, so
@@ -40,6 +40,7 @@ from .core import (
     _rescaled,
     _tuple_new,
     canonicalize,
+    validity_residuals,
 )
 from .errors import (
     DegenerateInputError,
@@ -50,6 +51,8 @@ from .errors import (
 SMALL_ANGLE = 1e-4        # forward-map Taylor branches
 GIMBAL_COS_BETA = 1e-7    # Euler extraction fold band
 GRAM_SCHMIDT_TOL = 1e-12
+UNIT_NORM_TOL = 1e-6      # quaternion and axis norms accepted from components
+_ZERO_QUAT = "zero quaternion does not define a rotation"
 
 
 # ---------------------------------------------------------------------------
@@ -100,16 +103,20 @@ def quat_to_axis_angle(q: UnitQuaternion) -> AxisAngle:
     """theta = 2 atan2(|v|, w) after canonicalization, accurate at every
     angle (2 arccos(w) loses all digits of a 1e-9 rad rotation); axis is
     v/|v|, through math.hypot at or below 1e-12 rad, where the squares
-    may underflow, and +z for v = 0. Scale invariant: q need not be
-    normalized."""
+    may underflow, and +z for v = 0. Scale invariant: where |v|^2 leaves
+    [1e-300, inf) and v != 0, q is first divided by its largest |component|.
+    The zero quaternion, a NaN or infinite v, and v = 0 with a NaN or
+    infinite w raise DegenerateInputError."""
     w, x, y, z = q
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
     elif w == 0.0:
         w, x, y, z = canonicalize(q)
-    vn = math.sqrt(x * x + y * y + z * z)
-    if vn == 0.0 and w == 0.0:
-        raise DegenerateInputError("zero quaternion does not define a rotation")
+    vn2 = x * x + y * y + z * z
+    if not 1e-300 <= vn2 < math.inf and (x or y or z or not 0.0 < w < math.inf):
+        w, x, y, z = _rescaled((w, x, y, z), _ZERO_QUAT)
+        vn2 = x * x + y * y + z * z
+    vn = math.sqrt(vn2)
     theta = 2.0 * math.atan2(vn, w)
     if theta <= TINY_ANGLE:
         return _tuple_new(AxisAngle, (_tiny_axis(x, y, z), theta))
@@ -144,17 +151,19 @@ def rotation_vector_to_quat(v: RotationVector) -> UnitQuaternion:
 
 def quat_to_rotation_vector(q: UnitQuaternion) -> RotationVector:
     """Canonical rotation vector (norm <= pi) of q: v/|v| times
-    2 atan2(|v|, w) after canonicalization. Scale invariant: q need not
-    be normalized."""
+    2 atan2(|v|, w) after canonicalization. Scale invariant and
+    rejecting as quat_to_axis_angle."""
     w, x, y, z = q
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
     elif w == 0.0:
         w, x, y, z = canonicalize(q)
-    vn = math.sqrt(x * x + y * y + z * z)
+    vn2 = x * x + y * y + z * z
+    if not 1e-300 <= vn2 < math.inf and (x or y or z or not 0.0 < w < math.inf):
+        w, x, y, z = _rescaled((w, x, y, z), _ZERO_QUAT)
+        vn2 = x * x + y * y + z * z
+    vn = math.sqrt(vn2)
     if vn == 0.0:
-        if w == 0.0:
-            raise DegenerateInputError("zero quaternion does not define a rotation")
         return _tuple_new(RotationVector, ((0.0, 0.0, 0.0),))
     k = 2.0 * math.atan2(vn, w) / vn
     return _tuple_new(RotationVector, ((x * k, y * k, z * k),))
@@ -276,7 +285,7 @@ def quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
     w, x, y, z = q
     n2 = w * w + x * x + y * y + z * z
     if not 1e-300 <= n2 < math.inf:
-        w, x, y, z = _rescaled((w, x, y, z), "zero quaternion does not define a rotation")
+        w, x, y, z = _rescaled((w, x, y, z), _ZERO_QUAT)
         n2 = w * w + x * x + y * y + z * z
     n = math.sqrt(n2)
     w, x, y, z = w / n, x / n, y / n, z / n
@@ -426,7 +435,7 @@ def _euler_spoke(convention: EulerConvention) -> Callable:
         hab, hcd = math.hypot(a, b), math.hypot(c, d)
         h = math.hypot(hab, hcd)
         if h == 0.0:
-            raise DegenerateInputError("zero quaternion does not define a rotation")
+            raise DegenerateInputError(_ZERO_QUAT)
         half_sum = math.atan2(b, a)
         half_diff = math.atan2(d, c)
         if 2.0 * (hab / h) * (hcd / h) < GIMBAL_COS_BETA:  # |cos beta|
@@ -515,9 +524,70 @@ def _sixd_rescaled(s: SixD) -> RotationMatrix:
 
 
 def matrix_to_sixd(r: RotationMatrix) -> SixD:
-    """First two columns of the rotation."""
+    """First two columns of the rotation, unchecked: convert(m, "sixd")
+    validates m first."""
     (a, b, _), (d, e, _), (g, h, _) = r.rows
     return _tuple_new(SixD, ((a, d, g), (b, e, h)))
+
+
+# ---------------------------------------------------------------------------
+# from_components: each tag's constraint set, checked on finite scalars in
+# components() order; a value of the entry's exact type, or RotationError
+
+
+def _checked_quat(c) -> UnitQuaternion:
+    q = UnitQuaternion(*c)
+    n = q.norm()
+    if n == 0.0:
+        raise DegenerateInputError("zero quaternion violates the unit-norm invariant")
+    if not abs(n - 1.0) <= UNIT_NORM_TOL:
+        raise InvalidRotationError(f"quaternion norm {n!r} deviates from 1 beyond "
+                                   "1e-6 (unit-norm invariant)")
+    return q
+
+
+def _checked_matrix(m: RotationMatrix) -> RotationMatrix:
+    """m itself if both validity_residuals are within 1e-9, else
+    InvalidRotationError: the one matrix check outside matrix_to_quat."""
+    orth, det_res = validity_residuals(m.rows)
+    if not (orth <= ORTHONORMALITY_TOL and det_res <= DETERMINANT_TOL):
+        raise InvalidRotationError(
+            "matrix violates the rotation invariants (orthogonality "
+            f"residual {orth:.3e}, determinant residual {det_res:.3e})")
+    return m
+
+
+def _checked_axis_angle(c) -> AxisAngle:
+    """Angle in [0, pi]; above 1e-12 rad an axis within 1e-6 of unit,
+    normalized, at or below it any axis through _tiny_axis. The kernels
+    take the unit axis as a precondition and do not check it again."""
+    x, y, z, theta = c
+    if not 0.0 <= theta <= math.pi:
+        raise InvalidRotationError(
+            f"axis-angle angle {theta!r} violates the [0, pi] invariant")
+    if theta <= TINY_ANGLE:
+        return _tuple_new(AxisAngle, (_tiny_axis(x, y, z), theta))
+    n = math.sqrt(x * x + y * y + z * z)
+    if not abs(n - 1.0) <= UNIT_NORM_TOL:
+        raise InvalidRotationError(
+            f"axis norm {n!r} deviates from 1 beyond 1e-6 (unit-axis invariant)")
+    return _tuple_new(AxisAngle, ((x / n, y / n, z / n), theta))
+
+
+def _checked_rotvec(c) -> RotationVector:
+    try:
+        return canonicalize_rotation_vector(_tuple_new(RotationVector, (tuple(c),)))
+    except DegenerateInputError as exc:
+        raise DegenerateInputError(f"rotvec value: {exc}") from exc
+
+
+def _checked_sixd(c) -> SixD:
+    s = _tuple_new(SixD, (tuple(c[0:3]), tuple(c[3:6])))
+    try:
+        sixd_to_matrix(s)
+    except DegenerateInputError as exc:
+        raise DegenerateInputError(f"sixd value is degenerate: {exc}") from exc
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -545,6 +615,7 @@ class _Rep(NamedTuple):
     arity: int                # scalars in components() order
     storage_bytes: int
     components: Callable      # value -> flat scalar tuple (CLI order)
+    from_components: Callable  # its checked inverse (see _checked_quat)
     to_matrix: Callable
     from_matrix: Callable
     hub: str                  # QUAT or MATRIX: where compose_in multiplies
@@ -564,36 +635,43 @@ def _chain(f, *rest) -> Callable:
     return g if f is _same else f if g is _same else lambda value: g(f(value))
 
 
-def _entry(tag, row, value_type, arity, storage_bytes, components, to_matrix,
-           from_matrix, quat_spokes=None, convention=None) -> _Rep:
+def _entry(tag, row, value_type, arity, storage_bytes, components, from_components,
+           to_matrix, from_matrix, quat_spokes=None, convention=None) -> _Rep:
     """quat_spokes (to_quat, from_quat) put the entry on the quaternion
     hub; the others compose through the matrix."""
     hub, (to_hub, from_hub) = ((QUAT, quat_spokes) if quat_spokes
                                else (MATRIX, (to_matrix, from_matrix)))
-    return _Rep(tag, row, value_type, convention, arity, storage_bytes,
-                components, to_matrix, from_matrix, hub, to_hub, from_hub)
+    return _Rep(tag, row, value_type, convention, arity, storage_bytes, components,
+                from_components, to_matrix, from_matrix, hub, to_hub, from_hub)
 
 
 _ZYX_SPOKE, _XYZ_SPOKE = _euler_spoke(ZYX), _euler_spoke(XYZ)
 
 _REGISTRY = (
     _entry(QUAT, "quaternion", UnitQuaternion, 4, 32, UnitQuaternion.as_tuple,
-           quat_to_matrix, matrix_to_quat, quat_spokes=(_same, _unit_quat)),
+           _checked_quat, quat_to_matrix, matrix_to_quat,
+           quat_spokes=(_same, _unit_quat)),
     _entry(MATRIX, "matrix", RotationMatrix, 9, 72, RotationMatrix.as_flat,
+           lambda c: _checked_matrix(RotationMatrix.from_rows((c[:3], c[3:6], c[6:]))),
            _same, _same),
+    # Euler angles have no constraint to check: each entry binds its convention
     _entry(EULER_ZYX, "euler", EulerAngles, 3, 24, EulerAngles.as_tuple,
-           euler_to_matrix, _chain(matrix_to_quat, _ZYX_SPOKE),
-           quat_spokes=(_euler_quat, _ZYX_SPOKE), convention=ZYX),
+           lambda c: EulerAngles(*c, ZYX), euler_to_matrix,
+           _chain(matrix_to_quat, _ZYX_SPOKE), quat_spokes=(_euler_quat, _ZYX_SPOKE),
+           convention=ZYX),
     _entry(EULER_XYZ, None, EulerAngles, 3, 24, EulerAngles.as_tuple,
-           euler_to_matrix, _chain(matrix_to_quat, _XYZ_SPOKE),
-           quat_spokes=(_euler_quat, _XYZ_SPOKE), convention=XYZ),
+           lambda c: EulerAngles(*c, XYZ), euler_to_matrix,
+           _chain(matrix_to_quat, _XYZ_SPOKE), quat_spokes=(_euler_quat, _XYZ_SPOKE),
+           convention=XYZ),
     _entry(AXIS_ANGLE, "axis-angle", AxisAngle, 4, 24, AxisAngle.as_tuple,
-           axis_angle_to_matrix, lambda r: quat_to_axis_angle(matrix_to_quat(r)),
+           _checked_axis_angle, axis_angle_to_matrix,
+           lambda r: quat_to_axis_angle(matrix_to_quat(r)),
            quat_spokes=(_axis_angle_quat, quat_to_axis_angle)),
     _entry(ROTVEC, "exp-map", RotationVector, 3, 24, RotationVector.as_tuple,
-           exp_map, log_map,
+           _checked_rotvec, exp_map, log_map,
            quat_spokes=(_rotation_vector_quat, quat_to_rotation_vector)),
-    _entry(SIXD, "sixd", SixD, 6, 48, SixD.as_tuple, sixd_to_matrix, matrix_to_sixd),
+    _entry(SIXD, "sixd", SixD, 6, 48, SixD.as_tuple, _checked_sixd, sixd_to_matrix,
+           matrix_to_sixd),
 )
 
 REPRESENTATION_TAGS = tuple(rep.tag for rep in _REGISTRY)
@@ -635,7 +713,8 @@ def _route(rep: _Rep, out: _Rep) -> Callable:
 
 
 _DIRECT = {(AXIS_ANGLE, ROTVEC): axis_angle_to_rotation_vector,
-           (ROTVEC, AXIS_ANGLE): rotation_vector_to_axis_angle}
+           (ROTVEC, AXIS_ANGLE): rotation_vector_to_axis_angle,
+           (MATRIX, SIXD): _chain(_checked_matrix, matrix_to_sixd)}
 # (value type, destination tag) -> route, resolved once from the registry
 _ROUTES = {(rep.type, out.tag): _route(rep, out)
            for rep in _BY_TYPE.values() for out in _REGISTRY}

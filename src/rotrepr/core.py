@@ -257,8 +257,9 @@ class EulerAngles(NamedTuple):
 class AxisAngle(NamedTuple):
     """Unit rotation axis and angle in [0, pi].
 
-    The axis is by convention (0, 0, 1) when the angle is below 1e-12.
-    A named 2-tuple (axis, angle), like UnitQuaternion.
+    Kernels take the unit axis as given (from_components checks it);
+    extractions keep it at every angle and fall back to (0, 0, 1) only
+    for the zero rotation. A named 2-tuple (axis, angle), like UnitQuaternion.
     """
 
     axis: Vec3

@@ -11,8 +11,8 @@ class DegenerateInputError(RotationError):
 
 
 class InvalidRotationError(RotationError):
-    """A matrix claimed to be a rotation failed the orthogonality or
-    determinant check."""
+    """A value claimed to be a rotation broke its representation's
+    constraints (orthonormal det +1 matrix, unit norm, angle range)."""
 
 
 class UnsupportedConventionError(RotationError):

@@ -248,10 +248,10 @@ def test_single_trial_flagged_low_confidence():
 
 def test_batch_ingestion_rejects_nan():
     from rotrepr import RotationMatrix
-    from rotrepr.bench import _checked_validate
+    from rotrepr.convert import _checked_matrix
     with pytest.raises(RotationError):
-        _checked_validate(RotationMatrix(((math.nan, 0.0, 0.0), (0.0, 1.0, 0.0),
-                                          (0.0, 0.0, 1.0))))
+        _checked_matrix(RotationMatrix(((math.nan, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                        (0.0, 0.0, 1.0))))
 
 
 @pytest.mark.parametrize("tag", ROTATION_REPRESENTATIONS)

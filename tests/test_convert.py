@@ -33,12 +33,14 @@ from rotrepr.convert import (
     quat_to_axis_angle,
     quat_to_euler,
     quat_to_matrix,
+    quat_to_rotation_vector,
     sixd_to_matrix,
     AXIS_ANGLE,
     MATRIX,
     QUAT,
     REPRESENTATION_TAGS,
     ROTVEC,
+    SIXD,
     _BY_TAG,
     _BY_TYPE,
     _REGISTRY,
@@ -119,6 +121,43 @@ def test_zero_rotation_keeps_default_axis(v):
     assert rotation_vector_to_axis_angle(RotationVector(v)) == (DEFAULT_AXIS, 0.0)
     assert quat_to_axis_angle(UnitQuaternion(1.0, *v)) == (DEFAULT_AXIS, 0.0)
     assert quat_to_axis_angle(UnitQuaternion(-2.5, *v)) == (DEFAULT_AXIS, 0.0)
+
+
+@pytest.mark.parametrize("q", [(1e300, 1e290, 0.0, 0.0), (1e-300, 1e-310, 0.0, 0.0),
+                               (1e-170, 3e-171, 0.0, 0.0), (-1e300, 0.0, -1e300, 0.0),
+                               (5e-324, 0.0, 0.0, 5e-324), (0.0, 1e-200, -1e-200, 0.0),
+                               (1.7e308, 1.7e308, -1.7e308, 1.7e308)])
+def test_quat_angle_extraction_is_scale_invariant(q):
+    # |v|^2 overflows or underflows: both extractions rescale q by its
+    # largest |component| first, and read the rotation of q's direction
+    q = UnitQuaternion(*q)
+    want = quat_to_axis_angle(q.normalized())
+    aa = quat_to_axis_angle(q)
+    assert aa.angle == pytest.approx(want.angle, rel=1e-15)
+    assert aa.axis == pytest.approx(want.axis, abs=1e-15)
+    v = quat_to_rotation_vector(q)
+    assert v.v == pytest.approx([want.angle * u for u in want.axis], rel=1e-15, abs=1e-300)
+    assert convert(q, "rotvec") == v and convert(q, "axis-angle") == aa
+
+
+def test_quat_angle_extraction_scale_repro_values():
+    aa = quat_to_axis_angle(UnitQuaternion(1e300, 1e290, 0.0, 0.0))
+    assert aa == ((1.0, 0.0, 0.0), 2e-10)
+    aa = quat_to_axis_angle(UnitQuaternion(1e-300, 1e-310, 0.0, 0.0))
+    assert aa.axis == (1.0, 0.0, 0.0)  # 1e-310 is subnormal, 1e-13 relative
+    assert aa.angle == pytest.approx(2e-10, rel=1e-12)
+    assert quat_to_rotation_vector(UnitQuaternion(1e300, 1e290, 0.0, 0.0)).v == (2e-10, 0.0, 0.0)
+    aa = quat_to_axis_angle(UnitQuaternion(1e-170, 3e-171, 0.0, 0.0))
+    assert aa.angle == pytest.approx(0.5829135889557342, rel=1e-15)
+
+
+@pytest.mark.parametrize("q", [(1.0, math.nan, 0.0, 0.0), (0.5, 0.0, math.inf, 0.0),
+                               (0.0, 0.0, -math.inf, 1.0), (0.0, 0.0, 0.0, 0.0),
+                               (-0.0, 0.0, -0.0, 0.0)])
+def test_quat_angle_extraction_rejects_non_finite_vector_and_zero(q):
+    for extract in (quat_to_axis_angle, quat_to_rotation_vector):
+        with pytest.raises(DegenerateInputError):
+            extract(UnitQuaternion(*q))
 
 
 def test_quat_to_axis_angle_examples():
@@ -877,6 +916,14 @@ def _reference_convert(value, dst):
         return axis_angle_to_rotation_vector(value)
     if src == ROTVEC and dst == AXIS_ANGLE:
         return rotation_vector_to_axis_angle(value)
+    if src == MATRIX and dst == SIXD:  # the one matrix-hub route that validates
+        check = validate(value)
+        if not check:
+            raise InvalidRotationError(
+                "matrix violates the rotation invariants (orthogonality residual "
+                f"{check.orthogonality_residual:.3e}, determinant residual "
+                f"{check.determinant_residual:.3e})")
+        return matrix_to_sixd(value)
     rep = _BY_TYPE[type(value)]
     if rep.hub == MATRIX:
         return out.from_matrix(rep.to_matrix(value))
@@ -1029,3 +1076,87 @@ def test_round_trip_every_representation_pair(rng):
         back = convert(y, "matrix")
         assert relative_angle(back, r) < 1e-9, (src, dst)
         count += 1
+
+
+# ---------------------------------------------------------------------------
+# from_components: the checked inverse of components()
+
+
+@pytest.mark.parametrize("rep", _REGISTRY, ids=lambda rep: rep.tag)
+def test_from_components_inverts_components(rep, rng):
+    for _ in range(500):
+        value = convert(haar_quat(rng), rep.tag)
+        back = rep.from_components(list(rep.components(value)))
+        assert type(back) is rep.type
+        if rep.tag == AXIS_ANGLE:
+            # the axis is renormalized by its computed norm, which moves a
+            # unit axis's components by at most one ulp of 1
+            assert back.angle == value.angle
+            assert back.axis == pytest.approx(value.axis, abs=2.3e-16)
+        else:
+            assert back == value
+
+
+@pytest.mark.parametrize("axis", [(1.0 + 2e-6, 0.0, 0.0), (0.0, 1.0 - 2e-6, 0.0),
+                                  (2.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1e200, 0.0, 0.0),
+                                  (0.6, 0.8, 0.1)])
+@pytest.mark.parametrize("theta", [2e-12, 1e-6, 1.0, math.pi])
+def test_from_components_rejects_non_unit_axes(axis, theta):
+    with pytest.raises(InvalidRotationError, match="unit-axis invariant"):
+        _BY_TAG[AXIS_ANGLE].from_components([*axis, theta])
+
+
+@pytest.mark.parametrize("theta", [-0.1, -1e-300, 4.0, math.nextafter(math.pi, 4.0),
+                                   math.nan])
+def test_from_components_rejects_angles_outside_zero_pi(theta):
+    with pytest.raises(InvalidRotationError, match=r"\[0, pi\] invariant"):
+        _BY_TAG[AXIS_ANGLE].from_components([0.0, 0.0, 1.0, theta])
+
+
+@pytest.mark.parametrize("c, want", [
+    ((1.0, 0.0, 0.0, 1e-13), ((1.0, 0.0, 0.0), 1e-13)),
+    ((0.0, -3.0, 4.0, 1e-12), ((0.0, -0.6, 0.8), 1e-12)),
+    ((1e200, 0.0, 0.0, 0.0), ((1.0, 0.0, 0.0), 0.0)),
+    ((0.0, 0.0, 0.0, 0.0), (DEFAULT_AXIS, 0.0)),
+])
+def test_from_components_keeps_the_axis_of_a_tiny_rotation(c, want):
+    # at or below 1e-12 rad any axis is accepted and taken as its direction
+    assert _BY_TAG[AXIS_ANGLE].from_components(list(c)) == want
+
+
+def _accepted_axis_angles(rng, n):
+    """Values from_components accepts: Haar axes up to 1e-6 off unit,
+    angles uniform on [0, pi], log-uniform in 1e-12..1e-3, and that far
+    below pi."""
+    rep = _BY_TAG[AXIS_ANGLE]
+    for i in range(n):
+        a = haar_quat(rng).vector()
+        s = (1.0 + rng.uniform(-0.999e-6, 0.999e-6)) / math.hypot(*a)
+        tiny = 10.0 ** rng.uniform(-12.0, -3.0)
+        theta = (rng.uniform(0.0, math.pi), tiny, math.pi - tiny)[i % 3]
+        yield rep.from_components([a[0] * s, a[1] * s, a[2] * s, theta])
+
+
+def test_axis_angle_routes_agree_on_accepted_values(rng):
+    # the spokes take the unit axis as given; on every value
+    # from_components accepts, the routes to the matrix agree (measured
+    # at most 1.4e-15 rad over 20000 values)
+    identity = AxisAngle(DEFAULT_AXIS, 0.0)
+    for aa in _accepted_axis_angles(rng, 3000):
+        routes = [convert(aa, "matrix"), axis_angle_to_matrix(aa),
+                  quat_to_matrix(axis_angle_to_quat(aa)),
+                  exp_map(axis_angle_to_rotation_vector(aa)),
+                  convert(compose_in(AXIS_ANGLE, aa, identity), "matrix")]
+        for i, r in enumerate(routes):
+            for other in routes[i + 1:]:
+                assert relative_angle(r, other) < 4e-15, aa
+
+
+@pytest.mark.parametrize("rows", [((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, -1.0)),
+                                  ((math.nan, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+                                  ((2.0, 0.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.0, 1.0))])
+def test_convert_matrix_to_sixd_validates(rows):
+    m = RotationMatrix(rows)
+    with pytest.raises(InvalidRotationError, match="rotation invariants"):
+        convert(m, "sixd")
+    assert matrix_to_sixd(m) == (m.column(0), m.column(1))  # the spoke stays unchecked

@@ -72,6 +72,21 @@ def test_pose_stream_runs_one_frame_of_every_tag():
     assert verdicts == [None] * n_tags
 
 
+def test_cli_cold_probe_and_commands_run_in_process(capsys):
+    # the overflow probe must exit 2 with one error line and no traceback,
+    # and every generated command must run in process with exit 0
+    from rotrepr.cli import main
+
+    cli_cold = _load("cli_cold")
+    assert main(list(cli_cold.OVERFLOW_PROBE)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    for argv in cli_cold.generate(7)[:8]:
+        out = cli_cold.in_process(argv)
+        assert out.count("\n") == 1 and "," in out, argv
+
+
 def test_paper_table_check_passes_on_a_small_table():
     from rotrepr.bench import BenchConfig, full_table
     from rotrepr.report import ReportDocument

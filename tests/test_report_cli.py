@@ -121,6 +121,40 @@ def test_convert_rotvec_overflow_exit_2(capsys):
     assert "finite-norm invariant" in err
 
 
+@pytest.mark.parametrize("tag, value, message", [
+    ("quat", "0,0,0,0", "zero quaternion violates the unit-norm invariant"),
+    ("quat", "1.1,0,0,0",
+     "quaternion norm 1.1 deviates from 1 beyond 1e-6 (unit-norm invariant)"),
+    ("matrix", "1,0,0,0,1,0,0,0,-1",
+     "matrix violates the rotation invariants (orthogonality residual 0.000e+00, "
+     "determinant residual 2.000e+00)"),
+    ("axis-angle", "0,0,1,4", "axis-angle angle 4.0 violates the [0, pi] invariant"),
+    ("axis-angle", "0,0,1,-0.1", "axis-angle angle -0.1 violates the [0, pi] invariant"),
+    ("axis-angle", "2,0,0,1",
+     "axis norm 2.0 deviates from 1 beyond 1e-6 (unit-axis invariant)"),
+    ("axis-angle", "0,0,0,1",
+     "axis norm 0.0 deviates from 1 beyond 1e-6 (unit-axis invariant)"),
+    ("rotvec", "1e200,0,0",
+     "rotvec value: rotation vector norm is inf (finite-norm invariant)"),
+    ("sixd", "1,0,0,2,0,0",
+     "sixd value is degenerate: 6D columns are parallel; Gram-Schmidt is ill-posed"),
+    ("sixd", "0,0,0,0,1,0",
+     "sixd value is degenerate: 6D first column is numerically zero"),
+])
+def test_convert_rejection_text_and_exit_code(capsys, tag, value, message):
+    # each tag's registry check, byte for byte as the CLI printed it
+    # before the checks moved into the registry
+    code, out, err = run_cli(capsys, "convert", "--from", tag, "--to", "quat",
+                             f"--value={value}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_convert_keeps_the_axis_of_a_tiny_rotation(capsys):
+    code, out, err = run_cli(capsys, "convert", "--from", "axis-angle", "--to", "quat",
+                             "--value=1,0,0,1e-13")
+    assert (code, out, err) == (0, "1,5.0000000000000002e-14,0,0\n", "")
+
+
 def test_convert_euler_round_trip_via_cli(capsys):
     code, out, _ = run_cli(capsys, "convert", "--from", "euler-zyx", "--to",
                            "sixd", "--value", "0.1,0.2,0.3")
