@@ -103,10 +103,9 @@ def quat_to_axis_angle(q: UnitQuaternion) -> AxisAngle:
     """theta = 2 atan2(|v|, w) after canonicalization, accurate at every
     angle (2 arccos(w) loses all digits of a 1e-9 rad rotation); axis is
     v/|v|, through math.hypot at or below 1e-12 rad, where the squares
-    may underflow, and +z for v = 0. Scale invariant: where |v|^2 leaves
-    [1e-300, inf) and v != 0, q is first divided by its largest |component|.
-    The zero quaternion, a NaN or infinite v, and v = 0 with a NaN or
-    infinite w raise DegenerateInputError."""
+    may underflow, and +z for v = 0. Scale invariant: unless v = 0 < w <
+    inf, q is divided by its largest |component| where |v|^2 leaves
+    [1e-300, inf), so a zero or non-finite q there raises DegenerateInputError."""
     w, x, y, z = q
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
@@ -531,8 +530,8 @@ def matrix_to_sixd(r: RotationMatrix) -> SixD:
 
 
 # ---------------------------------------------------------------------------
-# from_components: each tag's constraint set, checked on finite scalars in
-# components() order; a value of the entry's exact type, or RotationError
+# from_components: each tag's constraint set, checked on `arity` finite
+# scalars in components() order: a value of the entry's type, or RotationError
 
 
 def _checked_quat(c) -> UnitQuaternion:
@@ -615,7 +614,7 @@ class _Rep(NamedTuple):
     arity: int                # scalars in components() order
     storage_bytes: int
     components: Callable      # value -> flat scalar tuple (CLI order)
-    from_components: Callable  # its checked inverse (see _checked_quat)
+    from_components: Callable  # its checked inverse, or RotationError
     to_matrix: Callable
     from_matrix: Callable
     hub: str                  # QUAT or MATRIX: where compose_in multiplies
@@ -656,11 +655,11 @@ _REGISTRY = (
            _same, _same),
     # Euler angles have no constraint to check: each entry binds its convention
     _entry(EULER_ZYX, "euler", EulerAngles, 3, 24, EulerAngles.as_tuple,
-           lambda c: EulerAngles(*c, ZYX), euler_to_matrix,
+           lambda c: EulerAngles(*c, convention=ZYX), euler_to_matrix,
            _chain(matrix_to_quat, _ZYX_SPOKE), quat_spokes=(_euler_quat, _ZYX_SPOKE),
            convention=ZYX),
     _entry(EULER_XYZ, None, EulerAngles, 3, 24, EulerAngles.as_tuple,
-           lambda c: EulerAngles(*c, XYZ), euler_to_matrix,
+           lambda c: EulerAngles(*c, convention=XYZ), euler_to_matrix,
            _chain(matrix_to_quat, _XYZ_SPOKE), quat_spokes=(_euler_quat, _XYZ_SPOKE),
            convention=XYZ),
     _entry(AXIS_ANGLE, "axis-angle", AxisAngle, 4, 24, AxisAngle.as_tuple,
@@ -696,8 +695,9 @@ def tag_of(value: Representation) -> str:
 def _route(rep: _Rep, out: _Rep) -> Callable:
     """What convert applies to a value of rep's type bound for out's tag.
 
-    Axis-angle and rotation vector interconvert directly; a route from a
-    quaternion-hub tag starts on the quaternion, every other route goes
+    _DIRECT holds the routes that skip the hubs (axis-angle <-> rotation
+    vector, and matrix -> 6D through _checked_matrix); a route from a
+    quaternion-hub tag starts on the quaternion, every other one goes
     through the matrix. An Euler value comes back as itself when its
     convention is the destination's.
     """
