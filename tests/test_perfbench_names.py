@@ -74,7 +74,7 @@ def test_pose_stream_runs_one_frame_of_every_tag():
 
 def test_cli_cold_probe_and_commands_run_in_process(capsys):
     # the overflow probe must exit 2 with one error line and no traceback,
-    # and every generated command must run in process with exit 0
+    # and the first generated commands must run in process with exit 0
     from rotrepr.cli import main
 
     cli_cold = _load("cli_cold")
