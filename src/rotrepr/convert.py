@@ -102,8 +102,8 @@ def axis_angle_to_quat(aa: AxisAngle) -> UnitQuaternion:
 def quat_to_axis_angle(q: UnitQuaternion) -> AxisAngle:
     """theta = 2 atan2(|v|, w) after canonicalization, accurate at every
     angle (2 arccos(w) loses all digits of a 1e-9 rad rotation); axis is
-    v/|v|, through math.hypot at or below 1e-12 rad, where the squares
-    may underflow, and +z for v = 0. Scale invariant: unless v = 0 < w <
+    v/|v|. At or below 1e-12 rad, where the squares may underflow, the
+    axis and |v| go through math.hypot, and the axis is +z for v = 0. Scale invariant: unless v = 0 < w <
     inf, q is divided by its largest |component| where |v|^2 leaves
     [1e-300, inf), so a zero or non-finite q there raises DegenerateInputError."""
     w, x, y, z = q
@@ -117,7 +117,8 @@ def quat_to_axis_angle(q: UnitQuaternion) -> AxisAngle:
         vn2 = x * x + y * y + z * z
     vn = math.sqrt(vn2)
     theta = 2.0 * math.atan2(vn, w)
-    if theta <= TINY_ANGLE:
+    if theta <= TINY_ANGLE:  # hypot: vn2 may be subnormal when w dominates
+        theta = 2.0 * math.atan2(math.hypot(x, y, z), w)
         return _tuple_new(AxisAngle, (_tiny_axis(x, y, z), theta))
     return _tuple_new(AxisAngle, ((x / vn, y / vn, z / vn), theta))
 
@@ -364,24 +365,31 @@ _TAIT_BRYAN = {"ZYX": (1, 2, 3, 1.0), "XYZ": (3, 2, 1, -1.0)}
 
 
 def _euler_quat(e: EulerAngles) -> tuple[float, float, float, float]:
-    # the half-angle quaternion product, written out for ZYX and XYZ
-    alpha, beta, gamma, (axes, intrinsic) = e
-    if intrinsic and axes in _TAIT_BRYAN:
-        ca, sa = math.cos(0.5 * alpha), math.sin(0.5 * alpha)
-        cb, sb = math.cos(0.5 * beta), math.sin(0.5 * beta)
-        cg, sg = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
-        if axes == "ZYX":
-            return (ca * cb * cg + sa * sb * sg, ca * cb * sg - sa * sb * cg,
-                    ca * sb * cg + sa * cb * sg, sa * cb * cg - ca * sb * sg)
-        return (ca * cb * cg - sa * sb * sg, sa * cb * cg + ca * sb * sg,
-                ca * sb * cg - sa * cb * sg, ca * cb * sg + sa * sb * cg)
-    angles = (alpha, beta, gamma)
-    q = (1.0, 0.0, 0.0, 0.0)
-    for k in ((0, 1, 2) if intrinsic else (2, 1, 0)):
-        factor = [math.cos(0.5 * angles[k]), 0.0, 0.0, 0.0]
-        factor["XYZ".index(axes[k]) + 1] = math.sin(0.5 * angles[k])
-        q = _hamilton(q, factor)
-    return q
+    # the half-angle quaternion product, written out for ZYX and XYZ; the
+    # core ZYX and XYZ objects (every Euler spoke's output) skip the lookup
+    alpha, beta, gamma, conv = e
+    if conv is not ZYX and conv is not XYZ:
+        axes, intrinsic = conv
+        if not (intrinsic and axes in _TAIT_BRYAN):
+            angles = (alpha, beta, gamma)
+            q = (1.0, 0.0, 0.0, 0.0)
+            for k in ((0, 1, 2) if intrinsic else (2, 1, 0)):
+                factor = [math.cos(0.5 * angles[k]), 0.0, 0.0, 0.0]
+                factor["XYZ".index(axes[k]) + 1] = math.sin(0.5 * angles[k])
+                q = _hamilton(q, factor)
+            return q
+        conv = ZYX if axes == "ZYX" else XYZ
+    h = 0.5 * alpha
+    ca, sa = math.cos(h), math.sin(h)
+    h = 0.5 * beta
+    cb, sb = math.cos(h), math.sin(h)
+    h = 0.5 * gamma
+    cg, sg = math.cos(h), math.sin(h)
+    if conv is ZYX:
+        return (ca * cb * cg + sa * sb * sg, ca * cb * sg - sa * sb * cg,
+                ca * sb * cg + sa * cb * sg, sa * cb * cg - ca * sb * sg)
+    return (ca * cb * cg - sa * sb * sg, sa * cb * cg + ca * sb * sg,
+            ca * sb * cg - sa * cb * sg, ca * cb * sg + sa * sb * cg)
 
 
 def euler_to_quat(e: EulerAngles) -> UnitQuaternion:
@@ -637,11 +645,17 @@ def _chain(f, *rest) -> Callable:
 def _entry(tag, row, value_type, arity, storage_bytes, components, from_components,
            to_matrix, from_matrix, quat_spokes=None, convention=None) -> _Rep:
     """quat_spokes (to_quat, from_quat) put the entry on the quaternion
-    hub; the others compose through the matrix."""
+    hub; the others compose through the matrix. from_components checks
+    the component count before the entry's own check."""
     hub, (to_hub, from_hub) = ((QUAT, quat_spokes) if quat_spokes
                                else (MATRIX, (to_matrix, from_matrix)))
+
+    def counted(c):
+        if len(c) != arity:
+            raise DegenerateInputError(f"{tag} takes {arity} components, got {len(c)}")
+        return from_components(c)
     return _Rep(tag, row, value_type, convention, arity, storage_bytes, components,
-                from_components, to_matrix, from_matrix, hub, to_hub, from_hub)
+                counted, to_matrix, from_matrix, hub, to_hub, from_hub)
 
 
 _ZYX_SPOKE, _XYZ_SPOKE = _euler_spoke(ZYX), _euler_spoke(XYZ)

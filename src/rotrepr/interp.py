@@ -20,7 +20,6 @@ from .core import (
     RotationVector,
     SixD,
     UnitQuaternion,
-    _clamp,
     _tuple_new,
     wrap_angle,
 )
@@ -44,20 +43,17 @@ from .probdist import MatrixFisher, fisher_mode
 NLERP_FALLBACK = 0.001  # quaternion-sphere angle below which slerp -> nlerp
 
 
-def _hemisphere(q1: UnitQuaternion, q2: UnitQuaternion):
-    """Negate q2 onto q1's hemisphere; returns (q2', dot >= 0)."""
-    d = q1.dot(q2)
-    if d < 0.0:
-        return -q2, -d
-    return q2, d
-
-
 def _nlerp_pair(q1: UnitQuaternion, q2: UnitQuaternion, t: float,
                 unit: bool = False) -> UnitQuaternion:
-    if q1 == q2:  # keep constant paths exactly constant, and unit
-        return q1 if abs(q1.dot(q1) - 1.0) <= 1e-15 else q1.normalized()
+    """nlerp of q1 and q2 negated onto q1's hemisphere; unit marks the
+    second pass, between the normalized endpoints."""
     w1, x1, y1, z1 = q1
     w2, x2, y2, z2 = q2
+    if w1 * w2 + x1 * x2 + y1 * y2 + z1 * z2 < 0.0:
+        q2 = _tuple_new(UnitQuaternion, (-w2, -x2, -y2, -z2))
+        w2, x2, y2, z2 = q2
+    if q1 == q2:  # keep constant paths exactly constant, and unit
+        return q1 if abs(q1.dot(q1) - 1.0) <= 1e-15 else q1.normalized()
     w = (1.0 - t) * w1 + t * w2
     x = (1.0 - t) * x1 + t * x2
     y = (1.0 - t) * y1 + t * y2
@@ -67,8 +63,7 @@ def _nlerp_pair(q1: UnitQuaternion, q2: UnitQuaternion, t: float,
         if unit:  # unit endpoints, one hemisphere: n2 >= 1/2 unless t overflows
             raise DegenerateInputError(f"nlerp blend is not finite at t={t!r}")
         # huge, tiny or zero endpoints: blend the normalized pair
-        p1 = q1.normalized()
-        return _nlerp_pair(p1, _hemisphere(p1, q2.normalized())[0], t, True)
+        return _nlerp_pair(q1.normalized(), q2.normalized(), t, True)
     n = math.sqrt(n2)
     return _tuple_new(UnitQuaternion, (w / n, x / n, y / n, z / n))
 
@@ -81,17 +76,20 @@ def slerp(q1: UnitQuaternion, q2: UnitQuaternion, t: float) -> UnitQuaternion:
     ill-conditioned and nlerp is returned instead (identical to slerp at
     that separation to well below 1e-12). Huge or tiny endpoints, whose
     blend's squared norm leaves [1e-300, inf), are normalized first.
+    Written out on the unpacked endpoints, with no helper calls.
     """
-    q2c, d = _hemisphere(q1, q2)
-    d = _clamp(d, -1.0, 1.0)
-    upsilon = math.acos(d)
+    w1, x1, y1, z1 = q1
+    w2, x2, y2, z2 = q2
+    d = w1 * w2 + x1 * x2 + y1 * y2 + z1 * z2
+    if d < 0.0:
+        d = -d
+        w2, x2, y2, z2 = -w2, -x2, -y2, -z2
+    upsilon = math.acos(1.0 if d > 1.0 else d)  # a NaN d stays NaN
     if upsilon < NLERP_FALLBACK:
-        return _nlerp_pair(q1, q2c, t)
+        return _nlerp_pair(q1, q2, t)
     s = math.sin(upsilon)
     k1 = math.sin((1.0 - t) * upsilon) / s
     k2 = math.sin(t * upsilon) / s
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2c
     w = k1 * w1 + k2 * w2
     x = k1 * x1 + k2 * x2
     y = k1 * y1 + k2 * y2
@@ -111,8 +109,7 @@ def nlerp(q1: UnitQuaternion, q2: UnitQuaternion, t: float) -> UnitQuaternion:
     A blend whose squared norm leaves [1e-300, inf) is taken again
     between the normalized endpoints, where a zero endpoint raises.
     """
-    q2c, _ = _hemisphere(q1, q2)
-    return _nlerp_pair(q1, q2c, t)
+    return _nlerp_pair(q1, q2, t)
 
 
 def matrix_geodesic(r1: RotationMatrix, r2: RotationMatrix, t: float) -> RotationMatrix:

@@ -100,7 +100,9 @@ def horn_align(source: PointSet, target: PointSet) -> tuple[RigidTransform, floa
 
 def _horn(p: np.ndarray, q: np.ndarray) -> tuple[RigidTransform, float]:
     """horn_align on finite (n, 3) float arrays. One reduction over the
-    (n, 6) pair gives both centroids (numpy sums axis 0 row by row). M is
+    (n, 6) pair gives both centroids (numpy sums axis 0 row by row), and
+    one product of its centred source columns with the whole centred pair
+    gives the scatter and the cross-covariance H side by side. M is
     symmetric by construction, so below the guard's 2^1023 eig_sym4's
     check and 0.5 * (M + M^T) are exact identities on it, and eigh on M
     itself gives eig_sym4's top eigenvector (eigh's last column)."""
@@ -109,14 +111,16 @@ def _horn(p: np.ndarray, q: np.ndarray) -> tuple[RigidTransform, float]:
         raise DegeneracyError(
             f"corresponded clouds differ in size: {n} vs {q.shape[0]}")
     _check_cloud(p, "source")
-    bar = np.add.reduce(np.concatenate((p, q), axis=1)) / n
+    pq = np.concatenate((p, q), axis=1)
+    bar = np.add.reduce(pq) / n
     p_bar, q_bar = bar[:3], bar[3:]
-    pc, qc = p - p_bar, q - q_bar
+    pqc = pq - bar
+    m = pqc[:, :3].T @ pqc  # m[:, :3] is the scatter S, m[:, 3:] is H
     try:
-        _, e1, e2 = np.linalg.eigvalsh(pc.T @ pc).tolist()
+        _, e1, e2 = np.linalg.eigvalsh(m[:, :3]).tolist()
     except np.linalg.LinAlgError:
         e1 = e2 = math.nan
-    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = (pc.T @ qc).tolist()
+    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = m[:, 3:].tolist()
     tr = h00 + h11 + h22
     d0, d1, d2 = h12 - h21, h20 - h02, h01 - h10
     m11, m22, m33 = (h00 + h00) - tr, (h11 + h11) - tr, (h22 + h22) - tr

@@ -45,6 +45,8 @@ from rotrepr.convert import (
     _BY_TYPE,
     _REGISTRY,
     _ROUTES,
+    _euler_quat,
+    _hamilton,
     axis_angle_to_rotation_vector,
     rotation_vector_to_axis_angle,
     tag_of,
@@ -114,6 +116,22 @@ def test_tiny_angle_axis_is_the_true_axis():
             assert math.hypot(*aa.axis) == pytest.approx(1.0, abs=1e-15)
             assert all(a * b >= 0.0 and (a != 0.0) == (b != 0.0)
                        for a, b in zip(aa.axis, v))
+
+
+@pytest.mark.parametrize("x", [3e-162, 1e-160, 1e-300, 5e-324])
+@pytest.mark.parametrize("w, y", [(1.0, 0.0), (2.5, 0.0), (1.0, -4.0 / 3.0)])
+def test_sub_1e150_angle_against_mpmath(x, w, y):
+    # |v|^2 is subnormal or zero here: the angle reads |v| from hypot,
+    # not from the squares (6.287e-162 for the true 6e-162 before)
+    import mpmath as mp
+    v = (x, x * y, 0.0)
+    aa = quat_to_axis_angle(UnitQuaternion(w, *v))
+    with mp.workdps(40):
+        exact = float(2 * mp.atan2(mp.sqrt(sum(mp.mpf(c) ** 2 for c in v)), w))
+    # two ulps, and two subnormal steps where the angle is subnormal
+    assert exact > 0.0 and abs(aa.angle - exact) <= 2.0 * EPS * exact + 1e-323, \
+        (aa.angle, exact)
+    assert math.hypot(*aa.axis) == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("v", [(0.0, 0.0, 0.0), (-0.0, 0.0, -0.0)])
@@ -1160,3 +1178,74 @@ def test_convert_matrix_to_sixd_validates(rows):
     with pytest.raises(InvalidRotationError, match="rotation invariants"):
         convert(m, "sixd")
     assert matrix_to_sixd(m) == (m.column(0), m.column(1))  # the spoke stays unchecked
+
+
+@pytest.mark.parametrize("rep", _REGISTRY, ids=lambda rep: rep.tag)
+def test_from_components_checks_the_count(rep, rng):
+    c = list(rep.components(convert(haar_quat(rng), rep.tag)))
+    for wrong in (c[:-1], c + [0.5]):
+        with pytest.raises(DegenerateInputError) as info:
+            rep.from_components(wrong)
+        assert str(info.value) == (f"{rep.tag} takes {rep.arity} components, "
+                                   f"got {len(wrong)}")
+
+
+# ---------------------------------------------------------------------------
+# _euler_quat against a copy of its lookup-first form, bit for bit
+
+
+_OLD_TAIT_BRYAN = {"ZYX": (1, 2, 3, 1.0), "XYZ": (3, 2, 1, -1.0)}
+
+
+def _old_euler_quat(e):
+    alpha, beta, gamma, (axes, intrinsic) = e
+    if intrinsic and axes in _OLD_TAIT_BRYAN:
+        ca, sa = math.cos(0.5 * alpha), math.sin(0.5 * alpha)
+        cb, sb = math.cos(0.5 * beta), math.sin(0.5 * beta)
+        cg, sg = math.cos(0.5 * gamma), math.sin(0.5 * gamma)
+        if axes == "ZYX":
+            return (ca * cb * cg + sa * sb * sg, ca * cb * sg - sa * sb * cg,
+                    ca * sb * cg + sa * cb * sg, sa * cb * cg - ca * sb * sg)
+        return (ca * cb * cg - sa * sb * sg, sa * cb * cg + ca * sb * sg,
+                ca * sb * cg - sa * cb * sg, ca * cb * sg + sa * sb * cg)
+    angles = (alpha, beta, gamma)
+    q = (1.0, 0.0, 0.0, 0.0)
+    for k in ((0, 1, 2) if intrinsic else (2, 1, 0)):
+        factor = [math.cos(0.5 * angles[k]), 0.0, 0.0, 0.0]
+        factor["XYZ".index(axes[k]) + 1] = math.sin(0.5 * angles[k])
+        q = _hamilton(q, factor)
+    return q
+
+
+def _quat_bits(f, value):
+    try:
+        out = f(value)
+    except Exception as exc:  # noqa: BLE001 - the oracle compares any exception
+        return type(exc), str(exc)
+    return type(out), tuple(c.hex() for c in out)
+
+
+def test_euler_quat_matches_lookup_first_form_bit_for_bit(rng):
+    axes = ("XYZ", "XZY", "YXZ", "YZX", "ZXY", "ZYX",
+            "XYX", "XZX", "YXY", "YZY", "ZXZ", "ZYZ")
+    conventions = [ZYX, XYZ] + [EulerConvention(a, i) for a in axes
+                                for i in (True, False)]
+    assert len(set(conventions)) == 24 and EulerConvention("ZYX") is not ZYX
+    odd = (0.0, -0.0, 5e-324, 1e-170, 0.5 * math.pi, -0.5 * math.pi, math.pi,
+           1e300, -1.7e308, math.nan, math.inf)
+    triples = [(rng.uniform(-math.pi, math.pi), rng.uniform(-0.5 * math.pi, 0.5 * math.pi),
+                rng.uniform(-math.pi, math.pi)) for _ in range(100)]
+    triples += [(a, b, 0.3) for a in odd for b in odd] + [(0.2, -0.7, g) for g in odd]
+    for conv in conventions:
+        for t in triples:
+            e = EulerAngles(*t, conv)
+            assert _quat_bits(_euler_quat, e) == _quat_bits(_old_euler_quat, e), e
+    malformed = [EulerAngles(0.1, 0.2, 0.3, "ZYX"), EulerAngles(0.1, 0.2, 0.3, None),
+                 EulerAngles(0.1, 0.2, 0.3, ("ZYX",)), EulerAngles("a", 0.2, 0.3, ZYX),
+                 EulerAngles(0.1, 0.2, 0.3, ("ZYX", True, 1)), (0.1, 0.2, 0.3),
+                 EulerAngles(0.1, 0.2, 0.3, (["Z", "Y", "X"], True)),
+                 EulerAngles(0.1, 0.2, 0.3, ("ABC", True)),
+                 EulerAngles(0.1, 0.2, 0.3, ("ZYX", 1)), EulerAngles(0.1, 0.2, 0.3, ("XYZ", 0)),
+                 EulerAngles(0.1, None, 0.3, XYZ)]
+    for e in malformed:
+        assert _quat_bits(_euler_quat, e) == _quat_bits(_old_euler_quat, e), e

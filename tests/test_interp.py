@@ -380,3 +380,109 @@ def test_method_tag_list():
     assert set(INTERPOLATION_METHODS) == {
         "slerp", "nlerp", "matrix-geodesic", "linear-rotation-vector",
         "linear-sixd", "linear-euler", "fisher-blend"}
+
+
+# ---------------------------------------------------------------------------
+# slerp and nlerp against copies of their helper-frame form, bit for bit
+
+
+def _old_hemisphere(q1, q2):
+    d = q1.dot(q2)
+    if d < 0.0:
+        return -q2, -d
+    return q2, d
+
+
+def _old_nlerp_pair(q1, q2, t, unit=False):
+    if q1 == q2:
+        return q1 if abs(q1.dot(q1) - 1.0) <= 1e-15 else q1.normalized()
+    w1, x1, y1, z1 = q1
+    w2, x2, y2, z2 = q2
+    w = (1.0 - t) * w1 + t * w2
+    x = (1.0 - t) * x1 + t * x2
+    y = (1.0 - t) * y1 + t * y2
+    z = (1.0 - t) * z1 + t * z2
+    n2 = w * w + x * x + y * y + z * z
+    if not 1e-300 <= n2 < math.inf:
+        if unit:
+            raise DegenerateInputError(f"nlerp blend is not finite at t={t!r}")
+        p1 = q1.normalized()
+        return _old_nlerp_pair(p1, _old_hemisphere(p1, q2.normalized())[0], t, True)
+    n = math.sqrt(n2)
+    return UnitQuaternion(w / n, x / n, y / n, z / n)
+
+
+def _old_slerp(q1, q2, t):
+    q2c, d = _old_hemisphere(q1, q2)
+    d = -1.0 if d < -1.0 else 1.0 if d > 1.0 else d
+    upsilon = math.acos(d)
+    if upsilon < 0.001:
+        return _old_nlerp_pair(q1, q2c, t)
+    s = math.sin(upsilon)
+    k1 = math.sin((1.0 - t) * upsilon) / s
+    k2 = math.sin(t * upsilon) / s
+    w1, x1, y1, z1 = q1
+    w2, x2, y2, z2 = q2c
+    w = k1 * w1 + k2 * w2
+    x = k1 * x1 + k2 * x2
+    y = k1 * y1 + k2 * y2
+    z = k1 * z1 + k2 * z2
+    n2 = w * w + x * x + y * y + z * z
+    if not 1e-300 <= n2 < math.inf and math.isfinite(t):
+        return _old_slerp(q1.normalized(), q2.normalized(), t)
+    n = math.sqrt(n2)
+    return UnitQuaternion(w / n, x / n, y / n, z / n)
+
+
+def _old_nlerp(q1, q2, t):
+    return _old_nlerp_pair(q1, _old_hemisphere(q1, q2)[0], t)
+
+
+def _bits(f, *args):
+    """float.hex of f's output components (and whether it is the first
+    argument itself), or the exception's type and message."""
+    try:
+        out = f(*args)
+    except Exception as exc:  # noqa: BLE001 - the oracle compares any exception
+        return type(exc), str(exc)
+    return type(out), out is args[0], tuple(c.hex() for c in out)
+
+
+def _seam_pair(upsilon):
+    # q1.q2 = cos(upsilon) on the quaternion sphere
+    return UnitQuaternion.identity(), UnitQuaternion(math.cos(upsilon), 0.0,
+                                                     math.sin(upsilon), 0.0)
+
+
+def _oracle_pairs(rng):
+    for _ in range(60):
+        q1, q2 = haar_quat(rng), haar_quat(rng)
+        yield q1, q2
+        yield q1, -q1  # antipodal
+        yield q1, UnitQuaternion(*(-c + 1e-9 for c in q1))  # nearly antipodal
+        yield q1, q1  # equal, and equal but not the same object
+        yield q1, UnitQuaternion(*q1)
+    for u in (0.0, 1e-9, 1e-4, 0.000999, 0.001, 0.0010001, 0.5, math.pi / 2, 3.0):
+        for v in (math.nextafter(u, 0.0), u, math.nextafter(u, 1.0)):
+            q1, q2 = _seam_pair(v)
+            yield q1, q2
+            yield q1, -q2
+    odd = (0.0, -0.0, 5e-324, -1e-310, 1e-170, 1e200, -1.7e308, math.nan,
+           math.inf)
+    for a in odd:
+        for b in odd:
+            yield UnitQuaternion(a, 0.0, b, 0.0), UnitQuaternion(b, a, 0.0, 1.0)
+            yield UnitQuaternion(a, a, a, a), UnitQuaternion(b, -b, b, -b)
+    nan = UnitQuaternion(math.nan, 0.0, 0.0, 0.0)
+    yield nan, nan  # one NaN object: the pair compares equal
+
+
+def test_slerp_nlerp_match_helper_frame_form_bit_for_bit(rng):
+    ts = (0.0, 0.5, 1.0, -0.3, 1.7, math.nan, math.inf, -math.inf, 0.37)
+    count = 0
+    for q1, q2 in _oracle_pairs(rng):
+        for t in ts:
+            assert _bits(slerp, q1, q2, t) == _bits(_old_slerp, q1, q2, t), (q1, q2, t)
+            assert _bits(nlerp, q1, q2, t) == _bits(_old_nlerp, q1, q2, t), (q1, q2, t)
+            count += 1
+    assert count > 4500
