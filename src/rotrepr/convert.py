@@ -102,10 +102,10 @@ def axis_angle_to_quat(aa: AxisAngle) -> UnitQuaternion:
 def quat_to_axis_angle(q: UnitQuaternion) -> AxisAngle:
     """theta = 2 atan2(|v|, w) after canonicalization, accurate at every
     angle (2 arccos(w) loses all digits of a 1e-9 rad rotation); axis is
-    v/|v|. At or below 1e-12 rad, where the squares may underflow, the
-    axis and |v| go through math.hypot, and the axis is +z for v = 0. Scale invariant: unless v = 0 < w <
-    inf, q is divided by its largest |component| where |v|^2 leaves
-    [1e-300, inf), so a zero or non-finite q there raises DegenerateInputError."""
+    v/|v|, +z for v = 0. At or below 1e-12 rad the squares may underflow,
+    so the axis and |v| come from math.hypot. Scale invariant: unless v =
+    0 < w < inf, q is divided by its largest |component| where |v|^2
+    leaves [1e-300, inf), so a zero or non-finite q there raises DegenerateInputError."""
     w, x, y, z = q
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
