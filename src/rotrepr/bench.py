@@ -253,6 +253,49 @@ def _tuple_dist(a, b) -> float:
     return math.sqrt(total)
 
 
+def _renormalized_axis(p) -> AxisAngle:
+    n = math.sqrt(p[0] ** 2 + p[1] ** 2 + p[2] ** 2)
+    return AxisAngle((p[0] / n, p[1] / n, p[2] / n), p[3])
+
+
+def _euler_near_gimbal(rng: Rng) -> tuple[float, float, float]:
+    return (rng.uniform(-math.pi, math.pi),
+            math.pi / 2 + rng.uniform(-GIMBAL_BAND_HALFWIDTH, GIMBAL_BAND_HALFWIDTH),
+            rng.uniform(-math.pi, math.pi))
+
+
+def _exp_map_near_pi(rng: Rng) -> tuple[float, float, float]:
+    axis = _direction(rng, 3, 1.0)
+    theta = rng.uniform(math.pi - GIMBAL_BAND_HALFWIDTH, math.pi)
+    return (axis[0] * theta, axis[1] * theta, axis[2] * theta)
+
+
+# row -> (problem-region sampler: rng -> unperturbed parameters;
+# constraint map: a chunk of perturbed parameter lists -> values;
+# parameter distance)
+_GIMBAL = {
+    EULER: (_euler_near_gimbal, partial(map, lambda p: EulerAngles(*p)),
+            _euler_param_dist),
+    AXIS_ANGLE: (lambda rng: _direction(rng, 3, 1.0)
+                 + (rng.uniform(0.0, GIMBAL_BAND_HALFWIDTH),),
+                 partial(map, _renormalized_axis), _tuple_dist),
+    QUATERNION: (lambda rng: canonicalize(sample_uniform(rng)),
+                 partial(map, lambda p: UnitQuaternion(*p).normalized()),
+                 _quat_param_dist),
+    # the matrix row has no chart to re-extract: it projects the perturbed
+    # entries back onto SO(3), one SVD stack per chunk of draws
+    MATRIX: (lambda rng: haar_matrix(rng).as_flat(),
+             lambda chunk: _project_stack([[p[0:3], p[3:6], p[6:9]] for p in chunk]),
+             _tuple_dist),
+    EXP_MAP: (_exp_map_near_pi, partial(map, lambda p: RotationVector(tuple(p))),
+              _tuple_dist),
+    SIXD: (lambda rng: matrix_to_sixd(haar_matrix(rng)).as_tuple(),
+           partial(map, lambda p: SixD(tuple(p[:3]), tuple(p[3:]))), _tuple_dist),
+}
+
+_PROJECT_CHUNK = 256  # draws per chunk: bounds the matrix row's SVD stack
+
+
 def gimbal_susceptibility(tag: str, cfg: BenchConfig) -> float:
     """Fraction of near-singular parameter points whose canonical
     re-extraction jumps by more than tau under a norm-1e-6 perturbation.
@@ -270,70 +313,21 @@ def gimbal_susceptibility(tag: str, cfg: BenchConfig) -> float:
     branch and the distance is O(1).
     """
     rng = _suite_rng(cfg, f"gimbal/{tag}")
-    if tag == MATRIX:
-        return _matrix_gimbal_hits(rng, cfg) / cfg.m_singularity
     rep = _row_rep(tag)
+    sample, constrain, dist = _GIMBAL[tag]
     eta = cfg.perturbation_norm
     hits = 0
-    for _ in range(cfg.m_singularity):
-        # each row sets the perturbed value, its unperturbed parameters
-        # and the parameter distance
-        dist_of = _tuple_dist
-        if tag == EULER:
-            ref = (rng.uniform(-math.pi, math.pi),
-                   math.pi / 2 + rng.uniform(-GIMBAL_BAND_HALFWIDTH,
-                                             GIMBAL_BAND_HALFWIDTH),
-                   rng.uniform(-math.pi, math.pi))
-            d = _direction(rng, 3, eta)
-            pert = EulerAngles(ref[0] + d[0], ref[1] + d[1], ref[2] + d[2])
-            dist_of = _euler_param_dist
-        elif tag == QUATERNION:
-            q = canonicalize(sample_uniform(rng))
-            d = _direction(rng, 4, eta)
-            pert = UnitQuaternion(q.w + d[0], q.x + d[1],
-                                  q.y + d[2], q.z + d[3]).normalized()
-            ref = q.as_tuple()
-            dist_of = _quat_param_dist
-        elif tag == AXIS_ANGLE:
-            axis = _direction(rng, 3, 1.0)
-            theta = rng.uniform(0.0, GIMBAL_BAND_HALFWIDTH)
-            d = _direction(rng, 4, eta)
-            ax = (axis[0] + d[0], axis[1] + d[1], axis[2] + d[2])
-            n = math.sqrt(ax[0] ** 2 + ax[1] ** 2 + ax[2] ** 2)
-            pert = AxisAngle((ax[0] / n, ax[1] / n, ax[2] / n), theta + d[3])
-            ref = axis + (theta,)
-        elif tag == EXP_MAP:
-            axis = _direction(rng, 3, 1.0)
-            theta = rng.uniform(math.pi - GIMBAL_BAND_HALFWIDTH, math.pi)
-            ref = (axis[0] * theta, axis[1] * theta, axis[2] * theta)
-            d = _direction(rng, 3, eta)
-            pert = RotationVector((ref[0] + d[0], ref[1] + d[1], ref[2] + d[2]))
-        else:
-            ref = matrix_to_sixd(haar_matrix(rng)).as_tuple()
-            d = _direction(rng, 6, eta)
-            pert = SixD(tuple(ref[i] + d[i] for i in range(3)),
-                        tuple(ref[i] + d[i] for i in range(3, 6)))
-        extracted = rep.components(rep.from_matrix(rep.to_matrix(pert)))
-        if dist_of(extracted, ref) > cfg.tau:
-            hits += 1
-    return hits / cfg.m_singularity
-
-
-_PROJECT_CHUNK = 256  # draws per SVD stack: bounds the stack's memory
-
-
-def _matrix_gimbal_hits(rng: Rng, cfg: BenchConfig) -> int:
-    """The matrix row has no chart to re-extract: it projects the
-    perturbed entries back onto SO(3), one SVD stack per chunk of draws."""
-    hits = 0
     for start in range(0, cfg.m_singularity, _PROJECT_CHUNK):
-        draws = [(haar_matrix(rng).as_flat(), _direction(rng, 9, cfg.perturbation_norm))
-                 for _ in range(min(_PROJECT_CHUNK, cfg.m_singularity - start))]
-        perts = [[[ref[i] + d[i] for i in range(r, r + 3)] for r in (0, 3, 6)]
-                 for ref, d in draws]
-        for (ref, _), fixed in zip(draws, _project_stack(perts)):
-            hits += _tuple_dist(fixed.as_flat(), ref) > cfg.tau
-    return hits
+        refs, perts = [], []
+        for _ in range(min(_PROJECT_CHUNK, cfg.m_singularity - start)):
+            ref = sample(rng)
+            d = _direction(rng, len(ref), eta)
+            refs.append(ref)
+            perts.append([r + e for r, e in zip(ref, d)])
+        for ref, value in zip(refs, constrain(perts)):
+            extracted = rep.components(rep.from_matrix(rep.to_matrix(value)))
+            hits += dist(extracted, ref) > cfg.tau
+    return hits / cfg.m_singularity
 
 
 def broken_quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
@@ -365,15 +359,8 @@ def double_cover_check(cfg: BenchConfig,
     hits = 0
     for _ in range(cfg.m_singularity):
         q = sample_uniform(rng)
-        a = to_matrix_fn(q).rows
-        b = to_matrix_fn(-q).rows
-        s = 0.0
-        for i in range(3):
-            for j in range(3):
-                d = a[i][j] - b[i][j]
-                s += d * d
-        if math.sqrt(s) > DOUBLE_COVER_TOL:
-            hits += 1
+        hits += _tuple_dist(to_matrix_fn(q).as_flat(),
+                            to_matrix_fn(-q).as_flat()) > DOUBLE_COVER_TOL
     return hits / cfg.m_singularity
 
 
@@ -770,43 +757,32 @@ def full_table(cfg: BenchConfig,
     timing = None
     if "timing" in suites:
         try:
-            timing = (composition_times(cfg), interpolation_times(cfg),
-                      batch_times(cfg))
+            timing = {"t_comp": composition_times(cfg),
+                      "t_interp": interpolation_times(cfg),
+                      "t_batch": batch_times(cfg)}
         except RotationError as exc:
             failures.append(("*", "timing", exc))
     reports = []
     for tag in REPRESENTATIONS:
-        scores = heuristic_scores(tag)
-        report = BenchReport(representation=tag,
-                             storage_bytes=STORAGE_BYTES[tag],
-                             a_mem=scores.a_mem, h_opt=scores.h_opt,
-                             c_ml=scores.c_ml)
-        if tag != FISHER:
-            for suite in suites:
-                try:
-                    if suite == "stability":
-                        report.eps_stab = stability_suite(tag, cfg).eps_stab
-                    elif suite == "singularity":
-                        report.s_gimbal = gimbal_susceptibility(tag, cfg)
-                        if tag == QUATERNION:
-                            report.s_double = double_cover_check(cfg)
-                    elif suite == "interp" and interp_by_method is not None:
-                        m = interp_by_method[_interp_method(tag)]
-                        report.path_length = m.path_length
-                        report.eps_geo = m.eps_geo
-                        report.sigma_deriv = m.sigma_deriv
-                    elif suite == "robustness":
-                        rob = robustness_suite(tag, cfg)
-                        report.f_rate = rob.f_rate
-                        report.eps_avg = rob.eps_avg
-                        report.eps_max = rob.eps_max
-                    elif suite == "timing" and timing is not None:
-                        report.t_comp = timing[0][tag].micros
-                        report.t_interp = timing[1][tag].micros
-                        report.t_batch = timing[2][tag].micros
-                except RotationError as exc:
-                    failures.append((tag, suite, exc))
-        reports.append(report)
+        cells = {"storage_bytes": STORAGE_BYTES[tag], **asdict(heuristic_scores(tag))}
+        for suite in suites if tag != FISHER else ():
+            try:
+                if suite == "stability":
+                    cells["eps_stab"] = stability_suite(tag, cfg).eps_stab
+                elif suite == "singularity":
+                    cells["s_gimbal"] = gimbal_susceptibility(tag, cfg)
+                    if tag == QUATERNION:
+                        cells["s_double"] = double_cover_check(cfg)
+                elif suite == "interp" and interp_by_method is not None:
+                    cells.update(asdict(interp_by_method[_interp_method(tag)]))
+                elif suite == "robustness":
+                    cells.update(asdict(robustness_suite(tag, cfg)))
+                elif suite == "timing" and timing is not None:
+                    cells.update({name: times[tag].micros
+                                  for name, times in timing.items()})
+            except RotationError as exc:
+                failures.append((tag, suite, exc))
+        reports.append(BenchReport(tag, **cells))
     if failures:
         raise BenchSuiteError(failures, reports)
     return reports

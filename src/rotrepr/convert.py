@@ -77,12 +77,6 @@ def _hamilton(p, q) -> tuple[float, float, float, float]:
             pw * qz + px * qy - py * qx + pz * qw)
 
 
-def _unit_quat(q) -> UnitQuaternion:
-    w, x, y, z = q
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    return _tuple_new(UnitQuaternion, (w / n, x / n, y / n, z / n))
-
-
 def _axis_angle_quat(aa: AxisAngle) -> tuple[float, float, float, float]:
     (ux, uy, uz), theta = aa
     half = 0.5 * theta
@@ -96,7 +90,7 @@ def _axis_angle_quat(aa: AxisAngle) -> tuple[float, float, float, float]:
 def axis_angle_to_quat(aa: AxisAngle) -> UnitQuaternion:
     """q = (cos(theta/2), u sin(theta/2)), renormalized, with a Taylor
     branch for tiny angles: sin(theta/2) ~ theta/2 - theta^3/48."""
-    return _unit_quat(_axis_angle_quat(aa))
+    return UnitQuaternion.normalized(_axis_angle_quat(aa))
 
 
 def quat_to_axis_angle(q: UnitQuaternion) -> AxisAngle:
@@ -146,7 +140,7 @@ def rotation_vector_to_quat(v: RotationVector) -> UnitQuaternion:
     folds in the axis normalization, and its Taylor branch 1/2 -
     theta^2/48 below 1e-4 rad maps v = 0 to the identity exactly. A NaN
     or overflowing norm raises DegenerateInputError."""
-    return _unit_quat(_rotation_vector_quat(v))
+    return UnitQuaternion.normalized(_rotation_vector_quat(v))
 
 
 def quat_to_rotation_vector(q: UnitQuaternion) -> RotationVector:
@@ -395,7 +389,7 @@ def _euler_quat(e: EulerAngles) -> tuple[float, float, float, float]:
 def euler_to_quat(e: EulerAngles) -> UnitQuaternion:
     """q_a(alpha) q_b(beta) q_c(gamma) for intrinsic axes "abc", the
     name-order product as in euler_to_matrix, renormalized."""
-    return _unit_quat(_euler_quat(e))
+    return UnitQuaternion.normalized(_euler_quat(e))
 
 
 def euler_to_matrix(e: EulerAngles) -> RotationMatrix:
@@ -502,6 +496,12 @@ def sixd_to_matrix(s: SixD) -> RotationMatrix:
     p = x1 * x2 + y1 * y2 + z1 * z2
     x2, y2, z2 = x2 - p * x1, y2 - p * y1, z2 - p * z1
     n2 = math.hypot(x2, y2, z2)
+    if n2 < 1e-3 * abs(p):
+        # nearly parallel columns: one pass leaves the rejection off
+        # orthogonal by eps/angle, a second pass restores it
+        p = x1 * x2 + y1 * y2 + z1 * z2
+        x2, y2, z2 = x2 - p * x1, y2 - p * y1, z2 - p * z1
+        n2 = math.hypot(x2, y2, z2)
     if not GRAM_SCHMIDT_TOL < n2 < math.inf:
         if n2 <= GRAM_SCHMIDT_TOL:
             raise DegenerateInputError(
@@ -663,7 +663,7 @@ _ZYX_SPOKE, _XYZ_SPOKE = _euler_spoke(ZYX), _euler_spoke(XYZ)
 _REGISTRY = (
     _entry(QUAT, "quaternion", UnitQuaternion, 4, 32, UnitQuaternion.as_tuple,
            _checked_quat, quat_to_matrix, matrix_to_quat,
-           quat_spokes=(_same, _unit_quat)),
+           quat_spokes=(_same, UnitQuaternion.normalized)),
     _entry(MATRIX, "matrix", RotationMatrix, 9, 72, RotationMatrix.as_flat,
            lambda c: _checked_matrix(RotationMatrix.from_rows((c[:3], c[3:6], c[6:]))),
            _same, _same),

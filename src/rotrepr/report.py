@@ -10,7 +10,7 @@ so the header row still matches the BenchReport field list verbatim.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .bench import REPORT_FIELDS, BenchReport
 from .errors import RotationError
@@ -23,12 +23,12 @@ def fmt17(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _cell(value) -> str:
+def _cell(value, spec: str = ".17g") -> str:
     if value is None:
         return NA
     if isinstance(value, (int, str)):
         return str(value)
-    return fmt17(value)
+    return format(value, spec)
 
 
 @dataclass
@@ -59,13 +59,7 @@ class ReportDocument:
         return "\n".join(lines) + "\n"
 
     def _render_json(self) -> str:
-        doc = {
-            "meta": self.meta,
-            "rows": [
-                {name: getattr(row, name) for name in REPORT_FIELDS}
-                for row in self.rows
-            ],
-        }
+        doc = {"meta": self.meta, "rows": [asdict(row) for row in self.rows]}
         return json.dumps(doc, indent=2) + "\n"
 
     def _render_markdown(self) -> str:
@@ -77,16 +71,8 @@ class ReportDocument:
         lines.append("| " + " | ".join(REPORT_FIELDS) + " |")
         lines.append("|" + "|".join("---" for _ in REPORT_FIELDS) + "|")
         for row in self.rows:
-            cells = []
-            for name in REPORT_FIELDS:
-                value = getattr(row, name)
-                if value is None:
-                    cells.append(NA)
-                elif isinstance(value, int) or isinstance(value, str):
-                    cells.append(str(value))
-                else:
-                    cells.append(f"{value:.6g}")
-            lines.append("| " + " | ".join(cells) + " |")
+            lines.append("| " + " | ".join(_cell(getattr(row, name), ".6g")
+                                           for name in REPORT_FIELDS) + " |")
         return "\n".join(lines) + "\n"
 
 

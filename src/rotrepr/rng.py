@@ -58,7 +58,7 @@ class Rng:
     """
 
     __slots__ = ("seed", "stream", "_state", "_inc", "_cached_normal",
-                 "_block", "_words", "_dbl", "_pos")
+                 "_block", "_dbl", "_pos")
 
     def __init__(self, seed: int, stream: int = _DEFAULT_STREAM):
         self.seed = seed & _MASK64
@@ -68,9 +68,8 @@ class Rng:
         self._state = ((inc + self.seed) * _PCG_MULT + inc) & _MASK64
         self._cached_normal: float | None = None
         # _block: buffered outputs (numpy uint32), unread from _pos on;
-        # _words: the same as a list, made by the block's first next_u32;
         # _dbl[j]: the double random() makes from outputs j and j + 1
-        self._block = self._words = self._dbl = []
+        self._block = self._dbl = []
         self._pos = 0
 
     def _refill(self) -> None:
@@ -92,20 +91,15 @@ class Rng:
         # every step is exact: 27 + 26 bits fit the 53-bit mantissa
         dbl = ((block[:-1] >> 5) * 67108864.0 + (block[1:] >> 6)) \
             * (1.0 / 9007199254740992.0)
-        self._block, self._words, self._dbl, self._pos = block, [], dbl.tolist(), 0
+        self._block, self._dbl, self._pos = block, dbl.tolist(), 0
 
     def next_u32(self) -> int:
         i = self._pos
-        try:
-            out = self._words[i]
-        except IndexError:
-            if i >= len(self._block):
-                self._refill()
-                i = 0
-            self._words = self._block.tolist()
-            out = self._words[i]
+        if i >= len(self._block):
+            self._refill()
+            i = 0
         self._pos = i + 1
-        return out
+        return int(self._block[i])
 
     def random(self) -> float:
         """Uniform double in [0, 1) with 53 random mantissa bits from

@@ -425,3 +425,88 @@ def test_round_trip_helper_covers_all_rotation_tags(rng):
     r = haar_matrix(rng)
     for tag in ROTATION_REPRESENTATIONS:
         assert relative_angle(round_trip(tag, r), r) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the one-loop gimbal suite against the per-row code it replaced
+
+
+def _old_gimbal_susceptibility(tag, cfg):
+    from rotrepr import (AxisAngle, EulerAngles, RotationVector, SixD,
+                         UnitQuaternion, canonicalize, sample_uniform)
+    from rotrepr.convert import matrix_to_sixd
+
+    rng = bench_mod._suite_rng(cfg, f"gimbal/{tag}")
+    if tag == "matrix":
+        return _old_matrix_gimbal_hits(rng, cfg) / cfg.m_singularity
+    rep = bench_mod._row_rep(tag)
+    eta = cfg.perturbation_norm
+    band = bench_mod.GIMBAL_BAND_HALFWIDTH
+    direction = bench_mod._direction
+    hits = 0
+    for _ in range(cfg.m_singularity):
+        dist_of = bench_mod._tuple_dist
+        if tag == "euler":
+            ref = (rng.uniform(-math.pi, math.pi),
+                   math.pi / 2 + rng.uniform(-band, band),
+                   rng.uniform(-math.pi, math.pi))
+            d = direction(rng, 3, eta)
+            pert = EulerAngles(ref[0] + d[0], ref[1] + d[1], ref[2] + d[2])
+            dist_of = bench_mod._euler_param_dist
+        elif tag == "quaternion":
+            q = canonicalize(sample_uniform(rng))
+            d = direction(rng, 4, eta)
+            pert = UnitQuaternion(q.w + d[0], q.x + d[1],
+                                  q.y + d[2], q.z + d[3]).normalized()
+            ref = q.as_tuple()
+            dist_of = bench_mod._quat_param_dist
+        elif tag == "axis-angle":
+            axis = direction(rng, 3, 1.0)
+            theta = rng.uniform(0.0, band)
+            d = direction(rng, 4, eta)
+            ax = (axis[0] + d[0], axis[1] + d[1], axis[2] + d[2])
+            n = math.sqrt(ax[0] ** 2 + ax[1] ** 2 + ax[2] ** 2)
+            pert = AxisAngle((ax[0] / n, ax[1] / n, ax[2] / n), theta + d[3])
+            ref = axis + (theta,)
+        elif tag == "exp-map":
+            axis = direction(rng, 3, 1.0)
+            theta = rng.uniform(math.pi - band, math.pi)
+            ref = (axis[0] * theta, axis[1] * theta, axis[2] * theta)
+            d = direction(rng, 3, eta)
+            pert = RotationVector((ref[0] + d[0], ref[1] + d[1], ref[2] + d[2]))
+        else:
+            ref = matrix_to_sixd(bench_mod.haar_matrix(rng)).as_tuple()
+            d = direction(rng, 6, eta)
+            pert = SixD(tuple(ref[i] + d[i] for i in range(3)),
+                        tuple(ref[i] + d[i] for i in range(3, 6)))
+        extracted = rep.components(rep.from_matrix(rep.to_matrix(pert)))
+        if dist_of(extracted, ref) > cfg.tau:
+            hits += 1
+    return hits / cfg.m_singularity
+
+
+def _old_matrix_gimbal_hits(rng, cfg):
+    from rotrepr.core import _project_stack
+
+    hits = 0
+    for start in range(0, cfg.m_singularity, 256):
+        draws = [(bench_mod.haar_matrix(rng).as_flat(),
+                  bench_mod._direction(rng, 9, cfg.perturbation_norm))
+                 for _ in range(min(256, cfg.m_singularity - start))]
+        perts = [[[ref[i] + d[i] for i in range(r, r + 3)] for r in (0, 3, 6)]
+                 for ref, d in draws]
+        for (ref, _), fixed in zip(draws, _project_stack(perts)):
+            hits += bench_mod._tuple_dist(fixed.as_flat(), ref) > cfg.tau
+    return hits
+
+
+@pytest.mark.parametrize("seed", [1, 42, 1911])
+@pytest.mark.parametrize("tag", ROTATION_REPRESENTATIONS)
+def test_gimbal_bit_identical_to_per_row_code(tag, seed):
+    # sizes around one 256-draw chunk; at one of the taus each row's
+    # fraction lies strictly between 0 and 1 (exp-map's at 1e-6 only)
+    for m in (1, 255, 256, 257, 600):
+        for tau in (1e-3, 1e-6, 5e-7):
+            cfg = BenchConfig(seed=seed, m_singularity=m, tau=tau)
+            assert float.hex(gimbal_susceptibility(tag, cfg)) == \
+                float.hex(_old_gimbal_susceptibility(tag, cfg)), (m, tau)

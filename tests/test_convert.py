@@ -34,6 +34,7 @@ from rotrepr.convert import (
     quat_to_euler,
     quat_to_matrix,
     quat_to_rotation_vector,
+    rotation_vector_to_quat,
     sixd_to_matrix,
     AXIS_ANGLE,
     MATRIX,
@@ -45,8 +46,10 @@ from rotrepr.convert import (
     _BY_TYPE,
     _REGISTRY,
     _ROUTES,
+    _axis_angle_quat,
     _euler_quat,
     _hamilton,
+    _rotation_vector_quat,
     axis_angle_to_rotation_vector,
     rotation_vector_to_axis_angle,
     tag_of,
@@ -794,30 +797,64 @@ def test_sixd_positive_scaling_invariance(rng):
             assert frobenius(sixd_to_matrix(scaled_a2), r) < 1e-12
 
 
+def _exact_sixd(a1, a2):
+    """Gram-Schmidt rows of the columns a1, a2 in 40-digit mpmath, and
+    the sine of the angle between them."""
+    import mpmath as mp
+    with mp.workdps(40):
+        c1 = [mp.mpf(v) for v in a1]
+        c2 = [mp.mpf(v) for v in a2]
+        n1 = mp.sqrt(sum(v * v for v in c1))
+        b1 = [v / n1 for v in c1]
+        p = sum(x * y for x, y in zip(b1, c2))
+        rej = [y - p * x for x, y in zip(b1, c2)]
+        n2 = mp.sqrt(sum(v * v for v in rej))
+        b2 = [v / n2 for v in rej]
+        b3 = [b1[1] * b2[2] - b1[2] * b2[1], b1[2] * b2[0] - b1[0] * b2[2],
+              b1[0] * b2[1] - b1[1] * b2[0]]
+        return ([[b1[i], b2[i], b3[i]] for i in range(3)],
+                float(n2 / mp.sqrt(sum(v * v for v in c2))))
+
+
 def test_sixd_to_matrix_oracle(rng):
     # Gram-Schmidt in 40-digit mpmath over column scales 1e-3..1e3; the
     # error budget is a few ulp over sin(angle between the columns), the
     # conditioning of the rejection
-    import mpmath as mp
     for _ in range(300):
         s1, s2 = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-3, 3)
         a1 = (s1 * rng.normal(), s1 * rng.normal(), s1 * rng.normal())
         a2 = (s2 * rng.normal(), s2 * rng.normal(), s2 * rng.normal())
-        with mp.workdps(40):
-            c1 = [mp.mpf(v) for v in a1]
-            c2 = [mp.mpf(v) for v in a2]
-            n1 = mp.sqrt(sum(v * v for v in c1))
-            b1 = [v / n1 for v in c1]
-            p = sum(x * y for x, y in zip(b1, c2))
-            rej = [y - p * x for x, y in zip(b1, c2)]
-            n2 = mp.sqrt(sum(v * v for v in rej))
-            b2 = [v / n2 for v in rej]
-            b3 = [b1[1] * b2[2] - b1[2] * b2[1], b1[2] * b2[0] - b1[0] * b2[2],
-                  b1[0] * b2[1] - b1[1] * b2[0]]
-            exact = [[b1[i], b2[i], b3[i]] for i in range(3)]
-            sin_angle = float(n2 / mp.sqrt(sum(v * v for v in c2)))
+        exact, sin_angle = _exact_sixd(a1, a2)
         err = max_entry_error(sixd_to_matrix(SixD(a1, a2)), exact)
         assert err <= 4 * EPS / sin_angle
+
+
+@pytest.mark.parametrize("angle", [10.0 ** -k for k in range(3, 11)])
+def test_sixd_nearly_parallel_columns_give_a_rotation(angle, rng):
+    # one Gram-Schmidt pass leaves the second column off orthogonal by
+    # about eps/angle (3.7e-7 at 1e-9 rad, past validate's 1e-9); each
+    # route must give a rotation within the oracle's conditioning budget
+    import mpmath as mp
+    h = haar_matrix(rng)
+    for _ in range(20):
+        (a, u, _), (b, v, _), (c, w, _) = haar_matrix(rng).rows
+        # |a2| >= 1 keeps the rejection above the absolute GRAM_SCHMIDT_TOL
+        scale = 10.0 ** rng.uniform(0, 3)
+        a1 = (a, b, c)
+        a2 = tuple(scale * (math.cos(angle) * x + math.sin(angle) * y)
+                   for x, y in zip(a1, (u, v, w)))
+        s = SixD(a1, a2)
+        exact, sin_angle = _exact_sixd(a1, a2)
+        with mp.workdps(40):
+            composed = [[sum(exact[i][k] * h.rows[k][j] for k in range(3))
+                         for j in range(3)] for i in range(3)]
+        for route, value, expected in (
+                ("sixd_to_matrix", sixd_to_matrix(s), exact),
+                ("convert", quat_to_matrix(convert(s, "quat")), exact),
+                ("compose_in", sixd_to_matrix(compose_in("sixd", s, matrix_to_sixd(h))),
+                 composed)):
+            assert validate(value), (route, s)
+            assert max_entry_error(value, expected) <= 8 * EPS / sin_angle, (route, s)
 
 
 def test_sixd_huge_columns(rng):
@@ -1249,3 +1286,40 @@ def test_euler_quat_matches_lookup_first_form_bit_for_bit(rng):
                  EulerAngles(0.1, None, 0.3, XYZ)]
     for e in malformed:
         assert _quat_bits(_euler_quat, e) == _quat_bits(_old_euler_quat, e), e
+
+
+# ---------------------------------------------------------------------------
+# the quaternion spokes normalize through UnitQuaternion.normalized
+
+
+def _old_unit_quat(q):
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return UnitQuaternion(w / n, x / n, y / n, z / n)
+
+
+def test_quat_spokes_normalize_as_the_plain_divider_in_band(rng):
+    # |q|^2 stays in [1e-300, inf) for these values, where normalized()
+    # takes no rescaling branch
+    values = []
+    for _ in range(200):
+        q = haar_quat(rng)
+        values += [quat_to_axis_angle(q), quat_to_rotation_vector(q),
+                   quat_to_euler(q, ZYX), quat_to_euler(q, XYZ)]
+    values += [AxisAngle((0.6 * s, 0.8 * s, 0.0), 1.0) for s in (1e-140, 1e-9, 3.0, 1e150)]
+    spokes = {AxisAngle: (axis_angle_to_quat, _axis_angle_quat),
+              RotationVector: (rotation_vector_to_quat, _rotation_vector_quat),
+              EulerAngles: (euler_to_quat, _euler_quat)}
+    for value in values:
+        spoke, raw = spokes[type(value)]
+        expected = _quat_bits(lambda v: _old_unit_quat(raw(v)), value)
+        assert _quat_bits(spoke, value) == expected, value
+        assert _quat_bits(lambda v: convert(v, "quat"), value) == expected, value
+
+
+def test_quat_spokes_rescale_outside_the_band():
+    # the plain divider returned the zero quaternion here (|q|^2 = inf)
+    assert convert(AxisAngle((1e200, 0.0, 0.0), 1.0), "quat") == \
+        UnitQuaternion(math.cos(0.5) / (1e200 * math.sin(0.5)), 1.0, 0.0, 0.0)
+    with pytest.raises(DegenerateInputError, match="not finite"):
+        axis_angle_to_quat(AxisAngle((math.nan, 0.0, 0.0), 1.0))

@@ -54,6 +54,36 @@ def test_suite_functions_resolve():
             assert callable(getattr(bench, name, None)), (suite, name)
 
 
+# calls per full_table: the per-row suites run once for each of the six
+# rotation rows, the others once per table
+SUITE_CALLS = {"stability_suite": 6, "gimbal_susceptibility": 6,
+               "robustness_suite": 6, "double_cover_check": 1,
+               "interpolation_metrics": 1, "composition_times": 1,
+               "interpolation_times": 1, "batch_times": 1}
+
+
+def test_full_table_calls_suites_through_module_globals(monkeypatch):
+    # paper-table's op2_ms brackets these globals with setattr; a table
+    # of suite callables captured at import would bypass the brackets
+    # and read 0
+    bench = importlib.import_module("rotrepr.bench")
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    names = {name for names in tracer.SUITE_FUNCTIONS.values() for name in names}
+    assert names == set(SUITE_CALLS)
+    for name in names:
+        monkeypatch.setattr(bench, name, counted(name, getattr(bench, name)))
+    bench.full_table(bench.BenchConfig(n_stability=5, m_singularity=5, n_edge=6,
+                                       n_pairs=2, trials=2, warmup=1, batch=2))
+    assert calls == SUITE_CALLS
+
+
 def test_importing_modules_exist():
     for name in tracer.IMPORTING_MODULES:
         importlib.import_module(f"rotrepr.{name}")

@@ -53,6 +53,88 @@ def test_markdown_contains_table():
     assert NA in text
 
 
+# every cell kind of each format (str, int, float, 0.0, NaN and None),
+# its text pinned byte for byte
+_FIXED_ROWS = [
+    BenchReport("quaternion", 32, eps_stab=1.25e-16, s_gimbal=0.0, s_double=0.0,
+                path_length=1.0 / 3.0, eps_geo=2e-300, sigma_deriv=123456.789,
+                f_rate=0.5, eps_avg=math.nan, eps_max=math.nan, t_comp=-2.5e17,
+                t_interp=1e22, t_batch=0.1, a_mem=1.0, h_opt=0.9, c_ml=0.8),
+    BenchReport("fisher", 72, a_mem=0.3)]
+_FIXED_RENDERS = {
+    "csv": """\
+# seed: 7
+# suite: all
+representation,storage_bytes,eps_stab,s_gimbal,s_double,path_length,eps_geo,sigma_deriv,f_rate,eps_avg,eps_max,t_comp,t_interp,t_batch,a_mem,h_opt,c_ml
+quaternion,32,1.2500000000000001e-16,0,0,0.33333333333333331,2.0000000000000001e-300,123456.789,0.5,nan,nan,-2.5e+17,1e+22,0.10000000000000001,1,0.90000000000000002,0.80000000000000004
+fisher,72,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,0.29999999999999999,NA,NA
+""",
+    "json": """\
+{
+  "meta": {
+    "seed": 7,
+    "suite": "all"
+  },
+  "rows": [
+    {
+      "representation": "quaternion",
+      "storage_bytes": 32,
+      "eps_stab": 1.25e-16,
+      "s_gimbal": 0.0,
+      "s_double": 0.0,
+      "path_length": 0.3333333333333333,
+      "eps_geo": 2e-300,
+      "sigma_deriv": 123456.789,
+      "f_rate": 0.5,
+      "eps_avg": NaN,
+      "eps_max": NaN,
+      "t_comp": -2.5e+17,
+      "t_interp": 1e+22,
+      "t_batch": 0.1,
+      "a_mem": 1.0,
+      "h_opt": 0.9,
+      "c_ml": 0.8
+    },
+    {
+      "representation": "fisher",
+      "storage_bytes": 72,
+      "eps_stab": null,
+      "s_gimbal": null,
+      "s_double": null,
+      "path_length": null,
+      "eps_geo": null,
+      "sigma_deriv": null,
+      "f_rate": null,
+      "eps_avg": null,
+      "eps_max": null,
+      "t_comp": null,
+      "t_interp": null,
+      "t_batch": null,
+      "a_mem": 0.3,
+      "h_opt": null,
+      "c_ml": null
+    }
+  ]
+}
+""",
+    "md": """\
+- seed: 7
+- suite: all
+
+| representation | storage_bytes | eps_stab | s_gimbal | s_double | path_length | eps_geo | sigma_deriv | f_rate | eps_avg | eps_max | t_comp | t_interp | t_batch | a_mem | h_opt | c_ml |
+|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|
+| quaternion | 32 | 1.25e-16 | 0 | 0 | 0.333333 | 2e-300 | 123457 | 0.5 | nan | nan | -2.5e+17 | 1e+22 | 0.1 | 1 | 0.9 | 0.8 |
+| fisher | 72 | NA | NA | NA | NA | NA | NA | NA | NA | NA | NA | NA | NA | 0.3 | NA | NA |
+""",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_FIXED_RENDERS))
+def test_fixed_rows_render_byte_identical(fmt):
+    doc = ReportDocument(fmt, _FIXED_ROWS, {"seed": 7, "suite": "all"})
+    assert doc.render() == _FIXED_RENDERS[fmt]
+
+
 def test_fmt17_round_trips():
     for x in (math.pi, 1e-300, 0.1, -2.5e17, 123456.789):
         assert float(fmt17(x)) == x
