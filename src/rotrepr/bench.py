@@ -20,6 +20,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, fields
 from functools import partial, reduce
+from itertools import starmap
 from operator import add
 from typing import Callable
 
@@ -271,26 +272,23 @@ def _exp_map_near_pi(rng: Rng) -> tuple[float, float, float]:
 
 
 # row -> (problem-region sampler: rng -> unperturbed parameters;
-# constraint map: a chunk of perturbed parameter lists -> values;
+# constraint map: a chunk of perturbed parameter tuples -> values;
 # parameter distance)
 _GIMBAL = {
-    EULER: (_euler_near_gimbal, partial(map, lambda p: EulerAngles(*p)),
-            _euler_param_dist),
+    EULER: (_euler_near_gimbal, partial(starmap, EulerAngles), _euler_param_dist),
     AXIS_ANGLE: (lambda rng: _direction(rng, 3, 1.0)
                  + (rng.uniform(0.0, GIMBAL_BAND_HALFWIDTH),),
                  partial(map, _renormalized_axis), _tuple_dist),
     QUATERNION: (lambda rng: canonicalize(sample_uniform(rng)),
-                 partial(map, lambda p: UnitQuaternion(*p).normalized()),
-                 _quat_param_dist),
+                 partial(map, UnitQuaternion.normalized), _quat_param_dist),
     # the matrix row has no chart to re-extract: it projects the perturbed
     # entries back onto SO(3), one SVD stack per chunk of draws
     MATRIX: (lambda rng: haar_matrix(rng).as_flat(),
-             lambda chunk: _project_stack([[p[0:3], p[3:6], p[6:9]] for p in chunk]),
+             lambda chunk: _project_stack([(p[0:3], p[3:6], p[6:9]) for p in chunk]),
              _tuple_dist),
-    EXP_MAP: (_exp_map_near_pi, partial(map, lambda p: RotationVector(tuple(p))),
-              _tuple_dist),
+    EXP_MAP: (_exp_map_near_pi, partial(map, RotationVector), _tuple_dist),
     SIXD: (lambda rng: matrix_to_sixd(haar_matrix(rng)).as_tuple(),
-           partial(map, lambda p: SixD(tuple(p[:3]), tuple(p[3:]))), _tuple_dist),
+           partial(map, lambda p: SixD(p[:3], p[3:])), _tuple_dist),
 }
 
 _PROJECT_CHUNK = 256  # draws per chunk: bounds the matrix row's SVD stack
@@ -314,19 +312,18 @@ def gimbal_susceptibility(tag: str, cfg: BenchConfig) -> float:
     """
     rng = _suite_rng(cfg, f"gimbal/{tag}")
     rep = _row_rep(tag)
+    to_matrix, from_matrix, components = rep.to_matrix, rep.from_matrix, rep.components
     sample, constrain, dist = _GIMBAL[tag]
-    eta = cfg.perturbation_norm
+    eta, tau = cfg.perturbation_norm, cfg.tau
     hits = 0
     for start in range(0, cfg.m_singularity, _PROJECT_CHUNK):
         refs, perts = [], []
         for _ in range(min(_PROJECT_CHUNK, cfg.m_singularity - start)):
             ref = sample(rng)
-            d = _direction(rng, len(ref), eta)
             refs.append(ref)
-            perts.append([r + e for r, e in zip(ref, d)])
+            perts.append(tuple(map(add, ref, _direction(rng, len(ref), eta))))
         for ref, value in zip(refs, constrain(perts)):
-            extracted = rep.components(rep.from_matrix(rep.to_matrix(value)))
-            hits += dist(extracted, ref) > cfg.tau
+            hits += dist(components(from_matrix(to_matrix(value))), ref) > tau
     return hits / cfg.m_singularity
 
 
@@ -765,7 +762,7 @@ def full_table(cfg: BenchConfig,
     reports = []
     for tag in REPRESENTATIONS:
         cells = {"storage_bytes": STORAGE_BYTES[tag], **asdict(heuristic_scores(tag))}
-        for suite in suites if tag != FISHER else ():
+        for suite in (suites if tag != FISHER else ()):
             try:
                 if suite == "stability":
                     cells["eps_stab"] = stability_suite(tag, cfg).eps_stab
