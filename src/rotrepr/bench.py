@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import partial, reduce
 from itertools import starmap
 from operator import add
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import (
     AxisAngle,
@@ -79,46 +79,45 @@ STORAGE_BYTES = {**{row: _ROWS[row].storage_bytes for row in ROTATION_REPRESENTA
                  FISHER: 72}
 # Memory-alignment score by storage footprint.
 A_MEM_CASES = {32: 1.0, 24: 0.9, 48: 0.7, 72: 0.3}
-A_MEM_DEFAULT = 0.5
 H_OPT = {EULER: 0.6, AXIS_ANGLE: 0.8, QUATERNION: 0.9, MATRIX: 0.7,
          EXP_MAP: 0.6, SIXD: 0.5}
 C_ML = {EULER: 0.3, AXIS_ANGLE: 0.7, QUATERNION: 0.8, MATRIX: 0.6,
         EXP_MAP: 0.7, SIXD: 0.9}
 
+# the paper's fixed protocol
 DOUBLE_COVER_TOL = 1e-10
 EULER_BETA_EXCLUSION = math.pi / 2 - 0.05  # stability sampler stays below this
 GIMBAL_BAND_HALFWIDTH = 0.01
+PERTURBATION_NORM = 1e-6  # gimbal step
+K_PATH = 100  # path-length samples
+K_DERIV = 50  # central-difference parameters
+DT = 0.001  # central-difference step
+DELTA_REG = 1e-8  # keeps the relative metrics finite at zero length
+FAILURE_THRESHOLD = 0.1  # rad: a robustness round trip past this fails
 
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Knobs for every suite; defaults reproduce the reference protocol."""
+    """Sample sizes, seed and tau for every suite; defaults reproduce
+    the reference protocol."""
 
     seed: int = 42
     n_stability: int = 1000
     m_singularity: int = 5000
     n_edge: int = 200
-    k_path: int = 100
-    k_deriv: int = 50
     n_pairs: int = 100
-    dt: float = 0.001
     tau: float = 1e-3
-    perturbation_norm: float = 1e-6
-    delta_reg: float = 1e-8
     warmup: int = 100
     trials: int = 1000
     batch: int = 100
-    failure_threshold: float = 0.1
 
     def __post_init__(self):
-        for name in ("n_stability", "m_singularity", "n_edge", "k_path",
-                     "k_deriv", "n_pairs", "warmup", "trials", "batch"):
+        for name in ("n_stability", "m_singularity", "n_edge", "n_pairs",
+                     "warmup", "trials", "batch"):
             if getattr(self, name) < 1:
                 raise RotationError(f"BenchConfig.{name} must be >= 1")
-        for name in ("dt", "tau", "perturbation_norm", "delta_reg",
-                     "failure_threshold"):
-            if getattr(self, name) <= 0.0:
-                raise RotationError(f"BenchConfig.{name} must be > 0")
+        if self.tau <= 0.0:
+            raise RotationError("BenchConfig.tau must be > 0")
 
 
 @dataclass
@@ -188,8 +187,7 @@ def round_trip(tag: str, r: RotationMatrix) -> RotationMatrix:
 # stability
 
 
-@dataclass(frozen=True)
-class StabilityResult:
+class StabilityResult(NamedTuple):
     eps_stab: float
     failures: int
 
@@ -302,7 +300,7 @@ def gimbal_susceptibility(tag: str, cfg: BenchConfig) -> float:
     (Euler: beta within 0.01 of pi/2; axis-angle: angles in [0, 0.01];
     exp-map: angles within 0.01 of pi; quaternion/matrix/sixd: Haar, as
     they have no singular region). The sampled parameters are perturbed
-    by a uniformly-directed step of the configured norm (re-projected
+    by a uniformly-directed step of norm PERTURBATION_NORM (re-projected
     onto the representation's constraint set where one exists), the
     perturbed rotation is re-extracted canonically, and the parameter
     distance back to the original point is compared against tau. Stable
@@ -314,7 +312,7 @@ def gimbal_susceptibility(tag: str, cfg: BenchConfig) -> float:
     rep = _row_rep(tag)
     to_matrix, from_matrix, components = rep.to_matrix, rep.from_matrix, rep.components
     sample, constrain, dist = _GIMBAL[tag]
-    eta, tau = cfg.perturbation_norm, cfg.tau
+    eta, tau = PERTURBATION_NORM, cfg.tau
     hits = 0
     for start in range(0, cfg.m_singularity, _PROJECT_CHUNK):
         refs, perts = [], []
@@ -366,10 +364,10 @@ def double_cover_check(cfg: BenchConfig,
 
 
 def path_metrics(interpolator: Interpolator, r1: RotationMatrix,
-                 r2: RotationMatrix, cfg: BenchConfig) -> tuple[float, float]:
-    """Polygonal path length over k_path uniform samples and relative
+                 r2: RotationMatrix) -> tuple[float, float]:
+    """Polygonal path length over K_PATH uniform samples and relative
     deviation from the geodesic length."""
-    k = cfg.k_path
+    k = K_PATH
     prev = interpolator.eval(0.0)
     length = 0.0
     for i in range(1, k):
@@ -377,23 +375,23 @@ def path_metrics(interpolator: Interpolator, r1: RotationMatrix,
         length += relative_angle(prev, cur)
         prev = cur
     geo = relative_angle(r1, r2)
-    return length, abs(length - geo) / (geo + cfg.delta_reg)
+    return length, abs(length - geo) / (geo + DELTA_REG)
 
 
 def derivative_continuity(interpolator: Interpolator, r1: RotationMatrix,
-                          r2: RotationMatrix, cfg: BenchConfig) -> float:
-    """Normalized std of central-difference angular speeds at k_deriv
+                          r2: RotationMatrix) -> float:
+    """Normalized std of central-difference angular speeds at K_DERIV
     interior parameters in [0.01, 0.99]."""
-    k = cfg.k_deriv
+    k = K_DERIV
     speeds = []
     for i in range(k):
         t = 0.01 + (0.99 - 0.01) * i / (k - 1)
-        a = interpolator.eval(t - cfg.dt / 2.0)
-        b = interpolator.eval(t + cfg.dt / 2.0)
-        speeds.append(relative_angle(a, b) / cfg.dt)
+        a = interpolator.eval(t - DT / 2.0)
+        b = interpolator.eval(t + DT / 2.0)
+        speeds.append(relative_angle(a, b) / DT)
     mean = reduce(add, speeds, 0.0) / k
     var = reduce(add, [(s - mean) ** 2 for s in speeds], 0.0) / k
-    return math.sqrt(var) / (mean + cfg.delta_reg)
+    return math.sqrt(var) / (mean + DELTA_REG)
 
 
 def _interp_method(tag: str) -> str:
@@ -404,8 +402,7 @@ def _interp_method(tag: str) -> str:
     return next(m for m in INTERPOLATION_METHODS if _METHODS[m][0] == endpoint)
 
 
-@dataclass(frozen=True)
-class InterpMetrics:
+class InterpMetrics(NamedTuple):
     path_length: float
     eps_geo: float
     sigma_deriv: float
@@ -445,10 +442,10 @@ def interpolation_metrics(cfg: BenchConfig) -> dict[str, InterpMetrics]:
         total_len = total_geo = total_sigma = 0.0
         for r1, r2 in pairs:
             interp = make_interpolator(method, r1, r2)
-            length, eps_geo = path_metrics(interp, r1, r2, cfg)
+            length, eps_geo = path_metrics(interp, r1, r2)
             total_len += length
             total_geo += eps_geo
-            total_sigma += derivative_continuity(interp, r1, r2, cfg)
+            total_sigma += derivative_continuity(interp, r1, r2)
         n = cfg.n_pairs
         out[method] = InterpMetrics(total_len / n, total_geo / n, total_sigma / n)
     return out
@@ -495,8 +492,7 @@ def edge_cases(cfg: BenchConfig) -> list[tuple[str, RotationMatrix]]:
     return cases
 
 
-@dataclass(frozen=True)
-class RobustnessResult:
+class RobustnessResult(NamedTuple):
     f_rate: float
     eps_avg: float
     eps_max: float
@@ -505,7 +501,7 @@ class RobustnessResult:
 def robustness_suite(tag: str, cfg: BenchConfig) -> RobustnessResult:
     """Failure rate and error statistics over the edge-case taxonomy.
 
-    A case fails when the round-trip error exceeds the failure threshold
+    A case fails when the round-trip error exceeds FAILURE_THRESHOLD
     or any conversion raises; error statistics cover non-failing cases.
     """
     cases = edge_cases(cfg)
@@ -517,7 +513,7 @@ def robustness_suite(tag: str, cfg: BenchConfig) -> RobustnessResult:
         except RotationError:
             failures += 1
             continue
-        if err > cfg.failure_threshold:
+        if err > FAILURE_THRESHOLD:
             failures += 1
         else:
             errors.append(err)
@@ -533,8 +529,7 @@ def robustness_suite(tag: str, cfg: BenchConfig) -> RobustnessResult:
 # timing
 
 
-@dataclass(frozen=True)
-class TimingResult:
+class TimingResult(NamedTuple):
     micros: float
     low_confidence: bool
 
@@ -699,8 +694,7 @@ def batch_efficiency(tag: str, cfg: BenchConfig) -> TimingResult:
 # heuristic scores
 
 
-@dataclass(frozen=True)
-class HeuristicScores:
+class HeuristicScores(NamedTuple):
     a_mem: float
     h_opt: float | None
     c_ml: float | None
@@ -711,8 +705,8 @@ def heuristic_scores(tag: str) -> HeuristicScores:
     scores; pure lookups. The fisher row has no assigned h_opt/c_ml."""
     if tag not in STORAGE_BYTES:
         raise RotationError(f"unknown representation tag {tag!r}")
-    a_mem = A_MEM_CASES.get(STORAGE_BYTES[tag], A_MEM_DEFAULT)
-    return HeuristicScores(a_mem, H_OPT.get(tag), C_ML.get(tag))
+    return HeuristicScores(A_MEM_CASES[STORAGE_BYTES[tag]], H_OPT.get(tag),
+                           C_ML.get(tag))
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +755,7 @@ def full_table(cfg: BenchConfig,
             failures.append(("*", "timing", exc))
     reports = []
     for tag in REPRESENTATIONS:
-        cells = {"storage_bytes": STORAGE_BYTES[tag], **asdict(heuristic_scores(tag))}
+        cells = {"storage_bytes": STORAGE_BYTES[tag], **heuristic_scores(tag)._asdict()}
         for suite in (suites if tag != FISHER else ()):
             try:
                 if suite == "stability":
@@ -771,9 +765,9 @@ def full_table(cfg: BenchConfig,
                     if tag == QUATERNION:
                         cells["s_double"] = double_cover_check(cfg)
                 elif suite == "interp" and interp_by_method is not None:
-                    cells.update(asdict(interp_by_method[_interp_method(tag)]))
+                    cells.update(interp_by_method[_interp_method(tag)]._asdict())
                 elif suite == "robustness":
-                    cells.update(asdict(robustness_suite(tag, cfg)))
+                    cells.update(robustness_suite(tag, cfg)._asdict())
                 elif suite == "timing" and timing is not None:
                     cells.update({name: times[tag].micros
                                   for name, times in timing.items()})
@@ -783,7 +777,3 @@ def full_table(cfg: BenchConfig,
     if failures:
         raise BenchSuiteError(failures, reports)
     return reports
-
-
-def config_as_dict(cfg: BenchConfig) -> dict:
-    return asdict(cfg)

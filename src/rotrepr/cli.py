@@ -17,10 +17,10 @@ import datetime
 import math
 import platform
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
-from . import bench as bench_mod
 from .bench import ALL_SUITES, BenchConfig, BenchSuiteError, full_table
 from .core import canonicalize, relative_angle, sample_uniform
 from .rng import Rng
@@ -108,7 +108,7 @@ def cmd_bench(args) -> int:
     meta = {
         "seed": cfg.seed,
         "suite": args.suite,
-        "config": bench_mod.config_as_dict(cfg),
+        "config": asdict(cfg),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "machine": f"{platform.platform()} / {platform.python_implementation()} "
                    f"{platform.python_version()}",
@@ -153,6 +153,8 @@ def _interp_endpoints(args) -> Interpolator:
 def cmd_interp(args) -> int:
     interp = _interp_endpoints(args)
     if args.t is not None:
+        if not math.isfinite(args.t):
+            raise CliInputError(f"--t must be finite, got {args.t}")
         ts = [args.t]
     else:
         k = args.samples
@@ -199,7 +201,7 @@ def _parse_xyz(path: str) -> PointSet:
 def cmd_register(args) -> int:
     if args.max_iter < 0:
         raise CliInputError(f"--max-iter must be >= 0, got {args.max_iter}")
-    if args.tol <= 0.0:
+    if not args.tol > 0.0:
         raise CliInputError(f"--tol must be > 0, got {args.tol}")
     source = _parse_xyz(args.source)
     target = _parse_xyz(args.target)

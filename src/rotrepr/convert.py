@@ -484,13 +484,12 @@ def sixd_to_matrix(s: SixD) -> RotationMatrix:
     a2 from b1, b3 = b1 x b2, assembled as columns. Plain floats (on
     3-vectors numpy's call overhead outweighs the arithmetic). hypot
     keeps the norms of huge columns from overflowing; where a norm still
-    does, both columns are rescaled first (see _sixd_rescaled)."""
+    does, or is at most GRAM_SCHMIDT_TOL, both columns are rescaled
+    first (see _sixd_rescaled)."""
     x1, y1, z1 = s.a1
     x2, y2, z2 = s.a2
     n1 = math.hypot(x1, y1, z1)
     if not GRAM_SCHMIDT_TOL < n1 < math.inf:
-        if n1 <= GRAM_SCHMIDT_TOL:
-            raise DegenerateInputError("6D first column is numerically zero")
         return _sixd_rescaled(s)
     x1, y1, z1 = x1 / n1, y1 / n1, z1 / n1
     p = x1 * x2 + y1 * y2 + z1 * z2
@@ -503,9 +502,6 @@ def sixd_to_matrix(s: SixD) -> RotationMatrix:
         x2, y2, z2 = x2 - p * x1, y2 - p * y1, z2 - p * z1
         n2 = math.hypot(x2, y2, z2)
     if not GRAM_SCHMIDT_TOL < n2 < math.inf:
-        if n2 <= GRAM_SCHMIDT_TOL:
-            raise DegenerateInputError(
-                "6D columns are parallel; Gram-Schmidt is ill-posed")
         return _sixd_rescaled(s)
     x2, y2, z2 = x2 / n2, y2 / n2, z2 / n2
     return _tuple_new(RotationMatrix, ((
@@ -518,13 +514,18 @@ def sixd_to_matrix(s: SixD) -> RotationMatrix:
 def _sixd_rescaled(s: SixD) -> RotationMatrix:
     """sixd_to_matrix with each column divided by its largest |component|
     (Gram-Schmidt is invariant to a positive scale of either column), so
-    no norm or projection overflows. A non-finite component or a zero
-    second column raises DegenerateInputError (a zero first column has
-    raised before the rescale)."""
+    no norm or projection overflows or falls to GRAM_SCHMIDT_TOL by
+    scale alone. Raises DegenerateInputError for a non-finite component,
+    a zero column, or columns still parallel after the rescale: columns
+    whose largest |components| are both 1 are their own rescale, and
+    sixd_to_matrix sends them here only when they are parallel (their
+    norms lie in [1, sqrt(3)])."""
     if not all(map(math.isfinite, s.a1 + s.a2)):
         raise DegenerateInputError(f"6D columns {s.a1 + s.a2!r} are not finite")
     m1, m2 = max(map(abs, s.a1)), max(map(abs, s.a2))
-    if m2 == 0.0:
+    if m1 == 0.0:
+        raise DegenerateInputError("6D first column is numerically zero")
+    if m2 == 0.0 or m1 == m2 == 1.0:
         raise DegenerateInputError("6D columns are parallel; Gram-Schmidt is ill-posed")
     return sixd_to_matrix(_tuple_new(SixD, (tuple(c / m1 for c in s.a1),
                                             tuple(c / m2 for c in s.a2))))

@@ -97,11 +97,11 @@ def test_criterion_04_geodesic_interpolation():
         for r1, r2 in pairs:
             s = make_interpolator("slerp", r1, r2)
             g = make_interpolator("matrix-geodesic", r1, r2)
-            _, eps_s = path_metrics(s, r1, r2, CFG)
-            _, eps_g = path_metrics(g, r1, r2, CFG)
+            _, eps_s = path_metrics(s, r1, r2)
+            _, eps_g = path_metrics(g, r1, r2)
             assert eps_s < 1e-6 and eps_g < 1e-6
-            assert derivative_continuity(s, r1, r2, CFG) < 1e-6
-            assert derivative_continuity(g, r1, r2, CFG) < 1e-6
+            assert derivative_continuity(s, r1, r2) < 1e-6
+            assert derivative_continuity(g, r1, r2) < 1e-6
             for i in range(11):
                 t = i / 10
                 assert relative_angle(s.eval(t), g.eval(t)) < 1e-9

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -47,6 +48,16 @@ def test_config_validation():
         BenchConfig(tau=0.0)
 
 
+def test_config_fields_and_protocol_constants():
+    # the report meta records these nine fields; the paper fixes the rest
+    assert [f.name for f in dataclasses.fields(BenchConfig)] == [
+        "seed", "n_stability", "m_singularity", "n_edge", "n_pairs", "tau",
+        "warmup", "trials", "batch"]
+    assert (bench_mod.PERTURBATION_NORM, bench_mod.K_PATH, bench_mod.K_DERIV,
+            bench_mod.DT, bench_mod.DELTA_REG, bench_mod.FAILURE_THRESHOLD) == (
+        1e-6, 100, 50, 0.001, 1e-8, 0.1)
+
+
 def test_report_field_order():
     assert REPORT_FIELDS == (
         "representation", "storage_bytes", "eps_stab", "s_gimbal", "s_double",
@@ -93,7 +104,7 @@ def test_gimbal_matrix_chunks_match_per_matrix_projection():
     hits = 0
     for _ in range(cfg.m_singularity):
         ref = bench_mod.haar_matrix(rng).as_flat()
-        d = bench_mod._direction(rng, 9, cfg.perturbation_norm)
+        d = bench_mod._direction(rng, 9, bench_mod.PERTURBATION_NORM)
         pert = [ref[i] + d[i] for i in range(9)]
         fixed = project_to_so3([pert[0:3], pert[3:6], pert[6:9]])
         hits += bench_mod._tuple_dist(fixed.as_flat(), ref) > cfg.tau
@@ -143,7 +154,7 @@ def test_double_cover_w_scaled_mutation_misses_small_w():
 def test_path_metrics_constant_path(rng):
     r = haar_matrix(rng)
     interp = make_interpolator("slerp", r, r)
-    length, eps_geo = path_metrics(interp, r, r, FAST)
+    length, eps_geo = path_metrics(interp, r, r)
     assert length == 0.0
     assert eps_geo == 0.0
 
@@ -152,14 +163,14 @@ def test_path_metrics_slerp_geodesic(rng):
     for _ in range(5):
         r1, r2 = haar_matrix(rng), haar_matrix(rng)
         interp = make_interpolator("slerp", r1, r2)
-        _, eps_geo = path_metrics(interp, r1, r2, BenchConfig())
+        _, eps_geo = path_metrics(interp, r1, r2)
         assert eps_geo < 1e-6
 
 
 def test_derivative_continuity_slerp(rng):
     r1, r2 = haar_matrix(rng), haar_matrix(rng)
     interp = make_interpolator("slerp", r1, r2)
-    assert derivative_continuity(interp, r1, r2, BenchConfig()) < 1e-6
+    assert derivative_continuity(interp, r1, r2) < 1e-6
 
 
 def test_interpolation_metric_orderings():
@@ -224,7 +235,7 @@ def test_robustness_branchless_log_fixture_fails_near_pi():
         except (ZeroDivisionError, ValueError):
             failures += 1
             continue
-        if err > cfg.failure_threshold:
+        if err > bench_mod.FAILURE_THRESHOLD:
             failures += 1
     assert failures > 0
     # and the shipped branched log map handles the same family
@@ -440,7 +451,7 @@ def _old_gimbal_susceptibility(tag, cfg):
     if tag == "matrix":
         return _old_matrix_gimbal_hits(rng, cfg) / cfg.m_singularity
     rep = bench_mod._row_rep(tag)
-    eta = cfg.perturbation_norm
+    eta = bench_mod.PERTURBATION_NORM
     band = bench_mod.GIMBAL_BAND_HALFWIDTH
     direction = bench_mod._direction
     hits = 0
@@ -491,7 +502,7 @@ def _old_matrix_gimbal_hits(rng, cfg):
     hits = 0
     for start in range(0, cfg.m_singularity, 256):
         draws = [(bench_mod.haar_matrix(rng).as_flat(),
-                  bench_mod._direction(rng, 9, cfg.perturbation_norm))
+                  bench_mod._direction(rng, 9, bench_mod.PERTURBATION_NORM))
                  for _ in range(min(256, cfg.m_singularity - start))]
         perts = [[[ref[i] + d[i] for i in range(r, r + 3)] for r in (0, 3, 6)]
                  for ref, d in draws]

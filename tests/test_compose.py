@@ -142,6 +142,17 @@ def test_matrix_mul_chain_drift(rng):
     assert validate(r).orthogonality_residual < 1e-9
 
 
+def test_matrix_mul_reprojects_a_drifted_product(rng):
+    # an operand 1e-6 off orthonormal puts the product past the 1e-9
+    # tolerance: the result is the projection of the raw product
+    from rotrepr.core import mat_mul_rows, project_to_so3
+    off = RotationMatrix(((1.0 + 1e-6, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
+    h = haar_matrix(rng)
+    got = matrix_mul(off, h)
+    assert validate(got)
+    assert got == project_to_so3(mat_mul_rows(off.rows, h.rows))
+
+
 def test_matrix_mul_rejects_nan_product():
     nan = RotationMatrix(((math.nan, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
     with pytest.raises(InvalidRotationError):

@@ -898,6 +898,32 @@ def test_sixd_zero_column_raises_on_every_branch(a1, a2, message):
         convert(SixD(a1, a2), "quat")
 
 
+def test_sixd_columns_at_every_power_of_two_scale(rng):
+    # a positive scale of either column leaves Gram-Schmidt unchanged, so
+    # tiny and huge columns rescale to the scale-1 rotation; only zero or
+    # parallel columns are degenerate
+    scales = [2.0 ** k for k in range(-1000, 1001, 50)]
+    for _ in range(5):
+        a1 = (rng.normal(), rng.normal(), rng.normal())
+        a2 = (rng.normal(), rng.normal(), rng.normal())
+        ref = sixd_to_matrix(SixD(a1, a2))
+        for c in scales:
+            for d in scales:
+                r = sixd_to_matrix(SixD(tuple(c * v for v in a1),
+                                        tuple(d * v for v in a2)))
+                assert validate(r), (c, d)
+                assert max_entry_error(r, ref.rows) <= 8 * EPS, (c, d)
+            with pytest.raises(DegenerateInputError, match="numerically zero"):
+                sixd_to_matrix(SixD((0.0, 0.0, 0.0), tuple(c * v for v in a2)))
+            with pytest.raises(DegenerateInputError, match="parallel"):
+                sixd_to_matrix(SixD(tuple(c * v for v in a1), a1))
+    # 45 degrees apart, and a tiny first column
+    assert sixd_to_matrix(SixD((1.0, 0.0, 0.0), (1e-13, 1e-13, 0.0))) == \
+        RotationMatrix.identity()
+    assert sixd_to_matrix(SixD((1e-13, 0.0, 0.0), (0.0, 1.0, 0.0))) == \
+        RotationMatrix.identity()
+
+
 def test_matrix_to_sixd_examples(rng):
     s = matrix_to_sixd(RotationMatrix.identity())
     assert s.a1 == (1.0, 0.0, 0.0)

@@ -367,6 +367,25 @@ def test_interpolator_rejects_unknown_method(rng):
         make_interpolator("squad", r, r)
 
 
+@pytest.mark.parametrize("method, endpoint, message", [
+    ("slerp", UnitQuaternion(1.0, 0.0, 0.0, 0.0),
+     "slerp endpoints must be RotationMatrix values"),
+    ("fisher-blend", RotationMatrix.identity(),
+     "fisher-blend endpoints must be MatrixFisher parameters"),
+])
+def test_interpolator_rejects_endpoints_of_the_wrong_type(method, endpoint, message):
+    with pytest.raises(DegenerateInputError, match=message):
+        make_interpolator(method, endpoint, endpoint)
+
+
+def test_linear_euler_rejects_mixed_conventions():
+    from rotrepr import EulerAngles
+    from rotrepr.core import XYZ
+    with pytest.raises(DegenerateInputError,
+                       match="euler endpoints use different conventions"):
+        linear_euler(EulerAngles(0.1, 0.2, 0.3), EulerAngles(0.1, 0.2, 0.3, XYZ), 0.5)
+
+
 def test_linear_euler_wraps_shortest_arc():
     from rotrepr import EulerAngles
     e1 = EulerAngles(3.0, 0.0, 0.0)

@@ -4,7 +4,10 @@ import math
 import pytest
 
 from rotrepr.bench import REPORT_FIELDS, BenchConfig, BenchReport, full_table
-from rotrepr.cli import main
+from rotrepr.cli import components, main
+from rotrepr.convert import convert
+from rotrepr.core import RotationMatrix
+from rotrepr.interp import _METHODS, INTERPOLATION_METHODS
 from rotrepr.report import NA, ReportDocument, fmt17, parse_report_csv
 
 FAST = ("--trials", "20", "--batch", "10", "--edge-cases", "30")
@@ -231,6 +234,17 @@ def test_convert_rejection_text_and_exit_code(capsys, tag, value, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("value, message", [
+    ("nan,0,0,0", "--from quat must be finite"),
+    ("1,0,inf,0", "--from quat must be finite"),
+    ("1,0,x,0", "--from quat: could not convert string to float: 'x'"),
+])
+def test_convert_rejects_non_finite_or_non_numeric_value(capsys, value, message):
+    code, out, err = run_cli(capsys, "convert", "--from", "quat", "--to", "matrix",
+                             f"--value={value}")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_convert_keeps_the_axis_of_a_tiny_rotation(capsys):
     code, out, err = run_cli(capsys, "convert", "--from", "axis-angle", "--to", "quat",
                              "--value=1,0,0,1e-13")
@@ -292,6 +306,22 @@ def test_interp_bad_method_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["interp", "--method", "squad", "--a", "1,0,0,0", "--b", "1,0,0,0"])
     assert exc.value.code == 2
+
+
+def _identity_endpoint(method):
+    tag = _METHODS[method][0]
+    if tag is None:  # fisher-blend: MatrixFisher parameters
+        return "5,0,0,0,5,0,0,0,5"
+    return ",".join(map(repr, components(convert(RotationMatrix.identity(), tag))))
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("method", INTERPOLATION_METHODS)
+def test_interp_non_finite_t_exit_2(capsys, method, t):
+    endpoint = _identity_endpoint(method)
+    code, out, err = run_cli(capsys, "interp", "--method", method,
+                             f"--a={endpoint}", f"--b={endpoint}", f"--t={t}")
+    assert (code, out, err) == (2, "", f"error: --t must be finite, got {float(t)}\n")
 
 
 def test_interp_fisher_blend(capsys):
@@ -422,6 +452,33 @@ def test_register_non_finite_value_reports_line(capsys, tmp_path, value):
                            "--target", str(good))
     assert code == 2
     assert f"{bad}:3: coordinates must be finite" in err
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--tol=nan", "--tol must be > 0, got nan"),
+    ("--tol=0", "--tol must be > 0, got 0.0"),
+    ("--max-iter=-1", "--max-iter must be >= 0, got -1"),
+])
+def test_register_rejects_bad_icp_flags(capsys, tmp_path, flag, message):
+    good = tmp_path / "good.xyz"
+    good.write_text("0 0 0\n1 0 0\n0 1 0\n")
+    code, out, err = run_cli(capsys, "register", "--source", str(good),
+                             "--target", str(good), "--method", "icp", flag)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# only a comment\n\n", " no points found"),
+    ("0 0 0\n1 x 0\n", "2: could not convert string to float: 'x'"),
+])
+def test_register_rejects_empty_or_unparsable_file(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.xyz"
+    bad.write_text(text)
+    good = tmp_path / "good.xyz"
+    good.write_text("0 0 0\n1 0 0\n0 1 0\n")
+    code, out, err = run_cli(capsys, "register", "--source", str(bad),
+                             "--target", str(good))
+    assert (code, out, err) == (2, "", f"error: {bad}:{message}\n")
 
 
 @pytest.mark.parametrize("method", ["horn", "icp"])
