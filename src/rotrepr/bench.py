@@ -325,29 +325,12 @@ def gimbal_susceptibility(tag: str, cfg: BenchConfig) -> float:
     return hits / cfg.m_singularity
 
 
-def broken_quat_to_matrix(q: UnitQuaternion) -> RotationMatrix:
-    """Mutation fixture: conversion with a deliberate sign-odd defect.
-
-    Adds 1e-9 * sign(w) to one entry, so R(q) and R(-q) differ for every
-    quaternion with w != 0 and the double-cover metric must read 1.0.
-    Exists only to prove the metric's sensitivity.
-    """
-    r = quat_to_matrix(q)
-    bump = 1e-9 if q.w >= 0.0 else -1e-9
-    rows = r.rows
-    return RotationMatrix((
-        (rows[0][0] + bump, rows[0][1], rows[0][2]),
-        rows[1],
-        rows[2],
-    ))
-
-
 def double_cover_check(cfg: BenchConfig,
                        to_matrix_fn: Callable[[UnitQuaternion], RotationMatrix]
                        = quat_to_matrix) -> float:
     """Fraction of Haar quaternions where ||R(q) - R(-q)||_F > 1e-10.
 
-    Zero for any conversion that is exactly even in q; the
+    Zero for any conversion that is exactly even in q; the tests'
     broken_quat_to_matrix fixture drives it to 1.0.
     """
     rng = _suite_rng(cfg, "double-cover")

@@ -100,8 +100,7 @@ def compose_in(tag: str, x1: Representation, x2: Representation) -> Representati
     value_type, convention, mul, to_hub, from_hub = spec
     if type(x1) is not value_type or type(x2) is not value_type or (
             convention is not None
-            and not (x1.convention is convention is x2.convention
-                     or x1.convention == convention == x2.convention)):
+            and not x1.convention is convention is x2.convention):
         raise DegenerateInputError(
             f"compose_in({tag!r}) got operands tagged {(tag_of(x1), tag_of(x2))}")
     if to_hub is None:

@@ -352,27 +352,18 @@ def matrix_to_quat(r: RotationMatrix) -> UnitQuaternion:
 # Euler <-> quaternion and matrix
 
 
-# intrinsic axes -> the extrinsic sequence (i, j, k) of the same rotation
-# as component indices of q, and its parity: ZYX (a, b, g) is XYZ (g, b, a).
-# One row per extractable convention; _euler_spoke binds a row once.
-_TAIT_BRYAN = {"ZYX": (1, 2, 3, 1.0), "XYZ": (3, 2, 1, -1.0)}
-
-
 def _euler_quat(e: EulerAngles) -> tuple[float, float, float, float]:
-    # the half-angle quaternion product, written out for ZYX and XYZ; the
-    # core ZYX and XYZ objects (every Euler spoke's output) skip the lookup
+    # the half-angle quaternion product, written out for ZYX and XYZ
     alpha, beta, gamma, conv = e
     if conv is not ZYX and conv is not XYZ:
         axes, intrinsic = conv
-        if not (intrinsic and axes in _TAIT_BRYAN):
-            angles = (alpha, beta, gamma)
-            q = (1.0, 0.0, 0.0, 0.0)
-            for k in ((0, 1, 2) if intrinsic else (2, 1, 0)):
-                factor = [math.cos(0.5 * angles[k]), 0.0, 0.0, 0.0]
-                factor["XYZ".index(axes[k]) + 1] = math.sin(0.5 * angles[k])
-                q = _hamilton(q, factor)
-            return q
-        conv = ZYX if axes == "ZYX" else XYZ
+        angles = (alpha, beta, gamma)
+        q = (1.0, 0.0, 0.0, 0.0)
+        for k in ((0, 1, 2) if intrinsic else (2, 1, 0)):
+            factor = [math.cos(0.5 * angles[k]), 0.0, 0.0, 0.0]
+            factor["XYZ".index(axes[k]) + 1] = math.sin(0.5 * angles[k])
+            q = _hamilton(q, factor)
+        return q
     h = 0.5 * alpha
     ca, sa = math.cos(h), math.sin(h)
     h = 0.5 * beta
@@ -403,13 +394,13 @@ def euler_to_matrix(e: EulerAngles) -> RotationMatrix:
     ca, sa = math.cos(alpha), math.sin(alpha)
     cb, sb = math.cos(beta), math.sin(beta)
     cg, sg = math.cos(gamma), math.sin(gamma)
-    if conv is ZYX or (conv.intrinsic and conv.axes == "ZYX"):
+    if conv is ZYX:
         return _tuple_new(RotationMatrix, ((
             (ca * cb, ca * sb * sg - sa * cg, ca * sb * cg + sa * sg),
             (sa * cb, sa * sb * sg + ca * cg, sa * sb * cg - ca * sg),
             (-sb, cb * sg, cb * cg),
         ),))
-    if conv.intrinsic and conv.axes == "XYZ":
+    if conv is XYZ:
         return _tuple_new(RotationMatrix, ((
             (cb * cg, -cb * sg, sb),
             (ca * sg + sa * sb * cg, ca * cg - sa * sb * sg, -sa * cb),
@@ -418,17 +409,11 @@ def euler_to_matrix(e: EulerAngles) -> RotationMatrix:
     return quat_to_matrix(_euler_quat(e))
 
 
-def _euler_spoke(convention: EulerConvention) -> Callable:
-    """quat_to_euler with the convention resolved once: a spoke from a
-    (w, x, y, z) sequence to EulerAngles. Raises
-    UnsupportedConventionError for a convention _TAIT_BRYAN has no row
-    for."""
-    spec = _TAIT_BRYAN.get(convention.axes) if convention.intrinsic else None
-    if spec is None:
-        raise UnsupportedConventionError(
-            f"Euler extraction supports intrinsic ZYX and XYZ only, "
-            f"got {convention.tag}")
-    i, j, k, parity = spec
+def _euler_spoke(convention: EulerConvention, i, j, k, parity) -> Callable:
+    """quat_to_euler bound once to a convention: a spoke from a (w, x, y,
+    z) sequence to EulerAngles. (i, j, k) are the component indices of q
+    of the extrinsic sequence of the same rotation, and parity its sign:
+    intrinsic ZYX (a, b, g) is extrinsic XYZ (g, b, a)."""
 
     def spoke(q) -> EulerAngles:
         w, qi, qj, qk = q[0], q[i], q[j], q[k] * parity
@@ -453,6 +438,10 @@ def _euler_spoke(convention: EulerConvention) -> Callable:
     return spoke
 
 
+_ZYX_SPOKE = _euler_spoke(ZYX, 1, 2, 3, 1.0)
+_XYZ_SPOKE = _euler_spoke(XYZ, 3, 2, 1, -1.0)
+
+
 def quat_to_euler(q, convention: EulerConvention | None = None) -> EulerAngles:
     """Intrinsic ZYX (default) or XYZ angles of the (w, x, y, z)
     sequence q, after Bernardes & Viollet (2022, PLoS ONE 17(11)): from
@@ -464,7 +453,12 @@ def quat_to_euler(q, convention: EulerConvention | None = None) -> EulerAngles:
     beta| < 1e-7) gamma is zero and alpha absorbs the free rotation,
     exact at beta = +-pi/2 and O(|cos beta|) elsewhere in the band.
     Other conventions raise UnsupportedConventionError."""
-    return _euler_spoke(convention or ZYX)(q)
+    if convention is None or convention is ZYX:
+        return _ZYX_SPOKE(q)
+    if convention is XYZ:
+        return _XYZ_SPOKE(q)
+    raise UnsupportedConventionError(
+        f"Euler extraction supports intrinsic ZYX and XYZ only, got {convention.tag}")
 
 
 def matrix_to_euler(r: RotationMatrix,
@@ -659,8 +653,6 @@ def _entry(tag, row, value_type, arity, storage_bytes, components, from_componen
                 counted, to_matrix, from_matrix, hub, to_hub, from_hub)
 
 
-_ZYX_SPOKE, _XYZ_SPOKE = _euler_spoke(ZYX), _euler_spoke(XYZ)
-
 _REGISTRY = (
     _entry(QUAT, "quaternion", UnitQuaternion, 4, 32, UnitQuaternion.as_tuple,
            _checked_quat, quat_to_matrix, matrix_to_quat,
@@ -714,7 +706,7 @@ def _route(rep: _Rep, out: _Rep) -> Callable:
     vector, and matrix -> 6D through _checked_matrix); a route from a
     quaternion-hub tag starts on the quaternion, every other one goes
     through the matrix. An Euler value comes back as itself when its
-    convention is the destination's.
+    convention is the destination's, the same interned object.
     """
     if rep is out and out.convention is None:
         return _same
@@ -724,7 +716,7 @@ def _route(rep: _Rep, out: _Rep) -> Callable:
         else _chain(rep.to_hub, quat_to_matrix, out.from_matrix))
     if rep.type is not out.type:
         return route
-    return lambda e: e if e.convention == out.convention else route(e)
+    return lambda e: e if e.convention is out.convention else route(e)
 
 
 _DIRECT = {(AXIS_ANGLE, ROTVEC): axis_angle_to_rotation_vector,

@@ -203,17 +203,14 @@ def mat_mul_rows(a: tuple[Row3, Row3, Row3], b: tuple[Row3, Row3, Row3]):
     return (out[0], out[1], out[2])
 
 
-_VALID_AXES = {"XYZ", "XZY", "YXZ", "YZX", "ZXY", "ZYX",
-               "XYX", "XZX", "YXY", "YZY", "ZXZ", "ZYZ"}
-
-
 class _EulerConventionFields(NamedTuple):
     axes: str
     intrinsic: bool = True
 
 
 class EulerConvention(_EulerConventionFields):
-    """Ordered axis triple plus intrinsic/extrinsic flag.
+    """Ordered axis triple plus intrinsic flag (True or False): one of 24
+    shared objects, one per (axes, intrinsic), compared by identity.
 
     Intrinsic conventions compose in name order: axes "ZYX" with angles
     (alpha, beta, gamma) build Rz(alpha) Ry(beta) Rx(gamma). Extrinsic is
@@ -223,20 +220,31 @@ class EulerConvention(_EulerConventionFields):
     __slots__ = ()
 
     def __new__(cls, axes: str, intrinsic: bool = True):
-        if axes not in _VALID_AXES:
+        conv = _CONVENTIONS.get((axes, intrinsic))
+        if conv is None:
             raise DegenerateInputError(
-                f"unknown Euler axis sequence {axes!r}; "
-                f"expected one of {sorted(_VALID_AXES)}")
-        return _tuple_new(cls, (axes, intrinsic))
+                f"unknown Euler convention {(axes, intrinsic)!r}; expected axes "
+                f"one of {sorted({a for a, _ in _CONVENTIONS})} and intrinsic "
+                "True or False")
+        return conv
 
     @classmethod
-    def _make(cls, iterable):  # so that _replace checks the axes too
+    def _make(cls, iterable):  # so that _replace looks the convention up too
         return cls(*iterable)
+
+    def __reduce__(self):  # so that pickle (every protocol) and copy do too
+        return EulerConvention, tuple(self)
 
     @property
     def tag(self) -> str:
         return f"{self.axes.lower()}-{'intrinsic' if self.intrinsic else 'extrinsic'}"
 
+
+# the 24 conventions, built once: EulerConvention()'s check and cache
+_CONVENTIONS = {(axes, intrinsic): _tuple_new(EulerConvention, (axes, intrinsic))
+                for axes in ("XYZ", "XZY", "YXZ", "YZX", "ZXY", "ZYX",
+                             "XYX", "XZX", "YXY", "YZY", "ZXZ", "ZYZ")
+                for intrinsic in (True, False)}
 
 ZYX = EulerConvention("ZYX")
 XYZ = EulerConvention("XYZ")

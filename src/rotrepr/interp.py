@@ -154,7 +154,7 @@ def linear_sixd(s1: SixD, s2: SixD, t: float) -> RotationMatrix:
 def linear_euler(e1: EulerAngles, e2: EulerAngles, t: float) -> EulerAngles:
     """Component-wise linear ZYX/XYZ angles, each travelling its shorter
     arc. Not a geodesic; behaves badly near the gimbal band by design."""
-    if e1.convention != e2.convention:
+    if e1.convention is not e2.convention:
         raise DegenerateInputError("euler endpoints use different conventions")
     da = wrap_angle(e2.alpha - e1.alpha)
     db = wrap_angle(e2.beta - e1.beta)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from rotrepr import Rng, sample_uniform
+from rotrepr import RotationMatrix, Rng, sample_uniform
 from rotrepr.convert import quat_to_matrix
 
 
@@ -26,6 +26,15 @@ def frobenius(r1, r2) -> float:
             d = r1.rows[i][j] - r2.rows[i][j]
             s += d * d
     return math.sqrt(s)
+
+
+def broken_quat_to_matrix(q) -> RotationMatrix:
+    """Mutation fixture for bench.double_cover_check: quat_to_matrix with
+    1e-9 * sign(w) added to one entry, so R(q) and R(-q) differ for every
+    quaternion with w != 0 and the double-cover metric must read 1.0."""
+    (a, b, c), row1, row2 = quat_to_matrix(q).rows
+    bump = 1e-9 if q.w >= 0.0 else -1e-9
+    return RotationMatrix(((a + bump, b, c), row1, row2))
 
 
 # 1e-2 down to 1e-12 rad in half decades: the small-angle oracle grid

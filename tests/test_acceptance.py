@@ -32,7 +32,6 @@ from rotrepr.bench import (
     STORAGE_BYTES,
     BenchConfig,
     batch_times,
-    broken_quat_to_matrix,
     composition_times,
     derivative_continuity,
     double_cover_check,
@@ -50,6 +49,8 @@ from rotrepr.convert import axis_angle_to_matrix
 from rotrepr.interp import make_interpolator
 from rotrepr.probdist import Bingham
 from rotrepr.registration import _nearest_neighbors
+
+from conftest import broken_quat_to_matrix
 
 
 @contextlib.contextmanager

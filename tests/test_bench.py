@@ -12,7 +12,6 @@ from rotrepr.bench import (
     ROTATION_REPRESENTATIONS,
     BenchConfig,
     batch_efficiency,
-    broken_quat_to_matrix,
     composition_times,
     derivative_continuity,
     double_cover_check,
@@ -31,7 +30,7 @@ from rotrepr.convert import exp_map
 from rotrepr.errors import RotationError
 from rotrepr.interp import make_interpolator
 
-from conftest import haar_matrix
+from conftest import broken_quat_to_matrix, haar_matrix
 
 FAST = BenchConfig(n_stability=200, m_singularity=400, n_pairs=20,
                    trials=50, warmup=10, batch=20)

@@ -201,6 +201,12 @@ def test_compose_tag_mismatch(rng):
     xyz = values["euler-xyz"]
     with pytest.raises(DegenerateInputError):
         compose_in("euler-zyx", xyz, xyz)
+    # conventions are interned and compared by identity: a raw tuple equal
+    # to ZYX is no convention (declared change: it was accepted by value)
+    raw = values["euler-zyx"]._replace(convention=("ZYX", True))
+    for x1, x2 in ((raw, raw), (raw, values["euler-zyx"]), (values["euler-zyx"], raw)):
+        with pytest.raises(DegenerateInputError):
+            compose_in("euler-zyx", x1, x2)
 
 
 @pytest.mark.parametrize("tag", ["quat", "matrix", "euler-zyx", "euler-xyz",

@@ -1087,10 +1087,16 @@ def test_convert_same_tag_returns_the_value_itself(rng):
         e = EulerAngles(0.1, 0.2, 0.3, conv)
         assert convert(e, "euler-zyx") is not e
         assert tag_of(convert(e, "euler-zyx")) == "euler-zyx"
-    # the convention is compared by value, as tag_of does
+    # a convention built by the caller is the interned object itself
     e = EulerAngles(0.1, 0.2, 0.3, EulerConvention("XYZ"))
-    assert e.convention is not XYZ
+    assert e.convention is XYZ
     assert convert(e, "euler-xyz") is e
+    # a raw tuple equal to XYZ is not: it takes the route through the
+    # quaternion, and the result carries XYZ (declared change: it was
+    # compared by value and returned as is)
+    raw = e._replace(convention=("XYZ", True))
+    assert convert(raw, "euler-xyz") is not raw
+    assert convert(raw, "euler-xyz").convention is XYZ
 
 
 @pytest.mark.parametrize("value, dst", [
@@ -1271,6 +1277,11 @@ def _old_euler_quat(e):
                     ca * sb * cg + sa * cb * sg, sa * cb * cg - ca * sb * sg)
         return (ca * cb * cg - sa * sb * sg, sa * cb * cg + ca * sb * sg,
                 ca * sb * cg - sa * cb * sg, ca * cb * sg + sa * sb * cg)
+    return _generic_euler_quat(e)
+
+
+def _generic_euler_quat(e):
+    alpha, beta, gamma, (axes, intrinsic) = e
     angles = (alpha, beta, gamma)
     q = (1.0, 0.0, 0.0, 0.0)
     for k in ((0, 1, 2) if intrinsic else (2, 1, 0)):
@@ -1291,9 +1302,8 @@ def _quat_bits(f, value):
 def test_euler_quat_matches_lookup_first_form_bit_for_bit(rng):
     axes = ("XYZ", "XZY", "YXZ", "YZX", "ZXY", "ZYX",
             "XYX", "XZX", "YXY", "YZY", "ZXZ", "ZYZ")
-    conventions = [ZYX, XYZ] + [EulerConvention(a, i) for a in axes
-                                for i in (True, False)]
-    assert len(set(conventions)) == 24 and EulerConvention("ZYX") is not ZYX
+    conventions = [EulerConvention(a, i) for a in axes for i in (True, False)]
+    assert len(set(conventions)) == 24 and ZYX in conventions and XYZ in conventions
     odd = (0.0, -0.0, 5e-324, 1e-170, 0.5 * math.pi, -0.5 * math.pi, math.pi,
            1e300, -1.7e308, math.nan, math.inf)
     triples = [(rng.uniform(-math.pi, math.pi), rng.uniform(-0.5 * math.pi, 0.5 * math.pi),
@@ -1310,8 +1320,15 @@ def test_euler_quat_matches_lookup_first_form_bit_for_bit(rng):
                  EulerAngles(0.1, 0.2, 0.3, ("ABC", True)),
                  EulerAngles(0.1, 0.2, 0.3, ("ZYX", 1)), EulerAngles(0.1, 0.2, 0.3, ("XYZ", 0)),
                  EulerAngles(0.1, None, 0.3, XYZ)]
+    listed = malformed[6]
     for e in malformed:
-        assert _quat_bits(_euler_quat, e) == _quat_bits(_old_euler_quat, e), e
+        if e is not listed:
+            assert _quat_bits(_euler_quat, e) == _quat_bits(_old_euler_quat, e), e
+    # the one outcome interning changed (declared): a list of axes raised
+    # TypeError in the dict lookup, and now takes the generic product
+    assert _quat_bits(_old_euler_quat, listed) == (TypeError, "unhashable type: 'list'")
+    assert _quat_bits(_euler_quat, listed) == _quat_bits(_generic_euler_quat, listed)
+    assert _quat_bits(_euler_quat, listed)[0] is tuple
 
 
 # ---------------------------------------------------------------------------

@@ -595,8 +595,10 @@ def test_value_type_is_the_tuple_of_its_fields(value):
 
 
 def test_euler_value_types():
+    import copy
+    import pickle
     from rotrepr import EulerAngles, EulerConvention
-    from rotrepr.core import ZYX
+    from rotrepr.core import XYZ, ZYX
     assert EulerAngles(0.1, 0.2, 0.3).convention is ZYX
     assert EulerConvention("ZYX") == ZYX == ("ZYX", True)
     assert EulerConvention("XYX", intrinsic=False).tag == "xyx-extrinsic"
@@ -606,6 +608,29 @@ def test_euler_value_types():
     with pytest.raises(DegenerateInputError):
         ZYX._replace(axes="ABC")
     assert ZYX._replace(intrinsic=False) == EulerConvention("ZYX", False)
+    # one interned object per (axes, intrinsic): 24 distinct singletons,
+    # which every way of building or copying a convention returns
+    conventions = [EulerConvention(axes, intrinsic)
+                   for axes in ("XYZ", "XZY", "YXZ", "YZX", "ZXY", "ZYX",
+                                "XYX", "XZX", "YXY", "YZY", "ZXZ", "ZYZ")
+                   for intrinsic in (True, False)]
+    assert len(set(map(id, conventions))) == len(set(conventions)) == 24
+    for conv in conventions:
+        assert EulerConvention(*conv) is conv
+        assert EulerConvention(conv.axes, intrinsic=conv.intrinsic) is conv
+        assert conv._make(tuple(conv)) is conv and conv._replace() is conv
+        assert copy.copy(conv) is conv and copy.deepcopy(conv) is conv
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(conv, protocol)) is conv
+    assert ZYX._replace(axes="XYZ") is XYZ
+    assert EulerConvention("ZYX", 1) is ZYX and EulerConvention("XYZ", 0).intrinsic is False
+    e = EulerAngles(0.1, 0.2, 0.3, EulerConvention("XYZ"))
+    assert copy.deepcopy(e).convention is XYZ
+    assert pickle.loads(pickle.dumps(e, 0)).convention is XYZ
+    # intrinsic is True or False (declared change: any value was kept)
+    for intrinsic in (None, "yes", 2):
+        with pytest.raises(DegenerateInputError, match="intrinsic True or False"):
+            EulerConvention("ZYX", intrinsic)
 
 
 def test_validation_result_truth_is_ok():

@@ -384,6 +384,10 @@ def test_linear_euler_rejects_mixed_conventions():
     with pytest.raises(DegenerateInputError,
                        match="euler endpoints use different conventions"):
         linear_euler(EulerAngles(0.1, 0.2, 0.3), EulerAngles(0.1, 0.2, 0.3, XYZ), 0.5)
+    with pytest.raises(DegenerateInputError,
+                       match="euler endpoints use different conventions"):
+        linear_euler(EulerAngles(0.1, 0.2, 0.3),
+                     EulerAngles(0.1, 0.2, 0.3, ("ZYX", True)), 0.5)
 
 
 def test_linear_euler_wraps_shortest_arc():
