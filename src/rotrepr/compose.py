@@ -93,14 +93,14 @@ _COMPOSE = {rep.tag: (rep.type, rep.convention, _hub_product(rep),
 def compose_in(tag: str, x1: Representation, x2: Representation) -> Representation:
     """Compose two rotations on the representation's hub, returning the
     same representation. Both operands must have the tag's exact value
-    type and, for Euler angles, its convention."""
+    type and, for Euler angles, its (interned) convention object."""
     spec = _COMPOSE.get(tag)
     if spec is None:
         raise DegenerateInputError(f"unknown representation tag {tag!r}")
     value_type, convention, mul, to_hub, from_hub = spec
     if type(x1) is not value_type or type(x2) is not value_type or (
             convention is not None
-            and not x1.convention is convention is x2.convention):
+            and not (x1.convention is convention is x2.convention)):
         raise DegenerateInputError(
             f"compose_in({tag!r}) got operands tagged {(tag_of(x1), tag_of(x2))}")
     if to_hub is None:

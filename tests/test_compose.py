@@ -202,7 +202,7 @@ def test_compose_tag_mismatch(rng):
     with pytest.raises(DegenerateInputError):
         compose_in("euler-zyx", xyz, xyz)
     # conventions are interned and compared by identity: a raw tuple equal
-    # to ZYX is no convention (declared change: it was accepted by value)
+    # to ZYX is no convention
     raw = values["euler-zyx"]._replace(convention=("ZYX", True))
     for x1, x2 in ((raw, raw), (raw, values["euler-zyx"]), (values["euler-zyx"], raw)):
         with pytest.raises(DegenerateInputError):

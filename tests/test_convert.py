@@ -1092,8 +1092,7 @@ def test_convert_same_tag_returns_the_value_itself(rng):
     assert e.convention is XYZ
     assert convert(e, "euler-xyz") is e
     # a raw tuple equal to XYZ is not: it takes the route through the
-    # quaternion, and the result carries XYZ (declared change: it was
-    # compared by value and returned as is)
+    # quaternion, and the result carries XYZ
     raw = e._replace(convention=("XYZ", True))
     assert convert(raw, "euler-xyz") is not raw
     assert convert(raw, "euler-xyz").convention is XYZ
@@ -1324,8 +1323,9 @@ def test_euler_quat_matches_lookup_first_form_bit_for_bit(rng):
     for e in malformed:
         if e is not listed:
             assert _quat_bits(_euler_quat, e) == _quat_bits(_old_euler_quat, e), e
-    # the one outcome interning changed (declared): a list of axes raised
-    # TypeError in the dict lookup, and now takes the generic product
+    # the one outcome that differs from the lookup-first form: its dict
+    # lookup raises TypeError on a list of axes, which _euler_quat takes
+    # through the generic product
     assert _quat_bits(_old_euler_quat, listed) == (TypeError, "unhashable type: 'list'")
     assert _quat_bits(_euler_quat, listed) == _quat_bits(_generic_euler_quat, listed)
     assert _quat_bits(_euler_quat, listed)[0] is tuple

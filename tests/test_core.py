@@ -627,7 +627,7 @@ def test_euler_value_types():
     e = EulerAngles(0.1, 0.2, 0.3, EulerConvention("XYZ"))
     assert copy.deepcopy(e).convention is XYZ
     assert pickle.loads(pickle.dumps(e, 0)).convention is XYZ
-    # intrinsic is True or False (declared change: any value was kept)
+    # intrinsic is True or False (1 and 0 select the same objects)
     for intrinsic in (None, "yes", 2):
         with pytest.raises(DegenerateInputError, match="intrinsic True or False"):
             EulerConvention("ZYX", intrinsic)
