@@ -205,15 +205,12 @@ def cmd_register(args) -> int:
         raise CliInputError(f"--tol must be > 0, got {args.tol}")
     source = _parse_xyz(args.source)
     target = _parse_xyz(args.target)
-    # overflow is reported as the error below, not as numpy warnings
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if args.method == "horn":
-                (transform, rms), iterations = horn_align(source, target), None
-            else:
-                result = icp(source, target, max_iter=args.max_iter, tol=args.tol)
-                transform, rms, iterations = result.transform, result.rms, result.iterations
-    except DegenerateInputError as exc:  # coordinates too large to align
+        if args.method == "horn":
+            (transform, rms), iterations = horn_align(source, target), None
+        else:
+            transform, iterations, rms = icp(source, target, args.max_iter, args.tol)
+    except DegenerateInputError as exc:  # a translation or rms beyond the float range
         raise CliInputError(str(exc)) from exc
     quat = matrix_to_quat(transform.rotation)
     print(f"method: {args.method}")

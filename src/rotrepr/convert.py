@@ -356,6 +356,8 @@ def _euler_quat(e: EulerAngles) -> tuple[float, float, float, float]:
     # the half-angle quaternion product, written out for ZYX and XYZ
     alpha, beta, gamma, conv = e
     if conv is not ZYX and conv is not XYZ:
+        if type(conv) is not EulerConvention:
+            raise DegenerateInputError(f"not an EulerConvention: {conv!r}")
         axes, intrinsic = conv
         angles = (alpha, beta, gamma)
         q = (1.0, 0.0, 0.0, 0.0)
@@ -457,6 +459,8 @@ def quat_to_euler(q, convention: EulerConvention | None = None) -> EulerAngles:
         return _ZYX_SPOKE(q)
     if convention is XYZ:
         return _XYZ_SPOKE(q)
+    if type(convention) is not EulerConvention:
+        raise DegenerateInputError(f"not an EulerConvention: {convention!r}")
     raise UnsupportedConventionError(
         f"Euler extraction supports intrinsic ZYX and XYZ only, got {convention.tag}")
 
@@ -695,6 +699,8 @@ def tag_of(value: Representation) -> str:
         raise DegenerateInputError(f"not a rotation representation: {value!r}")
     if rep.convention is None:
         return rep.tag
+    if type(value.convention) is not EulerConvention:
+        raise DegenerateInputError(f"not an EulerConvention: {value.convention!r}")
     euler = _BY_CONVENTION.get(value.convention)
     return euler.tag if euler is not None else f"euler-{value.convention.tag}"
 

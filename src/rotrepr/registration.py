@@ -6,9 +6,11 @@ H, calling LAPACK's ``np.linalg.eigh`` on it directly (``eig_sym4`` stays
 the public helper that checks and symmetrizes its input). ICP alternates
 the same solver with exact brute-force nearest neighbours, found from
 p.(-2q) + |q|^2 + |p|^2 in blocks of NN_CHUNK = 64 source rows, so one
-block of distances to 2000 targets (1 MB) stays in cache. A collinear
-source raises DegeneracyError; a scatter, M or distance that overflows
-(coordinates of about 1e154 and up) DegenerateInputError.
+block of distances to 2000 targets (1 MB) stays in cache. One scale rule,
+``_as_given``, solves a pair as given or in a power-of-two frame (exact,
+and Horn's rotation is scale invariant), so any finite clouds align: a
+collinear or coincident source raises DegeneracyError, and a translation
+or rms beyond the float range DegenerateInputError.
 """
 
 from __future__ import annotations
@@ -19,17 +21,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import RotationMatrix, UnitQuaternion, Vec3, _tuple_new
+from .core import RotationMatrix, UnitQuaternion, Vec3
 from .convert import quat_to_matrix
 from .errors import ContractViolationError, DegeneracyError, DegenerateInputError
 
 SCATTER_RANK_TOL = 1e-12  # middle over largest scatter eigenvalue
 NN_CHUNK = 64  # source rows per distance block
+PRODUCT_MIN = 2.0 ** -1010  # the largest coordinate products solved as given reach it
 
 
 @dataclass(frozen=True, eq=False)
 class PointSet:
-    """Ordered 3D point list stored as an (N, 3) float array."""
+    """Ordered 3D point list stored as an (N, 3) float array, with its
+    largest |coordinate| (from the finiteness check) for the scale rule."""
 
     points: np.ndarray = field()
 
@@ -38,13 +42,12 @@ class PointSet:
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise DegenerateInputError(
                 f"points must be (N, 3), got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
+        extent = float(np.abs(pts).max(initial=0.0))  # NaN propagates
+        if not math.isfinite(extent):
             raise DegenerateInputError("points must be finite")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
+        object.__setattr__(self, "_extent", extent)
 
 
 class RigidTransform(NamedTuple):
@@ -95,64 +98,68 @@ def horn_align(source: PointSet, target: PointSet) -> tuple[RigidTransform, floa
     largest eigenvalue is the optimal quaternion; t = q_bar - R p_bar.
     Returns the transform and the RMS of the per-point residual norms.
     """
-    return _horn(source.points, target.points)
+    return _horn(source.points, target.points, source._extent, target._extent)
 
 
-def _horn(p: np.ndarray, q: np.ndarray) -> tuple[RigidTransform, float]:
-    """horn_align on finite (n, 3) float arrays. One reduction over the
-    (n, 6) pair gives both centroids (numpy sums axis 0 row by row), and
-    one product of its centred source columns with the whole centred pair
-    gives the scatter and the cross-covariance H side by side. M is
-    symmetric by construction, so below the guard's 2^1023 eig_sym4's
-    check and 0.5 * (M + M^T) are exact identities on it, and eigh on M
-    itself gives eig_sym4's top eigenvector (eigh's last column)."""
+def _as_given(n: int, ap: float, aq: float) -> bool:
+    """The scale rule for n source points with largest |coordinates| ap
+    and aq (target): no subnormal product corrupts S or H, and 48 n a^2
+    bounds every sum Horn and ICP form, the residual squares the largest."""
+    a = max(ap, aq)
+    return ap * min(ap, aq) >= PRODUCT_MIN and 48.0 * n * a * a < 2.0 ** 1023
+
+
+def _horn(p: np.ndarray, q: np.ndarray, ap: float, aq: float,
+          rotation: RotationMatrix | None = None) -> tuple[RigidTransform, float]:
+    """horn_align on arrays with largest |coordinates| ap and aq (for a
+    given rotation if one is passed). Outside ``_as_given``, R comes from
+    each cloud over its own 2^k, t and the rms from both over the larger
+    2^k. Inside, one reduction gives both centroids and one product S and
+    H; M is symmetric and finite, so eigh gives eig_sym4's top vector."""
     n = p.shape[0]
     if n != q.shape[0]:
-        raise DegeneracyError(
-            f"corresponded clouds differ in size: {n} vs {q.shape[0]}")
+        raise DegeneracyError(f"corresponded clouds differ in size: {n} vs {q.shape[0]}")
     _check_cloud(p, "source")
+    if rotation is None and not _as_given(n, ap, aq):
+        kp, kq = math.frexp(ap)[1] - 1, math.frexp(aq)[1] - 1
+        k = max(kp, kq)
+        rotation = _horn(np.ldexp(p, -kp), np.ldexp(q, -kq), 2.0, 2.0)[0].rotation  # < 2
+        return _in_units(*_horn(np.ldexp(p, -k), np.ldexp(q, -k), 2.0, 2.0, rotation),
+                         2.0 ** k)
     pq = np.concatenate((p, q), axis=1)
     bar = np.add.reduce(pq) / n
-    p_bar, q_bar = bar[:3], bar[3:]
-    pqc = pq - bar
-    m = pqc[:, :3].T @ pqc  # m[:, :3] is the scatter S, m[:, 3:] is H
-    try:
+    if rotation is None:
+        pqc = pq - bar
+        m = pqc[:, :3].T @ pqc  # m[:, :3] is the scatter S, m[:, 3:] is H
         _, e1, e2 = np.linalg.eigvalsh(m[:, :3]).tolist()
-    except np.linalg.LinAlgError:
-        e1 = e2 = math.nan
-    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = m[:, 3:].tolist()
-    tr = h00 + h11 + h22
-    d0, d1, d2 = h12 - h21, h20 - h02, h01 - h10
-    m11, m22, m33 = (h00 + h00) - tr, (h11 + h11) - tr, (h22 + h22) - tr
-    s01, s02, s12 = h01 + h10, h02 + h20, h12 + h21
-    # every entry below 2^1023 keeps M + M^T finite; a NaN fails too
-    big = 2.0 ** 1023
-    if not (abs(e1) < big and abs(e2) < big and abs(tr) < big and abs(d0) < big
-            and abs(d1) < big and abs(d2) < big and abs(m11) < big
-            and abs(m22) < big and abs(m33) < big and abs(s01) < big
-            and abs(s02) < big and abs(s12) < big):
-        raise DegenerateInputError("scatter or M overflows: coordinates too large")
-    if e1 <= SCATTER_RANK_TOL * e2:
-        raise DegeneracyError(
-            "source cloud is collinear; rotation about its axis is unobservable")
-    _, vecs = np.linalg.eigh(np.array(((tr, d0, d1, d2), (d0, m11, s01, s02),
-                                       (d1, s01, m22, s12), (d2, s02, s12, m33))))
-    rot = quat_to_matrix(_tuple_new(UnitQuaternion, vecs[:, 3].tolist()).normalized())
-    r = rot.as_array()
-    t = q_bar - r @ p_bar
-    res = p @ r.T
-    res += t
-    res -= q
-    return RigidTransform(rot, tuple(t.tolist())), _rms(res)
+        if e1 <= SCATTER_RANK_TOL * e2:
+            raise DegeneracyError(
+                "source cloud is collinear; rotation about its axis is unobservable")
+        (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = m[:, 3:].tolist()
+        tr = h00 + h11 + h22
+        d0, d1, d2 = h12 - h21, h20 - h02, h01 - h10
+        m11, m22, m33 = (h00 + h00) - tr, (h11 + h11) - tr, (h22 + h22) - tr
+        s01, s02, s12 = h01 + h10, h02 + h20, h12 + h21
+        _, vecs = np.linalg.eigh(np.array(((tr, d0, d1, d2), (d0, m11, s01, s02),
+                                           (d1, s01, m22, s12), (d2, s02, s12, m33))))
+        rotation = quat_to_matrix(UnitQuaternion.normalized(vecs[:, 3].tolist()))
+    r = rotation.as_array()
+    t = bar[3:] - r @ bar[:3]
+    return RigidTransform(rotation, tuple(t.tolist())), _rms(p @ r.T + t - q)
+
+
+def _in_units(tf: RigidTransform, rms: float, unit: float) -> tuple[RigidTransform, float]:
+    """A frame's transform and rms in the caller's units, unit = 2^k."""
+    t, rms = tuple(v * unit for v in tf.translation), rms * unit
+    if not all(map(math.isfinite, (*t, rms))):
+        raise DegenerateInputError("translation or rms overflows: coordinates too large")
+    return RigidTransform(tf.rotation, t), rms
 
 
 def _rms(residuals: np.ndarray) -> float:
-    """RMS of the residual norms, rescaled by max |r| only if the squares overflow."""
-    total = np.add.reduce(np.add.reduce(residuals * residuals, axis=1))
-    if math.isfinite(total):
-        return math.sqrt(total / residuals.shape[0])
-    scale = np.abs(residuals).max()
-    return float(scale * _rms(residuals / scale))
+    """RMS of the residual norms; ``_as_given`` keeps the squares finite."""
+    return math.sqrt(np.add.reduce(np.add.reduce(residuals * residuals, axis=1))
+                     / residuals.shape[0])
 
 
 def _nearest_neighbors(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -162,16 +169,12 @@ def _nearest_neighbors(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     p.(-2q) equals (p.q) * -2 bit for bit, since a power of two scales
     exactly, and (-2 dst).T keeps dst.T's layout, so BLAS runs the same
     kernel. A one-row tail joins the block before it: numpy sends a
-    one-row product to gemv, which rounds differently. Raises
-    DegenerateInputError if a distance could overflow; every partial sum
-    is at most 2 (max |p|^2 + max |q|^2).
+    one-row product to gemv, which rounds differently.
     """
     n = src.shape[0]
     out = np.empty(n, dtype=np.intp)
     dst_sq = np.add.reduce(dst * dst, axis=1)
     src_sq = np.add.reduce(src * src, axis=1)[:, None]
-    if not math.isfinite(2.0 * (src_sq.max() + dst_sq.max())):
-        raise DegenerateInputError("point distances overflow: coordinates too large")
     m2dt = (-2.0 * dst).T
     starts = range(0, max(n - 1, 1), NN_CHUNK)
     for start, stop in zip(starts, [*starts[1:], n]):
@@ -194,31 +197,31 @@ def icp(source: PointSet, target: PointSet, max_iter: int = 100,
 
     Each iteration matches the currently transformed source against the
     target, re-solves Horn on the matches, and stops when the RMS
-    improvement drops below tol or max_iter is reached. The RMS sequence
-    is non-increasing because every Horn step is optimal for its own
-    correspondences.
+    improvement, in the caller's units, drops below tol or max_iter is
+    reached. The RMS sequence is non-increasing because every Horn step
+    is optimal for its own correspondences. Outside ``_as_given`` both
+    clouds are divided by one 2^k, as neighbours need a common frame.
     """
     _check_cloud(source.points, "source")
     _check_cloud(target.points, "target")
+    ap, aq = source._extent, target._extent
+    k = 0 if _as_given(len(source.points), ap, aq) else math.frexp(max(ap, aq))[1] - 1
+    src, dst = np.ldexp(source.points, -k), np.ldexp(target.points, -k)
+    ap, aq = math.ldexp(ap, -k), math.ldexp(aq, -k)
     transform = RigidTransform.identity()
-    moved = source.points
-    matches = _nearest_neighbors(moved, target.points)
-    rms = _rms(moved - target.points[matches])
-    if max_iter == 0:
-        return IcpResult(transform, 0, rms)
+    matches = _nearest_neighbors(src, dst)
+    rms = _rms(src - dst[matches])
     iterations = 0
-    for iteration in range(1, max_iter + 1):
+    for iterations in range(1, max_iter + 1):
         try:
-            transform, step_rms = _horn(source.points, target.points[matches])
+            transform, step_rms = _horn(src, dst[matches], ap, aq)
         except DegeneracyError as exc:
             raise DegeneracyError(
-                f"degenerate correspondences at ICP iteration {iteration}: {exc}"
+                f"degenerate correspondences at ICP iteration {iterations}: {exc}"
             ) from exc
-        iterations = iteration
-        improvement = rms - step_rms
-        rms = step_rms
+        improvement, rms = (rms - step_rms) * 2.0 ** k, step_rms
         if improvement < tol:
             break
-        moved = transform.apply(source.points)
-        matches = _nearest_neighbors(moved, target.points)
+        matches = _nearest_neighbors(transform.apply(src), dst)
+    transform, rms = _in_units(transform, rms, 2.0 ** k)
     return IcpResult(transform, iterations, rms)

@@ -1091,11 +1091,28 @@ def test_convert_same_tag_returns_the_value_itself(rng):
     e = EulerAngles(0.1, 0.2, 0.3, EulerConvention("XYZ"))
     assert e.convention is XYZ
     assert convert(e, "euler-xyz") is e
-    # a raw tuple equal to XYZ is not: it takes the route through the
-    # quaternion, and the result carries XYZ
-    raw = e._replace(convention=("XYZ", True))
-    assert convert(raw, "euler-xyz") is not raw
-    assert convert(raw, "euler-xyz").convention is XYZ
+    # a raw tuple equal to XYZ is no convention
+    with pytest.raises(DegenerateInputError, match="not an EulerConvention"):
+        convert(e._replace(convention=("XYZ", True)), "euler-xyz")
+
+
+@pytest.mark.parametrize("convention", [("ZYX", True), "ZYX", None, ("ZYX",)],
+                         ids=["raw-tuple", "string", "none", "one-tuple"])
+@pytest.mark.parametrize("call", ["convert", "euler_to_matrix", "compose_in", "tag_of",
+                                  "quat_to_euler"])
+def test_non_convention_raises_rotation_error(convention, call):
+    e = EulerAngles(0.1, 0.2, 0.3, convention)
+    q = UnitQuaternion(0.9, 0.1, -0.3, 0.2).normalized()
+    if call == "quat_to_euler" and convention is None:  # None is the ZYX default
+        assert quat_to_euler(q, None) == quat_to_euler(q, ZYX)
+        return
+    run = {"convert": lambda: [convert(e, tag) for tag in REPRESENTATION_TAGS],
+           "euler_to_matrix": lambda: euler_to_matrix(e),
+           "compose_in": lambda: compose_in("euler-zyx", e, e),
+           "tag_of": lambda: tag_of(e),
+           "quat_to_euler": lambda: quat_to_euler(q, convention)}[call]
+    with pytest.raises(DegenerateInputError, match="not an EulerConvention"):
+        run()
 
 
 @pytest.mark.parametrize("value, dst", [
@@ -1319,16 +1336,14 @@ def test_euler_quat_matches_lookup_first_form_bit_for_bit(rng):
                  EulerAngles(0.1, 0.2, 0.3, ("ABC", True)),
                  EulerAngles(0.1, 0.2, 0.3, ("ZYX", 1)), EulerAngles(0.1, 0.2, 0.3, ("XYZ", 0)),
                  EulerAngles(0.1, None, 0.3, XYZ)]
-    listed = malformed[6]
     for e in malformed:
-        if e is not listed:
+        if len(e) == 4 and type(e[3]) is not EulerConvention:
+            # no interned convention: a RotationError, where the lookup-first
+            # form computed raw tuples or raised ValueError/TypeError
+            assert _quat_bits(_euler_quat, e) == (
+                DegenerateInputError, f"not an EulerConvention: {e[3]!r}")
+        else:
             assert _quat_bits(_euler_quat, e) == _quat_bits(_old_euler_quat, e), e
-    # the one outcome that differs from the lookup-first form: its dict
-    # lookup raises TypeError on a list of axes, which _euler_quat takes
-    # through the generic product
-    assert _quat_bits(_old_euler_quat, listed) == (TypeError, "unhashable type: 'list'")
-    assert _quat_bits(_euler_quat, listed) == _quat_bits(_generic_euler_quat, listed)
-    assert _quat_bits(_euler_quat, listed)[0] is tuple
 
 
 # ---------------------------------------------------------------------------

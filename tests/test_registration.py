@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from rotrepr import (
     DegenerateInputError,
     PointSet,
     RigidTransform,
+    RotationMatrix,
     UnitQuaternion,
     eig_sym4,
     horn_align,
@@ -300,10 +302,25 @@ def test_horn_bit_identical_to_reference(n):
                 assert all(type(v) is float for v in transform.translation + (rms,))
 
 
+def _old_rms(residuals):
+    # reference: the rms that rescaled by max |r| when the squares overflowed
+    total = np.add.reduce(np.add.reduce(residuals * residuals, axis=1))
+    if math.isfinite(total):
+        return math.sqrt(total / residuals.shape[0])
+    scale = np.abs(residuals).max()
+    return float(scale * _old_rms(residuals / scale))
+
+
 def _horn_align_through_eig_sym4(source, target):
     # reference: horn_align as it was before it called eigh directly, with
-    # two centroid reductions, the checked eig_sym4 and a class-call quaternion
-    from rotrepr.registration import _check_cloud, _rms
+    # two centroid reductions, the checked eig_sym4, a class-call quaternion
+    # and the overflow guard; numpy's overflow warnings are its own
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _guarded_horn(source, target)
+
+
+def _guarded_horn(source, target):
+    from rotrepr.registration import _check_cloud
     p = source.points
     q = target.points
     n = p.shape[0]
@@ -335,7 +352,7 @@ def _horn_align_through_eig_sym4(source, target):
     rot = quat_to_matrix(UnitQuaternion(*vecs[:, 0].tolist()).normalized())
     r = rot.as_array()
     t = q_bar - r @ p_bar
-    return RigidTransform(rot, tuple(t.tolist())), _rms(p @ r.T + t - q)
+    return RigidTransform(rot, tuple(t.tolist())), _old_rms(p @ r.T + t - q)
 
 
 def _bits(f, *args):
@@ -362,14 +379,32 @@ def _shaped_cloud(gen, n, shape, scale):
     return p * scale + gen.normal(size=3) * scale
 
 
+def _assert_aligns_as_at_unit_scale(p, q, scale):
+    # as the pair divided by its scale does on the reference path: the
+    # same exception, or R, t / scale and rms / scale within 1e-11
+    try:
+        ref, ref_rms = _horn_align_through_eig_sym4(PointSet(p / scale), PointSet(q / scale))
+    except Exception as exc:  # the exception type and message are the outcome
+        assert _bits(horn_align, PointSet(p), PointSet(q)) == (type(exc), str(exc))
+        return
+    transform, rms = horn_align(PointSet(p), PointSet(q))
+    assert relative_angle(transform.rotation, ref.rotation) < 1e-11
+    t_unit = max(1.0, *map(abs, ref.translation))
+    assert all(abs(a / scale - b) < 1e-11 * t_unit
+               for a, b in zip(transform.translation, ref.translation))
+    assert abs(rms / scale - ref_rms) < 1e-11 * max(1.0, ref_rms)
+
+
 @pytest.mark.parametrize("n", [3, 4, 5, 17, 64, 499, 500, 1000, 4096])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_horn_outcome_identical_to_eig_sym4_path(n):
-    # 10 scales x 6 shapes per size; from about 1e154 up the scatter or M
-    # overflows and both raise, and a target 1e150 times larger overflows
-    # M alone from a scale of about 1e100
+    # 10 scales x 6 shapes per size. Every row the reference path solves
+    # without overflow keeps its bits. The rest now align as the pair
+    # divided by its scale does: from about 1e154 the reference's scatter
+    # or M overflows (for a target 1e150 times larger from about 1e100),
+    # at 1e-170 its subnormal scatter reads as collinear, and at 1e8 the
+    # mismatched pair's residual squares overflow in its rms
     gen = np.random.default_rng(4000 + n)
-    outcomes = set()
+    outcomes, changed = set(), set()
     for scale in (1e-170, 1e-150, 1e-100, 1e-8, 1.0, 1e8, 1e100, 1e150, 1e154, 1e160):
         for shape in ("gaussian", "noisy", "collinear", "coplanar", "coincident",
                       "mismatched"):
@@ -382,10 +417,13 @@ def test_horn_outcome_identical_to_eig_sym4_path(n):
                 q *= 1e150 if scale <= 1e100 else 1e-150
             source, target = PointSet(p), PointSet(q)
             got = _bits(horn_align, source, target)
-            assert got == _bits(_horn_align_through_eig_sym4, source, target)
             outcomes.add(got[0] if isinstance(got, tuple) else float)
+            if got != _bits(_horn_align_through_eig_sym4, source, target):
+                changed.add((scale, shape))
+                _assert_aligns_as_at_unit_scale(p, q, scale)
     assert float in outcomes and DegeneracyError in outcomes
-    assert DegenerateInputError in outcomes
+    assert all(scale in (1e-170, 1e154, 1e160) or (scale, shape) in (
+        (1e8, "mismatched"), (1e100, "mismatched")) for scale, shape in changed)
 
 
 def _axis_cloud(c, a):
@@ -395,28 +433,32 @@ def _axis_cloud(c, a):
 
 @pytest.mark.parametrize("case, match", [
     ("sizes", "differ in size"), ("two points", "at least 3"),
-    ("huge", "too large"),
-    ("nan only", "too large"),  # h00 = inf, h11 = -inf: tr and m11..m33 NaN, no entry inf
-    ("s12 only", "too large"),  # s12 alone in [2^1023, 2^1024), finite
 ])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_horn_outcome_identical_on_rejected_clouds(rng, case, match):
-    p = q = _axis_cloud(1e5, 1e5)
     if case == "sizes":
         p, q = _cloud(rng, 10), _cloud(rng, 11)
-    elif case == "two points":
-        p = q = _cloud(rng, 2)
-    elif case == "huge":
-        p, q = _cloud(rng, 20) * 1e300, _cloud(rng, 20) * 1e300
-    elif case == "nan only":
-        q = p * [1e300, -1e300, 1.0]
     else:
-        p = _axis_cloud(1e150, 1e150)
-        q = p[:, [0, 2, 1]] * [1.0, 2.7e7, 2.7e7]
+        p = q = _cloud(rng, 2)
     source, target = PointSet(p), PointSet(q)
     got = _bits(horn_align, source, target)
     assert isinstance(got, tuple) and match in got[1]
     assert got == _bits(_horn_align_through_eig_sym4, source, target)
+
+
+@pytest.mark.parametrize("case", ["huge", "nan only", "s12 only"])
+def test_horn_aligns_pairs_the_overflow_guard_rejected(rng, case):
+    # the old guard's three ways to reject: a scatter beyond 2^1023, M's
+    # diagonal NaN from h00 = inf and h11 = -inf, and s12 alone in
+    # [2^1023, 2^1024); each pair now aligns as at unit scale
+    p = _axis_cloud(1e5, 1e5)
+    if case == "huge":
+        p, q, scale = _cloud(rng, 20) * 1e300, _cloud(rng, 20) * 1e300, 1e300
+    elif case == "nan only":
+        q, scale = p * [1e300, -1e300, 1.0], 1e5
+    else:
+        p = _axis_cloud(1e150, 1e150)
+        q, scale = p[:, [0, 2, 1]] * [1.0, 2.7e7, 2.7e7], 1e150
+    _assert_aligns_as_at_unit_scale(p, q, scale)
 
 
 def _icp_through_eig_sym4(source, target, max_iter=100, tol=1e-10):
@@ -477,7 +519,6 @@ def test_icp_identical_to_eig_sym4_path_on_fixture():
 
 
 @pytest.mark.parametrize("n", [3, 50, 400])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_icp_identical_to_eig_sym4_path_on_shuffled_clouds(n):
     gen = np.random.default_rng(77 + n)
     iterations = []
@@ -528,30 +569,52 @@ def test_horn_coincident_points_degenerate():
         horn_align(same, same)
 
 
-@pytest.mark.parametrize("scale", [1e-7, 1e-3, 1e6])
+_EXTREME_SCALES = (1e-300, 1e-250, 1e-200, 1e-165, 1e-162, 1e-160, 1e-158, 1e-156,
+                   1e154, 1e200, 1e250, 1e300)
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e-3, 1e6, *_EXTREME_SCALES])
 def test_horn_accepts_small_and_large_clouds(rng, scale):
-    src = _cloud(rng, 10) * scale
-    r0 = haar_matrix(rng)
-    t0 = np.array([rng.normal(), rng.normal(), rng.normal()]) * scale
-    transform, rms = horn_align(PointSet(src), PointSet(src @ r0.as_array().T + t0))
-    assert relative_angle(transform.rotation, r0) < 1e-9
-    assert np.linalg.norm(np.array(transform.translation) - t0) < 1e-9 * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        src = _cloud(rng, 200) * scale
+        r0 = haar_matrix(rng)
+        t0 = np.array([rng.normal(), rng.normal(), rng.normal()])
+        t0 *= 0.5 / np.linalg.norm(t0)
+        transform, rms = horn_align(PointSet(src),
+                                    PointSet(src @ r0.as_array().T + t0 * scale))
+    assert relative_angle(transform.rotation, r0) < 1e-12
+    assert np.linalg.norm(np.array(transform.translation) / scale - t0) < 1e-12 * 0.5
     assert rms < 1e-12 * scale
 
 
-@pytest.mark.parametrize("source_scale, target_scale",
-                         [(1e160, 1e160), (1e200, 1e200), (1e300, 1e300),
-                          (1e160, 1e-160),  # the scatter overflows, H does not
-                          (1e100, 1e207)])  # H is finite, M's doubled entries are not
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_horn_and_icp_reject_overflowing_clouds(rng, source_scale, target_scale):
-    src = PointSet(_cloud(rng, 20) * source_scale)
-    tgt = PointSet(_cloud(rng, 20) * target_scale)
-    with pytest.raises(DegenerateInputError, match="too large"):
-        horn_align(src, tgt)
-    if source_scale == target_scale:
-        with pytest.raises(DegenerateInputError, match="too large"):
-            icp(src, tgt)
+@pytest.mark.parametrize("source_scale, target_scale", [
+    (1e160, 1e160), (1e200, 1e200), (1e300, 1e300),
+    (1e160, 1e-160),  # the scatter overflowed, H did not
+    (1e100, 1e207),  # H was finite, M's doubled entries were not
+    (1e150, 1e157),  # the point distances overflowed
+])
+def test_horn_and_icp_align_clouds_the_overflow_guards_rejected(rng, source_scale,
+                                                                target_scale):
+    # Horn's rotation does not change under a positive scaling of either
+    # cloud; t = q_bar - R p_bar and the rms stay in the clouds' units
+    base = _cloud(rng, 20)
+    r0 = haar_matrix(rng).as_array()
+    src, tgt = base * source_scale, (base @ r0.T + [0.5, -0.25, 1.0]) * target_scale
+    transform, rms = horn_align(PointSet(src), PointSet(tgt))
+    assert relative_angle(transform.rotation, RotationMatrix.from_array(r0)) < 1e-12
+    big = max(source_scale, target_scale)
+    t = np.add.reduce(tgt / big) / 20 - r0 @ (np.add.reduce(src / big) / 20)
+    assert np.abs(np.array(transform.translation) / big - t).max() < 1e-12
+    res = (src / big) @ r0.T + t - tgt / big
+    assert rms / big == pytest.approx(math.sqrt(np.mean(np.sum(res * res, axis=1))),
+                                      rel=1e-12)
+    for cloud, scale in ((src, source_scale), (tgt, target_scale)):
+        result = icp(PointSet(cloud), PointSet(cloud[::-1]))
+        assert result.iterations == 1
+        assert relative_angle(result.transform.rotation, RotationMatrix.identity()) < 1e-12
+        assert np.abs(np.array(result.transform.translation)).max() < 1e-12 * scale
+        assert result.rms < 1e-12 * scale
 
 
 def test_horn_invariant_under_common_rigid_motion(rng):
@@ -567,7 +630,6 @@ def test_horn_invariant_under_common_rigid_motion(rng):
                                   PointSet(tgt @ g.T + gt))
     assert rms_moved == pytest.approx(rms_plain, abs=1e-9)
     # parameters conjugate: R' = G R G^T, t' = G t + gt - R' gt
-    from rotrepr import RotationMatrix
     conj = RotationMatrix.from_array(g @ plain.rotation.as_array() @ g.T)
     assert relative_angle(moved.rotation, conj) < 1e-9
     t_conj = g @ np.array(plain.translation) + gt - conj.as_array() @ gt
@@ -740,26 +802,29 @@ def test_icp_bit_identical_to_reference(degrees):
         assert type(result.rms) is float
 
 
-@pytest.mark.parametrize("source_scale, target_scale", [(1e150, 1e157), (1e100, 1e207)])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_icp_rejects_overflowing_distances(rng, source_scale, target_scale):
-    # the 256-row search matched every point to target 0 here and went on
-    src = PointSet(_cloud(rng, 20) * source_scale)
-    tgt = PointSet(_cloud(rng, 20) * target_scale)
-    with pytest.raises(DegenerateInputError, match="too large"):
-        _nearest_neighbors(src.points, tgt.points)
-    with pytest.raises(DegenerateInputError, match="too large"):
-        icp(src, tgt)
-
-
 def test_icp_accepts_large_clouds_below_overflow(rng):
     pts = PointSet(_cloud(rng, 20) * 1e150)
     result = icp(pts, pts)
     assert result.iterations == 1
     assert result.rms < 1e-12 * 1e150
+    # perfbench register's problem (2000 points, shuffled, a 1-4.5 degree
+    # perturbation, a translation up to 0.05), with tol, scaled by s
+    gen = np.random.default_rng(11)
+    src = gen.normal(size=(2000, 3))
+    for s in _EXTREME_SCALES:
+        axis = gen.normal(size=3)
+        r0 = axis_angle_to_matrix(AxisAngle(tuple(axis / np.linalg.norm(axis)),
+                                            math.radians(gen.uniform(1.0, 4.5))))
+        t0 = gen.uniform(-0.05, 0.05, size=3)
+        tgt = (src @ r0.as_array().T + t0)[gen.permutation(2000)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = icp(PointSet(src * s), PointSet(tgt * s), tol=1e-10 * s)
+        assert relative_angle(result.transform.rotation, r0) < 1e-9
+        assert np.abs(np.array(result.transform.translation) / s - t0).max() < 1e-9
+        assert result.rms < 1e-9 * s
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_horn_rms_rescales_when_squares_overflow(rng):
     src = _cloud(rng, 20)
     tgt = _cloud(rng, 20) * 1e306

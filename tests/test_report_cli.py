@@ -481,21 +481,19 @@ def test_register_rejects_empty_or_unparsable_file(capsys, tmp_path, text, messa
     assert (code, out, err) == (2, "", f"error: {bad}:{message}\n")
 
 
-@pytest.mark.parametrize("method", ["horn", "icp"])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_register_overflowing_cloud_exit_2(capsys, tmp_path, rng, method):
-    huge = tmp_path / "huge.xyz"
-    huge.write_text("\n".join(
-        " ".join(repr(rng.normal() * 1e200) for _ in range(3)) for _ in range(10)))
-    code, out, err = run_cli(capsys, "register", "--source", str(huge),
-                             "--target", str(huge), "--method", method)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: ") and "too large" in err
+def _overflowing_pair(tmp_path, rng):
+    # a source near -1.5e308 and its copy near +1.5e308: the clouds align,
+    # but the translation between them is beyond the float range
+    shape = [[rng.normal() * 1e300 for _ in range(3)] for _ in range(10)]
+    paths = []
+    for name, offset in (("neg.xyz", -1.5e308), ("pos.xyz", 1.5e308)):
+        path = tmp_path / name
+        path.write_text("\n".join(" ".join(repr(c + offset) for c in row) for row in shape))
+        paths.append(str(path))
+    return paths
 
 
-@pytest.mark.parametrize("method", ["horn", "icp"])
-def test_register_overflow_prints_no_numpy_warnings(tmp_path, rng, method):
+def _fresh_register(source, target, method):
     # a separate interpreter, so stderr is what a user sees
     import os
     import subprocess
@@ -503,20 +501,47 @@ def test_register_overflow_prints_no_numpy_warnings(tmp_path, rng, method):
     from pathlib import Path
 
     import rotrepr
-    huge = tmp_path / "huge.xyz"
-    huge.write_text("\n".join(
-        " ".join(repr(rng.normal() * 1e200) for _ in range(3)) for _ in range(10)))
     env = dict(os.environ, PYTHONWARNINGS="default",
                PYTHONPATH=str(Path(rotrepr.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rotrepr.cli", "register", "--source", str(huge),
-         "--target", str(huge), "--method", method],
+    return subprocess.run(
+        [sys.executable, "-m", "rotrepr.cli", "register", "--source", source,
+         "--target", target, "--method", method],
         capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("method", ["horn", "icp"])
+def test_register_overflowing_cloud_exit_2(capsys, tmp_path, rng, method):
+    source, target = _overflowing_pair(tmp_path, rng)
+    code, out, err = run_cli(capsys, "register", "--source", source,
+                             "--target", target, "--method", method)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "too large" in err
+
+
+@pytest.mark.parametrize("method", ["horn", "icp"])
+def test_register_overflow_prints_no_numpy_warnings(tmp_path, rng, method):
+    proc = _fresh_register(*_overflowing_pair(tmp_path, rng), method)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "RuntimeWarning" not in proc.stderr
     assert proc.stderr.splitlines() == [proc.stderr.strip()]
     assert proc.stderr.startswith("error: ") and "too large" in proc.stderr
+
+
+@pytest.mark.parametrize("method", ["horn", "icp"])
+def test_register_huge_cloud_aligns_silently(tmp_path, rng, method):
+    # a 1e200 cloud aligned to itself, which exited 2 before the
+    # power-of-two frame
+    huge = tmp_path / "huge.xyz"
+    huge.write_text("\n".join(
+        " ".join(repr(rng.normal() * 1e200) for _ in range(3)) for _ in range(10)))
+    proc = _fresh_register(str(huge), str(huge), method)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    fields = dict(line.split(": ") for line in proc.stdout.strip().splitlines())
+    quat = [float(v) for v in fields["quaternion"].split(",")]
+    assert quat == pytest.approx([1, 0, 0, 0], abs=1e-12)
+    assert float(fields["rms"]) < 1e-12 * 1e200
 
 
 def test_register_tiny_cloud_is_not_collinear(capsys, tmp_path, rng):
