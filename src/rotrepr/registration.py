@@ -111,11 +111,11 @@ def _as_given(n: int, ap: float, aq: float) -> bool:
 
 def _horn(p: np.ndarray, q: np.ndarray, ap: float, aq: float,
           rotation: RotationMatrix | None = None) -> tuple[RigidTransform, float]:
-    """horn_align on arrays with largest |coordinates| ap and aq (for a
-    given rotation if one is passed). Outside ``_as_given``, R comes from
-    each cloud over its own 2^k, t and the rms from both over the larger
-    2^k. Inside, one reduction gives both centroids and one product S and
-    H; M is symmetric and finite, so eigh gives eig_sym4's top vector."""
+    """horn_align on arrays with largest |coordinates| ap and aq, for a
+    given rotation if passed. Outside ``_as_given``, R from each cloud
+    over its own 2^k and t, rms from both over the larger (extents < 2).
+    Inside, one reduction gives the centroids, one product S and H; M is
+    symmetric and finite, so eigh gives eig_sym4's top eigenvector."""
     n = p.shape[0]
     if n != q.shape[0]:
         raise DegeneracyError(f"corresponded clouds differ in size: {n} vs {q.shape[0]}")
@@ -123,7 +123,7 @@ def _horn(p: np.ndarray, q: np.ndarray, ap: float, aq: float,
     if rotation is None and not _as_given(n, ap, aq):
         kp, kq = math.frexp(ap)[1] - 1, math.frexp(aq)[1] - 1
         k = max(kp, kq)
-        rotation = _horn(np.ldexp(p, -kp), np.ldexp(q, -kq), 2.0, 2.0)[0].rotation  # < 2
+        rotation = _horn(np.ldexp(p, -kp), np.ldexp(q, -kq), 2.0, 2.0)[0].rotation
         return _in_units(*_horn(np.ldexp(p, -k), np.ldexp(q, -k), 2.0, 2.0, rotation),
                          2.0 ** k)
     pq = np.concatenate((p, q), axis=1)
