@@ -798,6 +798,26 @@ def test_icp_bit_identical_to_reference(degrees):
         assert type(result.rms) is float
 
 
+@pytest.mark.parametrize("source_scale, target_scale", [(1e150, 1e157), (1e100, 1e207)])
+def test_icp_matches_clouds_the_distance_guard_rejected(rng, source_scale, target_scale):
+    # the point distances overflow as given; ICP runs on both clouds over
+    # one 2^k and must equal, bit for bit, ICP on the clouds so divided
+    # with tol divided too
+    src = _cloud(rng, 20) * source_scale
+    tgt = (_cloud(rng, 20) @ haar_matrix(rng).as_array().T + 0.5) * target_scale
+    k = math.frexp(max(np.abs(src).max(), np.abs(tgt).max()))[1] - 1
+    result = icp(PointSet(src), PointSet(tgt))
+    unit = icp(PointSet(np.ldexp(src, -k)), PointSet(np.ldexp(tgt, -k)),
+               tol=math.ldexp(1e-10, -k))
+    assert math.isfinite(result.rms)
+    assert result.iterations == unit.iterations
+    assert np.array_equal(result.transform.rotation.as_array(),
+                          unit.transform.rotation.as_array())
+    assert result.transform.translation == tuple(
+        math.ldexp(v, k) for v in unit.transform.translation)
+    assert result.rms == math.ldexp(unit.rms, k)
+
+
 def test_icp_accepts_large_clouds_below_overflow(rng):
     pts = PointSet(_cloud(rng, 20) * 1e150)
     result = icp(pts, pts)
