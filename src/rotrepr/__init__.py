@@ -75,7 +75,6 @@ from .errors import (
     InvalidRotationError,
     NonUniqueModeError,
     RotationError,
-    UnsupportedConventionError,
 )
 
 __version__ = "0.1.0"

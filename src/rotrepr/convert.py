@@ -30,6 +30,7 @@ from .core import (
     TINY_ANGLE,
     XYZ,
     ZYX,
+    _CONVENTIONS,
     AxisAngle,
     EulerAngles,
     EulerConvention,
@@ -42,11 +43,7 @@ from .core import (
     canonicalize,
     validity_residuals,
 )
-from .errors import (
-    DegenerateInputError,
-    InvalidRotationError,
-    UnsupportedConventionError,
-)
+from .errors import DegenerateInputError, InvalidRotationError
 
 SMALL_ANGLE = 1e-4        # forward-map Taylor branches
 GIMBAL_COS_BETA = 1e-7    # Euler extraction fold band
@@ -411,65 +408,75 @@ def euler_to_matrix(e: EulerAngles) -> RotationMatrix:
     return quat_to_matrix(_euler_quat(e))
 
 
-def _euler_spoke(convention: EulerConvention, i, j, k, parity) -> Callable:
+def _euler_spoke(convention: EulerConvention) -> Callable:
     """quat_to_euler bound once to a convention: a spoke from a (w, x, y,
-    z) sequence to EulerAngles. (i, j, k) are the component indices of q
-    of the extrinsic sequence of the same rotation, and parity its sign:
-    intrinsic ZYX (a, b, g) is extrinsic XYZ (g, b, a)."""
+    z) sequence to EulerAngles. It reads the convention extrinsically, as
+    intrinsic "abc" with (a, b, g) is extrinsic "cba" with (g, b, a): (i,
+    j, k) index in q its first and middle axes and the remaining one, and
+    parity is +1 when j follows i cyclically. Proper sequences (i = third
+    axis) skip the Tait-Bryan component shift, the -pi/2 offset and the
+    parity sign on the last angle."""
+    axes, intrinsic = convention
+    i, j, k = ("XYZ".index(axis) + 1 for axis in (axes[::-1] if intrinsic else axes))
+    proper, k = i == k, 6 - i - j
+    parity = 1.0 if (j - i) % 3 == 1 else -1.0
+    sign, offset = (1.0, 0.0) if proper else (parity, 0.5 * math.pi)
 
     def spoke(q) -> EulerAngles:
         w, qi, qj, qk = q[0], q[i], q[j], q[k] * parity
-        a, b, c, d = w - qj, qi + qk, qj + w, qk - qi
+        if proper:
+            a, b, c, d = w, qi, qj, qk
+        else:
+            a, b, c, d = w - qj, qi + qk, qj + w, qk - qi
         hab, hcd = math.hypot(a, b), math.hypot(c, d)
         h = math.hypot(hab, hcd)
         if h == 0.0:
             raise DegenerateInputError(_ZERO_QUAT)
         half_sum = math.atan2(b, a)
         half_diff = math.atan2(d, c)
-        if 2.0 * (hab / h) * (hcd / h) < GIMBAL_COS_BETA:  # |cos beta|
-            gamma = 0.0
-            alpha = 2.0 * (half_sum if hab > hcd else half_diff)
+        if 2.0 * (hab / h) * (hcd / h) < GIMBAL_COS_BETA:  # |cos beta|, |sin beta| if proper
+            first = 0.0  # the rotation applied first
+            last = 2.0 * (half_sum if hab > hcd else half_diff)
         else:
-            gamma = half_sum - half_diff
-            alpha = half_sum + half_diff
+            first = half_sum - half_diff
+            last = half_sum + half_diff
         # both lie in [-2 pi, 2 pi]; the IEEE remainder wraps them exactly
-        alpha = parity * math.remainder(alpha, math.tau)
-        gamma = math.remainder(gamma, math.tau)
-        beta = 2.0 * math.atan2(hcd, hab) - 0.5 * math.pi
-        return _tuple_new(EulerAngles, (alpha, beta, gamma, convention))
+        last = sign * math.remainder(last, math.tau)
+        first = math.remainder(first, math.tau)
+        beta = 2.0 * math.atan2(hcd, hab) - offset
+        return _tuple_new(EulerAngles, (last, beta, first, convention) if intrinsic
+                          else (first, beta, last, convention))
     return spoke
 
 
-_ZYX_SPOKE = _euler_spoke(ZYX, 1, 2, 3, 1.0)
-_XYZ_SPOKE = _euler_spoke(XYZ, 3, 2, 1, -1.0)
+# one spoke per interned convention, keyed by identity; None means ZYX
+_EULER_SPOKES = {id(conv): _euler_spoke(conv) for conv in _CONVENTIONS.values()}
+_EULER_SPOKES[id(None)] = _EULER_SPOKES[id(ZYX)]
 
 
 def quat_to_euler(q, convention: EulerConvention | None = None) -> EulerAngles:
-    """Intrinsic ZYX (default) or XYZ angles of the (w, x, y, z)
-    sequence q, after Bernardes & Viollet (2022, PLoS ONE 17(11)): from
-    component pairs (a, b) and (c, d), beta = 2 atan2(|(c, d)|, |(a, b)|)
-    - pi/2, and atan2(b, a) and atan2(d, c) are the half sum and half
-    difference of the outer angles, so alpha -/+ gamma, all a rotation
-    near the fold pins down, comes from the well-conditioned pair. Scale
-    invariant; alpha and gamma in [-pi, pi]. In the gimbal band (|cos
-    beta| < 1e-7) gamma is zero and alpha absorbs the free rotation,
-    exact at beta = +-pi/2 and O(|cos beta|) elsewhere in the band.
-    Other conventions raise UnsupportedConventionError."""
-    if convention is None or convention is ZYX:
-        return _ZYX_SPOKE(q)
-    if convention is XYZ:
-        return _XYZ_SPOKE(q)
-    if type(convention) is not EulerConvention:
+    """Angles in any of the 24 conventions (default intrinsic ZYX) of the
+    (w, x, y, z) sequence q, after Bernardes & Viollet (2022, PLoS ONE
+    17(11)): from component pairs (a, b) and (c, d), beta = 2 atan2(|(c,
+    d)|, |(a, b)|), less pi/2 for Tait-Bryan sequences, and atan2(b, a)
+    and atan2(d, c) are the half sum and half difference of the outer
+    angles, so their sum or difference, all a rotation near the fold pins
+    down, comes from the well-conditioned pair. Scale invariant; alpha
+    and gamma in [-pi, pi]. In the gimbal band, |cos beta| < 1e-7 (|sin
+    beta| for proper sequences), the angle applied first (gamma if
+    intrinsic, alpha if extrinsic) is zero and the other absorbs the free
+    rotation, exact at the fold and O(|cos beta|) (|sin beta|) in the band."""
+    spoke = _EULER_SPOKES.get(id(convention))
+    if spoke is None:
         raise DegenerateInputError(f"not an EulerConvention: {convention!r}")
-    raise UnsupportedConventionError(
-        f"Euler extraction supports intrinsic ZYX and XYZ only, got {convention.tag}")
+    return spoke(q)
 
 
 def matrix_to_euler(r: RotationMatrix,
                     convention: EulerConvention | None = None) -> EulerAngles:
-    """Intrinsic ZYX or XYZ angles of r: Shoemake's matrix_to_quat, then
-    quat_to_euler. Raises InvalidRotationError where matrix_to_quat does
-    and UnsupportedConventionError for every other convention."""
+    """Angles of r in any convention (default intrinsic ZYX): Shoemake's
+    matrix_to_quat, then quat_to_euler. Raises InvalidRotationError where
+    matrix_to_quat does."""
     return quat_to_euler(matrix_to_quat(r), convention)
 
 
@@ -657,6 +664,15 @@ def _entry(tag, row, value_type, arity, storage_bytes, components, from_componen
                 counted, to_matrix, from_matrix, hub, to_hub, from_hub)
 
 
+def _euler_entry(tag, row, convention) -> _Rep:
+    """Euler angles have no constraint to check: an entry binds a convention."""
+    spoke = _EULER_SPOKES[id(convention)]
+    return _entry(tag, row, EulerAngles, 3, 24, EulerAngles.as_tuple,
+                  lambda c: EulerAngles(*c, convention=convention), euler_to_matrix,
+                  _chain(matrix_to_quat, spoke), quat_spokes=(_euler_quat, spoke),
+                  convention=convention)
+
+
 _REGISTRY = (
     _entry(QUAT, "quaternion", UnitQuaternion, 4, 32, UnitQuaternion.as_tuple,
            _checked_quat, quat_to_matrix, matrix_to_quat,
@@ -664,15 +680,8 @@ _REGISTRY = (
     _entry(MATRIX, "matrix", RotationMatrix, 9, 72, RotationMatrix.as_flat,
            lambda c: _checked_matrix(RotationMatrix.from_rows((c[:3], c[3:6], c[6:]))),
            _same, _same),
-    # Euler angles have no constraint to check: each entry binds its convention
-    _entry(EULER_ZYX, "euler", EulerAngles, 3, 24, EulerAngles.as_tuple,
-           lambda c: EulerAngles(*c, convention=ZYX), euler_to_matrix,
-           _chain(matrix_to_quat, _ZYX_SPOKE), quat_spokes=(_euler_quat, _ZYX_SPOKE),
-           convention=ZYX),
-    _entry(EULER_XYZ, None, EulerAngles, 3, 24, EulerAngles.as_tuple,
-           lambda c: EulerAngles(*c, convention=XYZ), euler_to_matrix,
-           _chain(matrix_to_quat, _XYZ_SPOKE), quat_spokes=(_euler_quat, _XYZ_SPOKE),
-           convention=XYZ),
+    _euler_entry(EULER_ZYX, "euler", ZYX),
+    _euler_entry(EULER_XYZ, None, XYZ),
     _entry(AXIS_ANGLE, "axis-angle", AxisAngle, 4, 24, AxisAngle.as_tuple,
            _checked_axis_angle, axis_angle_to_matrix,
            lambda r: quat_to_axis_angle(matrix_to_quat(r)),

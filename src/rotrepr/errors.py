@@ -15,11 +15,6 @@ class InvalidRotationError(RotationError):
     constraints (orthonormal det +1 matrix, unit norm, angle range)."""
 
 
-class UnsupportedConventionError(RotationError):
-    """Euler extraction was requested for a convention without extraction
-    formulas (only intrinsic ZYX and XYZ are supported)."""
-
-
 class DegeneracyError(RotationError):
     """A well-formed input turned out to be geometrically degenerate
     (collinear point cloud, rank-deficient Fisher parameter, ...)."""

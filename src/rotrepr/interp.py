@@ -52,7 +52,7 @@ def _nlerp_pair(q1: UnitQuaternion, q2: UnitQuaternion, t: float,
     if w1 * w2 + x1 * x2 + y1 * y2 + z1 * z2 < 0.0:
         q2 = _tuple_new(UnitQuaternion, (-w2, -x2, -y2, -z2))
         w2, x2, y2, z2 = q2
-    if q1 == q2:  # keep constant paths exactly constant, and unit
+    if q1 == q2 and math.isfinite(t):  # keep constant paths exactly constant, and unit
         return q1 if abs(q1.dot(q1) - 1.0) <= 1e-15 else q1.normalized()
     w = (1.0 - t) * w1 + t * w2
     x = (1.0 - t) * x1 + t * x2
@@ -88,14 +88,19 @@ def slerp(q1: UnitQuaternion, q2: UnitQuaternion, t: float) -> UnitQuaternion:
     if upsilon < NLERP_FALLBACK:
         return _nlerp_pair(q1, q2, t)
     s = math.sin(upsilon)
-    k1 = math.sin((1.0 - t) * upsilon) / s
-    k2 = math.sin(t * upsilon) / s
+    try:
+        k1 = math.sin((1.0 - t) * upsilon) / s
+        k2 = math.sin(t * upsilon) / s
+    except ValueError:  # sin of an infinite t * upsilon
+        k1 = k2 = math.nan
     w = k1 * w1 + k2 * w2
     x = k1 * x1 + k2 * x2
     y = k1 * y1 + k2 * y2
     z = k1 * z1 + k2 * z2
     n2 = w * w + x * x + y * y + z * z
-    if not 1e-300 <= n2 < math.inf and math.isfinite(t):
+    if not 1e-300 <= n2 < math.inf:
+        if not math.isfinite(t):
+            raise DegenerateInputError(f"slerp blend is not finite at t={t!r}")
         return slerp(q1.normalized(), q2.normalized(), t)
     n = math.sqrt(n2)
     return _tuple_new(UnitQuaternion, (w / n, x / n, y / n, z / n))
@@ -152,8 +157,11 @@ def linear_sixd(s1: SixD, s2: SixD, t: float) -> RotationMatrix:
 
 
 def linear_euler(e1: EulerAngles, e2: EulerAngles, t: float) -> EulerAngles:
-    """Component-wise linear ZYX/XYZ angles, each travelling its shorter
-    arc. Not a geodesic; behaves badly near the gimbal band by design."""
+    """Component-wise linear Euler angles of one convention, each
+    travelling its shorter arc. Not a geodesic; behaves badly near the
+    gimbal band by design."""
+    if not math.isfinite(t):
+        raise DegenerateInputError(f"linear-euler blend is not finite at t={t!r}")
     if e1.convention is not e2.convention:
         raise DegenerateInputError("euler endpoints use different conventions")
     da = wrap_angle(e2.alpha - e1.alpha)
@@ -165,6 +173,8 @@ def linear_euler(e1: EulerAngles, e2: EulerAngles, t: float) -> EulerAngles:
 
 def fisher_blend(f1: MatrixFisher, f2: MatrixFisher, t: float) -> MatrixFisher:
     """Affine blend of the natural-parameter matrices."""
+    if not math.isfinite(t):
+        raise DegenerateInputError(f"fisher blend is not finite at t={t!r}")
     return MatrixFisher((1.0 - t) * f1.f + t * f2.f)
 
 

@@ -115,23 +115,28 @@ def _horn(p: np.ndarray, q: np.ndarray, ap: float, aq: float,
     given rotation if passed. Outside ``_as_given``, R from each cloud
     over its own 2^k and t, rms from both over the larger (extents < 2).
     Inside, one reduction gives the centroids, one product S and H; M is
-    symmetric and finite, so eigh gives eig_sym4's top eigenvector."""
+    symmetric and finite, so eigh gives eig_sym4's top eigenvector. A
+    scatter below n PRODUCT_MIN (a tiny spread far from the origin, whose
+    centred products go subnormal) takes R from the centred clouds, each
+    over its own 2^k, and t and the rms as given."""
     n = p.shape[0]
     if n != q.shape[0]:
         raise DegeneracyError(f"corresponded clouds differ in size: {n} vs {q.shape[0]}")
     _check_cloud(p, "source")
     if rotation is None and not _as_given(n, ap, aq):
-        kp, kq = math.frexp(ap)[1] - 1, math.frexp(aq)[1] - 1
-        k = max(kp, kq)
-        rotation = _horn(np.ldexp(p, -kp), np.ldexp(q, -kq), 2.0, 2.0)[0].rotation
-        return _in_units(*_horn(np.ldexp(p, -k), np.ldexp(q, -k), 2.0, 2.0, rotation),
-                         2.0 ** k)
+        k = math.frexp(max(ap, aq))[1] - 1
+        return _in_units(*_horn(np.ldexp(p, -k), np.ldexp(q, -k), 2.0, 2.0,
+                                _own_frames_rotation(p, q, ap, aq)), 2.0 ** k)
     pq = np.concatenate((p, q), axis=1)
     bar = np.add.reduce(pq) / n
     if rotation is None:
         pqc = pq - bar
         m = pqc[:, :3].T @ pqc  # m[:, :3] is the scatter S, m[:, 3:] is H
         _, e1, e2 = np.linalg.eigvalsh(m[:, :3]).tolist()
+        if e2 < n * PRODUCT_MIN and pqc[:, :3].any():  # all zeros is collinear below
+            pc, qc = pqc[:, :3], pqc[:, 3:]
+            rotation = _own_frames_rotation(pc, qc, np.abs(pc).max(), np.abs(qc).max())
+            return _horn(p, q, ap, aq, rotation)
         if e1 <= SCATTER_RANK_TOL * e2:
             raise DegeneracyError(
                 "source cloud is collinear; rotation about its axis is unobservable")
@@ -146,6 +151,14 @@ def _horn(p: np.ndarray, q: np.ndarray, ap: float, aq: float,
     r = rotation.as_array()
     t = bar[3:] - r @ bar[:3]
     return RigidTransform(rotation, tuple(t.tolist())), _rms(p @ r.T + t - q)
+
+
+def _own_frames_rotation(p: np.ndarray, q: np.ndarray, ap: float, aq: float
+                         ) -> RotationMatrix:
+    """Horn's R from each cloud divided by its own 2^k, from its largest
+    |coordinate|: exact, and R does not change under it."""
+    kp, kq = math.frexp(ap)[1] - 1, math.frexp(aq)[1] - 1
+    return _horn(np.ldexp(p, -kp), np.ldexp(q, -kq), 2.0, 2.0)[0].rotation
 
 
 def _in_units(tf: RigidTransform, rms: float, unit: float) -> tuple[RigidTransform, float]:

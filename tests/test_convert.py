@@ -12,7 +12,6 @@ from rotrepr import (
     RotationVector,
     SixD,
     UnitQuaternion,
-    UnsupportedConventionError,
     compose_in,
     relative_angle,
     validate,
@@ -54,7 +53,7 @@ from rotrepr.convert import (
     rotation_vector_to_axis_angle,
     tag_of,
 )
-from rotrepr.core import DEFAULT_AXIS, TINY_ANGLE, XYZ, ZYX
+from rotrepr.core import _CONVENTIONS, DEFAULT_AXIS, TINY_ANGLE, XYZ, ZYX
 
 from conftest import (SMALL_ANGLES, exact_euler_quat, exact_quat_matrix,
                       exact_rotation_vector, frobenius, haar_matrix, haar_quat,
@@ -460,12 +459,17 @@ def test_matrix_to_euler_zyx_round_trip_haar(rng):
         assert frobenius(euler_to_matrix(e), r) < 1e-9
 
 
-def test_matrix_to_euler_unsupported_conventions():
-    r = RotationMatrix.identity()
-    with pytest.raises(UnsupportedConventionError):
-        matrix_to_euler(r, EulerConvention("ZXZ"))
-    with pytest.raises(UnsupportedConventionError):
-        matrix_to_euler(r, EulerConvention("ZYX", intrinsic=False))
+def test_matrix_to_euler_proper_and_extrinsic_conventions(rng):
+    # a proper sequence and an extrinsic one: the angles reproduce r
+    for conv in (EulerConvention("ZXZ"), EulerConvention("ZYX", intrinsic=False)):
+        e = matrix_to_euler(RotationMatrix.identity(), conv)
+        assert e.convention is conv
+        assert euler_to_matrix(e) == RotationMatrix.identity()
+        for _ in range(200):
+            r = haar_matrix(rng)
+            e = matrix_to_euler(r, conv)
+            assert -math.pi <= e.alpha <= math.pi and -math.pi <= e.gamma <= math.pi
+            assert frobenius(euler_to_matrix(e), r) < 1e-9
 
 
 def test_matrix_to_euler_rejects_non_rotation():
@@ -478,7 +482,7 @@ def test_matrix_to_euler_rejects_non_rotation():
 
 
 def test_quat_to_euler_scale_invariant_and_zero(rng):
-    for conv in (ZYX, XYZ):
+    for conv in (ZYX, XYZ, EulerConvention("ZXZ"), EulerConvention("ZYX", False)):
         for _ in range(50):
             q = haar_quat(rng)
             e = quat_to_euler(q, conv)
@@ -492,8 +496,8 @@ def test_quat_to_euler_scale_invariant_and_zero(rng):
                 assert quat_to_euler(tuple(k * c for c in q), conv) == e
         with pytest.raises(DegenerateInputError):
             quat_to_euler((0.0, 0.0, 0.0, 0.0), conv)
-    with pytest.raises(UnsupportedConventionError):
-        quat_to_euler(UnitQuaternion.identity(), EulerConvention("ZXZ"))
+        e = quat_to_euler(UnitQuaternion.identity(), conv)
+        assert euler_to_matrix(e) == RotationMatrix.identity()
 
 
 def test_euler_to_quat_matches_matrix_route(rng):
@@ -519,7 +523,23 @@ def _wrapped_gap(a: float, b: float) -> float:
     return min(d, 2.0 * math.pi - d)
 
 
-@pytest.mark.parametrize("conv", [ZYX, XYZ], ids=lambda c: c.axes)
+ALL_CONVENTIONS = list(_CONVENTIONS.values())
+
+
+def _conv_id(conv) -> str:
+    """scipy's spelling: upper case intrinsic, lower case extrinsic."""
+    return conv.axes if conv.intrinsic else conv.axes.lower()
+
+
+def _exact_conv_quat(conv, angles) -> list:
+    """exact_euler_quat for any convention: extrinsic "abc" with (a, b, g)
+    is intrinsic "cba" with (g, b, a)."""
+    if conv.intrinsic:
+        return exact_euler_quat(conv.axes, angles)
+    return exact_euler_quat(conv.axes[::-1], angles[::-1])
+
+
+@pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=_conv_id)
 @pytest.mark.parametrize("source", ["quat", "matrix"])
 @pytest.mark.parametrize("cos_beta", EULER_COS_BETAS)
 def test_euler_extraction_near_fold_oracle(conv, source, cos_beta, rng):
@@ -528,18 +548,24 @@ def test_euler_extraction_near_fold_oracle(conv, source, cos_beta, rng):
     # carry rounding. Outside the band the matrix round trip is within a
     # few ulp of the input's exact rotation, and alpha and gamma within
     # c eps / |cos beta| of the true angles (the matrix pins down only
-    # alpha -/+ gamma at the fold). Inside the band gamma folds to zero
-    # and the rotation is reproduced to O(|cos beta|).
+    # alpha -/+ gamma at the fold). Inside the band the angle applied
+    # first folds to zero and the rotation is reproduced to O(|cos beta|).
+    # Proper sequences (first axis = third) fold at beta = 0 and pi,
+    # where |sin beta| takes the place of |cos beta|.
     import mpmath as mp
     in_band = cos_beta < GIMBAL_COS_BETA
+    proper = conv.axes[0] == conv.axes[2]
     for sign in (1.0, -1.0):
         for _ in range(4):
             alpha = rng.uniform(-math.pi, math.pi)
             gamma = rng.uniform(-math.pi, math.pi)
             with mp.workdps(40):
-                beta = sign * mp.acos(mp.mpf(cos_beta))
-                q = [float(c) for c in
-                     exact_euler_quat(conv.axes, (alpha, beta, gamma))]
+                if proper:
+                    beta = mp.asin(mp.mpf(cos_beta))
+                    beta = beta if sign > 0 else mp.pi - beta
+                else:
+                    beta = sign * mp.acos(mp.mpf(cos_beta))
+                q = [float(c) for c in _exact_conv_quat(conv, (alpha, beta, gamma))]
             if source == "quat":
                 exact = exact_quat_matrix(q)
                 e = quat_to_euler(q, conv)
@@ -548,16 +574,38 @@ def test_euler_extraction_near_fold_oracle(conv, source, cos_beta, rng):
                 exact = r.rows
                 e = matrix_to_euler(r, conv)
             err = max_entry_error(euler_to_matrix(e), exact)
+            assert e.convention is conv
             assert -math.pi <= e.alpha <= math.pi
             assert -math.pi <= e.gamma <= math.pi
             if in_band:
-                assert e.gamma == 0.0
+                assert (e.gamma if conv.intrinsic else e.alpha) == 0.0
                 assert err <= 3.0 * cos_beta
                 continue
             assert err <= 8 * EPS
             assert abs(e.beta - float(beta)) <= 8 * EPS
             assert _wrapped_gap(e.alpha, alpha) <= 8 * EPS / cos_beta
             assert _wrapped_gap(e.gamma, gamma) <= 8 * EPS / cos_beta
+
+
+@pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=_conv_id)
+def test_quat_to_euler_matches_scipy(conv, rng):
+    # scipy's as_euler spells intrinsic axes in upper case and extrinsic
+    # in lower case, with the angles in the same order as EulerAngles.
+    # Haar samples within 1e-2 of the fold, where both sides' outer
+    # angles are ill-conditioned, are skipped.
+    from scipy.spatial.transform import Rotation
+    proper = conv.axes[0] == conv.axes[2]
+    checked = 0
+    for _ in range(200):
+        q = haar_quat(rng)
+        e = quat_to_euler(q, conv)
+        if abs(math.sin(e.beta) if proper else math.cos(e.beta)) < 1e-2:
+            continue
+        ref = Rotation.from_quat((q.x, q.y, q.z, q.w)).as_euler(_conv_id(conv))
+        for got, want in zip((e.alpha, e.beta, e.gamma), ref):
+            assert abs(math.remainder(got - float(want), math.tau)) <= 1e-13
+        checked += 1
+    assert checked >= 190
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -399,6 +400,23 @@ def test_linear_euler_wraps_shortest_arc():
     assert abs(abs(mid.alpha) - math.pi) < 1e-9
 
 
+@pytest.mark.parametrize("method", INTERPOLATION_METHODS)
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("evaluate", ["eval_native", "eval"])
+def test_interpolators_reject_non_finite_t(method, t, evaluate, rng):
+    # distinct endpoints and a constant path, with every warning an error
+    if method == "fisher-blend":
+        a, b = (MatrixFisher(5.0 * haar_matrix(rng).as_array()) for _ in range(2))
+    else:
+        a, b = haar_matrix(rng), haar_matrix(rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for end in (b, a):
+            interp = make_interpolator(method, a, end)
+            with pytest.raises(DegenerateInputError):
+                getattr(interp, evaluate)(t)
+
+
 def test_method_tag_list():
     assert set(INTERPOLATION_METHODS) == {
         "slerp", "nlerp", "matrix-geodesic", "linear-rotation-vector",
@@ -501,11 +519,18 @@ def _oracle_pairs(rng):
 
 
 def test_slerp_nlerp_match_helper_frame_form_bit_for_bit(rng):
+    # a non-finite t, which the helper-frame form met with a bare
+    # ValueError, a NaN quaternion or a constant path, raises instead
     ts = (0.0, 0.5, 1.0, -0.3, 1.7, math.nan, math.inf, -math.inf, 0.37)
     count = 0
     for q1, q2 in _oracle_pairs(rng):
         for t in ts:
+            count += 1
+            if not math.isfinite(t):
+                for f in (slerp, nlerp):
+                    with pytest.raises(DegenerateInputError):
+                        f(q1, q2, t)
+                continue
             assert _bits(slerp, q1, q2, t) == _bits(_old_slerp, q1, q2, t), (q1, q2, t)
             assert _bits(nlerp, q1, q2, t) == _bits(_old_nlerp, q1, q2, t), (q1, q2, t)
-            count += 1
     assert count > 4500

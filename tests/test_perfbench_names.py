@@ -4,8 +4,9 @@
 the `SUITE_FUNCTIONS` entry points to compute its `op2_ms`. A refactor
 that renames or drops one of them breaks the benchmark without any
 error, so every name is resolved here. pose-stream builds every value
-type from raw components and paper-table reads the report rows with
-`dataclasses.asdict`, so one small pass of each runs here too.
+type from raw components, paper-table reads the report rows with
+`dataclasses.asdict` and register judges Horn and ICP against its own
+ground truth, so one small pass of each runs here too.
 """
 
 import importlib
@@ -130,3 +131,17 @@ def test_paper_table_check_passes_on_a_small_table():
     paper_table.check_table(rows, ReportDocument("csv", rows, meta).render(),
                             ReportDocument("json", rows, meta).render(), outcome)
     assert outcome.verdicts == {"table": None}
+
+
+def test_register_blocks_pass_their_check_on_a_slice():
+    # the register workload's own blocks and check, at its tolerances, on
+    # every size of Horn problem and two ICP problems of generate(7)
+    register = _load("register")
+    inputs = register.generate(7)
+    horn, icp = inputs["horn"][::8], inputs["icp"][:2]
+    outcome = register.Outcome()
+    register.check(horn, register.horn_block(horn), register.HORN_TOL, "horn", outcome)
+    register.check(icp, [r.transform for r in register.icp_block(icp)],
+                   register.ICP_TOL, "icp", outcome)
+    assert outcome.verdicts == {**{("horn", i): None for i in range(len(horn))},
+                                **{("icp", i): None for i in range(len(icp))}}

@@ -584,6 +584,22 @@ def test_horn_accepts_small_and_large_clouds(rng, scale):
     assert rms < 1e-12 * scale
 
 
+@pytest.mark.parametrize("spread", [1e-150, 1e-154, 1e-156, 1e-158, 1e-160, 1e-162,
+                                    1e-165, 1e-170, 1e-200, 1e-250, 1e-300])
+def test_horn_accepts_tiny_spread_far_from_origin(rng, spread):
+    # A cloud of spread s centred at x = 1 (its x column rounds to 1),
+    # turned 0.3 rad about x: the raw coordinates are of order 1, so the
+    # pair is solved as given, but the centred scatter products are of
+    # order s^2 and go subnormal. R comes from the centred clouds in their
+    # own frames; t and the rms stay in the clouds' units.
+    src = _cloud(rng, 200) * spread + [1.0, 0.0, 0.0]
+    r0 = axis_angle_to_matrix(AxisAngle((1.0, 0.0, 0.0), 0.3))
+    transform, rms = horn_align(PointSet(src), PointSet(src @ r0.as_array().T))
+    assert relative_angle(transform.rotation, r0) < 1e-12
+    assert np.abs(np.array(transform.translation)).max() < 1e-12
+    assert rms < 1e-12
+
+
 @pytest.mark.parametrize("source_scale, target_scale", [
     (1e160, 1e160), (1e200, 1e200), (1e300, 1e300),
     (1e160, 1e-160),  # the scatter overflowed, H did not
