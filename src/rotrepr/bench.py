@@ -521,10 +521,6 @@ _CLOCK_RESOLUTION = time.get_clock_info("perf_counter").resolution
 _TIMING_REPEATS = 9
 
 
-def _low_confidence(trials: int) -> bool:
-    return _CLOCK_RESOLUTION > 1e-8 or trials < 10
-
-
 def _measure_loops(loops: dict) -> dict:
     """Minimum wall time of each loop over interleaved repeat rounds.
 
@@ -561,31 +557,9 @@ def _prepared_loop(op: Callable, items: list, warmup: int, reps: int = 1):
     return loop
 
 
-def _native_compose(tag: str) -> Callable:
-    """compose_in bound to the row's representation; every row pays the
-    same dispatch overhead so the timing comparison stays fair."""
-    return partial(compose_in, _row_rep(tag).tag)
-
-
 def _native_pairs(tag: str, rng: Rng, n: int) -> list:
     conv = _row_rep(tag).from_matrix
     return [(conv(haar_matrix(rng)), conv(haar_matrix(rng))) for _ in range(n)]
-
-
-def _compose_loops(tag: str, cfg: BenchConfig):
-    rng = _suite_rng(cfg, f"timing/compose/{tag}")
-    op = _native_compose(tag)
-    pairs = _native_pairs(tag, rng, cfg.trials)
-    return {(tag, "compose"): _prepared_loop(op, pairs, cfg.warmup)}, len(pairs)
-
-
-def _interp_loops(tag: str, cfg: BenchConfig):
-    rng = _suite_rng(cfg, f"timing/interp/{tag}")
-    endpoint, op, _ = _METHODS[_interp_method(tag)]
-    conv = _BY_TAG[endpoint].from_matrix
-    items = [(conv(haar_matrix(rng)), conv(haar_matrix(rng)), rng.random())
-             for _ in range(cfg.trials)]
-    return {(tag, "interp"): _prepared_loop(op, items, cfg.warmup)}, len(items)
 
 
 def _ingest(tag: str) -> Callable:
@@ -599,34 +573,16 @@ def _ingest(tag: str) -> Callable:
     return _chain(_checked_matrix, rep.from_matrix)
 
 
-def _batch_loops(tag: str, cfg: BenchConfig):
-    rng = _suite_rng(cfg, f"timing/batch/{tag}")
-    b = cfg.batch
-    matrices = [(haar_matrix(rng),) for _ in range(b)]
-    pairs = _native_pairs(tag, rng, b)
-    warmup = max(1, cfg.warmup // b + 1) * b
-    # measure several batches per round so rounds are long enough for a
-    # stable clock reading; the per-batch figure divides back out
-    reps = max(1, cfg.trials // b)
-    return {(tag, "convert"): _prepared_loop(_ingest(tag), matrices, warmup, reps),
-            (tag, "compose"): _prepared_loop(_native_compose(tag), pairs, warmup,
-                                             reps)}, reps * b
-
-
-def _interleaved_micros(prepare: Callable, cfg: BenchConfig, tags,
-                        low_confidence: bool) -> dict[str, TimingResult]:
-    """Microseconds per operation for each tag: `prepare` returns the
-    tag's loops, keyed (tag, part), and the operations one run of each
-    performs; the tag's time is the sum of its loops' best times."""
-    loops, counts = {}, {}
-    for tag in tags:
-        tag_loops, counts[tag] = prepare(tag, cfg)
-        loops.update(tag_loops)
-    totals = dict.fromkeys(tags, 0.0)
+def _micros(loops: dict, ops: int, sample: int) -> dict[str, TimingResult]:
+    """Microseconds per operation for each tag: the sum of the best
+    times of its (tag, part) loops, each run performing `ops`
+    operations. A coarse clock or a sample below 10 is low confidence."""
+    low_confidence = _CLOCK_RESOLUTION > 1e-8 or sample < 10
+    totals = {}
     for (tag, _), seconds in _measure_loops(loops).items():
-        totals[tag] += seconds
-    return {tag: TimingResult(totals[tag] / counts[tag] * 1e6, low_confidence)
-            for tag in tags}
+        totals[tag] = totals.get(tag, 0.0) + seconds
+    return {tag: TimingResult(seconds / ops * 1e6, low_confidence)
+            for tag, seconds in totals.items()}
 
 
 def composition_times(cfg: BenchConfig, tags=ROTATION_REPRESENTATIONS
@@ -640,16 +596,30 @@ def composition_times(cfg: BenchConfig, tags=ROTATION_REPRESENTATIONS
     the representations for a fair comparison) so clock overhead and
     scheduler spikes stay out of the per-call figure. Single-threaded.
     """
-    return _interleaved_micros(_compose_loops, cfg, tags,
-                               _low_confidence(cfg.trials))
+    loops = {}
+    for tag in tags:
+        rng = _suite_rng(cfg, f"timing/compose/{tag}")
+        # compose_in bound to the row's representation: every row pays
+        # the same dispatch overhead, so the comparison stays fair
+        op = partial(compose_in, _row_rep(tag).tag)
+        pairs = _native_pairs(tag, rng, cfg.trials)
+        loops[tag, "compose"] = _prepared_loop(op, pairs, cfg.warmup)
+    return _micros(loops, cfg.trials, cfg.trials)
 
 
 def interpolation_times(cfg: BenchConfig, tags=ROTATION_REPRESENTATIONS
                         ) -> dict[str, TimingResult]:
     """Mean time of one native interpolation evaluation per
     representation, microseconds, rounds interleaved."""
-    return _interleaved_micros(_interp_loops, cfg, tags,
-                               _low_confidence(cfg.trials))
+    loops = {}
+    for tag in tags:
+        rng = _suite_rng(cfg, f"timing/interp/{tag}")
+        endpoint, op, _ = _METHODS[_interp_method(tag)]
+        conv = _BY_TAG[endpoint].from_matrix
+        items = [(conv(haar_matrix(rng)), conv(haar_matrix(rng)), rng.random())
+                 for _ in range(cfg.trials)]
+        loops[tag, "interp"] = _prepared_loop(op, items, cfg.warmup)
+    return _micros(loops, cfg.trials, cfg.trials)
 
 
 def batch_times(cfg: BenchConfig, tags=ROTATION_REPRESENTATIONS
@@ -659,18 +629,22 @@ def batch_times(cfg: BenchConfig, tags=ROTATION_REPRESENTATIONS
 
     Converts (with input checking) a pre-generated batch of matrices to
     the representation and composes a pre-generated batch of native
-    pairs.
+    pairs, through compose_in as composition_times does.
     """
-    return _interleaved_micros(_batch_loops, cfg, tags,
-                               _low_confidence(cfg.batch))
-
-
-def time_composition(tag: str, cfg: BenchConfig) -> TimingResult:
-    return composition_times(cfg, (tag,))[tag]
-
-
-def batch_efficiency(tag: str, cfg: BenchConfig) -> TimingResult:
-    return batch_times(cfg, (tag,))[tag]
+    b = cfg.batch
+    warmup = max(1, cfg.warmup // b + 1) * b
+    # measure several batches per round so rounds are long enough for a
+    # stable clock reading; the per-batch figure divides back out
+    reps = max(1, cfg.trials // b)
+    loops = {}
+    for tag in tags:
+        rng = _suite_rng(cfg, f"timing/batch/{tag}")
+        matrices = [(haar_matrix(rng),) for _ in range(b)]
+        pairs = _native_pairs(tag, rng, b)
+        loops[tag, "convert"] = _prepared_loop(_ingest(tag), matrices, warmup, reps)
+        loops[tag, "compose"] = _prepared_loop(partial(compose_in, _row_rep(tag).tag),
+                                               pairs, warmup, reps)
+    return _micros(loops, reps * b, b)
 
 
 # ---------------------------------------------------------------------------

@@ -490,7 +490,9 @@ def sixd_to_matrix(s: SixD) -> RotationMatrix:
     3-vectors numpy's call overhead outweighs the arithmetic). hypot
     keeps the norms of huge columns from overflowing; where a norm still
     does, or is at most GRAM_SCHMIDT_TOL, both columns are rescaled
-    first (see _sixd_rescaled)."""
+    first (see _sixd_rescaled). Columns whose rejection is at most
+    GRAM_SCHMIDT_TOL times their projection are parallel at any scale
+    and raise DegenerateInputError."""
     x1, y1, z1 = s.a1
     x2, y2, z2 = s.a2
     n1 = math.hypot(x1, y1, z1)
@@ -502,10 +504,14 @@ def sixd_to_matrix(s: SixD) -> RotationMatrix:
     n2 = math.hypot(x2, y2, z2)
     if n2 < 1e-3 * abs(p):
         # nearly parallel columns: one pass leaves the rejection off
-        # orthogonal by eps/angle, a second pass restores it
-        p = x1 * x2 + y1 * y2 + z1 * z2
-        x2, y2, z2 = x2 - p * x1, y2 - p * y1, z2 - p * z1
+        # orthogonal by eps/angle, a second pass restores it; a rejection
+        # at most GRAM_SCHMIDT_TOL |p| is rounding noise at any scale
+        q = x1 * x2 + y1 * y2 + z1 * z2
+        x2, y2, z2 = x2 - q * x1, y2 - q * y1, z2 - q * z1
         n2 = math.hypot(x2, y2, z2)
+        if n2 <= GRAM_SCHMIDT_TOL * abs(p):
+            raise DegenerateInputError(
+                "6D columns are parallel; Gram-Schmidt is ill-posed")
     if not GRAM_SCHMIDT_TOL < n2 < math.inf:
         return _sixd_rescaled(s)
     x2, y2, z2 = x2 / n2, y2 / n2, z2 / n2
@@ -520,17 +526,16 @@ def _sixd_rescaled(s: SixD) -> RotationMatrix:
     """sixd_to_matrix with each column divided by its largest |component|
     (Gram-Schmidt is invariant to a positive scale of either column), so
     no norm or projection overflows or falls to GRAM_SCHMIDT_TOL by
-    scale alone. Raises DegenerateInputError for a non-finite component,
-    a zero column, or columns still parallel after the rescale: columns
-    whose largest |components| are both 1 are their own rescale, and
-    sixd_to_matrix sends them here only when they are parallel (their
-    norms lie in [1, sqrt(3)])."""
+    scale alone. Raises DegenerateInputError for a non-finite component
+    or a zero column. Rescaled columns have norms in [1, sqrt(3)], so
+    they come back here only when parallel, which sixd_to_matrix has
+    already raised on."""
     if not all(map(math.isfinite, s.a1 + s.a2)):
         raise DegenerateInputError(f"6D columns {s.a1 + s.a2!r} are not finite")
     m1, m2 = max(map(abs, s.a1)), max(map(abs, s.a2))
     if m1 == 0.0:
         raise DegenerateInputError("6D first column is numerically zero")
-    if m2 == 0.0 or m1 == m2 == 1.0:
+    if m2 == 0.0:
         raise DegenerateInputError("6D columns are parallel; Gram-Schmidt is ill-posed")
     return sixd_to_matrix(_tuple_new(SixD, (tuple(c / m1 for c in s.a1),
                                             tuple(c / m2 for c in s.a2))))

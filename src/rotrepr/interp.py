@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any
 
+import numpy as np
+
 from .core import (
     EulerAngles,
     RotationMatrix,
@@ -159,23 +161,29 @@ def linear_sixd(s1: SixD, s2: SixD, t: float) -> RotationMatrix:
 def linear_euler(e1: EulerAngles, e2: EulerAngles, t: float) -> EulerAngles:
     """Component-wise linear Euler angles of one convention, each
     travelling its shorter arc. Not a geodesic; behaves badly near the
-    gimbal band by design."""
-    if not math.isfinite(t):
-        raise DegenerateInputError(f"linear-euler blend is not finite at t={t!r}")
+    gimbal band by design. A blend or an angle difference that leaves
+    the float range raises DegenerateInputError."""
     if e1.convention is not e2.convention:
         raise DegenerateInputError("euler endpoints use different conventions")
-    da = wrap_angle(e2.alpha - e1.alpha)
-    db = wrap_angle(e2.beta - e1.beta)
-    dg = wrap_angle(e2.gamma - e1.gamma)
-    return _tuple_new(EulerAngles, (e1.alpha + t * da, e1.beta + t * db,
-                                    e1.gamma + t * dg, e1.convention))
+    try:
+        a = e1.alpha + t * wrap_angle(e2.alpha - e1.alpha)
+        b = e1.beta + t * wrap_angle(e2.beta - e1.beta)
+        g = e1.gamma + t * wrap_angle(e2.gamma - e1.gamma)
+    except ValueError:  # fmod of an angle difference beyond the float range
+        a = b = g = math.nan
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(g)):
+        raise DegenerateInputError(f"linear-euler blend is not finite at t={t!r}")
+    return _tuple_new(EulerAngles, (a, b, g, e1.convention))
 
 
 def fisher_blend(f1: MatrixFisher, f2: MatrixFisher, t: float) -> MatrixFisher:
-    """Affine blend of the natural-parameter matrices."""
-    if not math.isfinite(t):
+    """Affine blend of the natural-parameter matrices; a blend that
+    leaves the float range raises DegenerateInputError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = (1.0 - t) * f1.f + t * f2.f
+    if not np.isfinite(f).all():
         raise DegenerateInputError(f"fisher blend is not finite at t={t!r}")
-    return MatrixFisher((1.0 - t) * f1.f + t * f2.f)
+    return MatrixFisher(f)
 
 
 SLERP = "slerp"

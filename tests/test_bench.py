@@ -11,7 +11,7 @@ from rotrepr.bench import (
     REPRESENTATIONS,
     ROTATION_REPRESENTATIONS,
     BenchConfig,
-    batch_efficiency,
+    batch_times,
     composition_times,
     derivative_continuity,
     double_cover_check,
@@ -20,11 +20,11 @@ from rotrepr.bench import (
     gimbal_susceptibility,
     heuristic_scores,
     interpolation_metrics,
+    interpolation_times,
     path_metrics,
     robustness_suite,
     round_trip,
     stability_suite,
-    time_composition,
 )
 from rotrepr.convert import exp_map
 from rotrepr.errors import RotationError
@@ -247,13 +247,13 @@ def test_robustness_branchless_log_fixture_fails_near_pi():
 
 
 def test_time_composition_smoke():
-    res = time_composition("quaternion", FAST)
+    res = composition_times(FAST, ("quaternion",))["quaternion"]
     assert res.micros > 0.0
 
 
 def test_single_trial_flagged_low_confidence():
     cfg = BenchConfig(trials=1, warmup=1)
-    assert time_composition("quaternion", cfg).low_confidence
+    assert composition_times(cfg, ("quaternion",))["quaternion"].low_confidence
 
 
 def test_batch_ingestion_rejects_nan():
@@ -280,14 +280,14 @@ def test_batch_ingestion_rejects_invalid_every_row(tag, rows):
 
 def test_batch_close_to_scalar():
     cfg = BenchConfig(trials=200, warmup=20, batch=50)
-    scalar = time_composition("quaternion", cfg).micros
-    batch = batch_efficiency("quaternion", cfg).micros
+    scalar = composition_times(cfg, ("quaternion",))["quaternion"].micros
+    batch = batch_times(cfg, ("quaternion",))["quaternion"].micros
     assert batch < 2.0 * scalar + 2.0  # amortization: below scalar or within 2x
 
 
 def test_batch_of_one_matches_scalar_path():
     cfg = BenchConfig(trials=100, warmup=10, batch=1)
-    res = batch_efficiency("quaternion", cfg)
+    res = batch_times(cfg, ("quaternion",))["quaternion"]
     assert res.micros > 0.0
     assert res.low_confidence  # B = 1 is a degenerate batch
 
@@ -299,6 +299,55 @@ def test_composition_ordering_quat_matrix_sixd():
     assert times["matrix"].micros < times["sixd"].micros
     ranked = sorted(times, key=lambda tag: times[tag].micros)
     assert "exp-map" in ranked[:3]
+
+
+def _op_calls(monkeypatch, family, cfg, tag):
+    """The operands of every op call one timing family makes for one row,
+    warmups included, by the loop's part."""
+    calls = {}
+
+    def counted(part, op):
+        def call(*args):
+            calls.setdefault(part, []).append(args)
+            return op(*args)
+        return call
+
+    with monkeypatch.context() as m:
+        m.setattr(bench_mod, "compose_in", counted("compose", bench_mod.compose_in))
+        ingest = bench_mod._ingest
+        m.setattr(bench_mod, "_ingest", lambda row: counted("convert", ingest(row)))
+        for name, (endpoint, op, to_matrix) in bench_mod._METHODS.items():
+            m.setitem(bench_mod._METHODS, name, (endpoint, counted("interp", op), to_matrix))
+        family(cfg, (tag,))
+    return calls
+
+
+@pytest.mark.parametrize("tag", ROTATION_REPRESENTATIONS)
+@pytest.mark.parametrize("family, parts", [
+    (composition_times, ("compose",)),
+    (interpolation_times, ("interp",)),
+    (batch_times, ("convert", "compose")),
+], ids=["compose", "interp", "batch"])
+def test_timing_protocol_call_counts_and_operands(monkeypatch, family, parts, tag):
+    # the warmup cycles through the pre-generated operands, then every
+    # repeat round runs over the same operands again: reps batches of b
+    # for the batch family, the trials once for the other two
+    cfg = BenchConfig(seed=7, trials=23, warmup=5, batch=4)
+    if family is batch_times:
+        b = cfg.batch
+        warmup, items, reps = max(1, cfg.warmup // b + 1) * b, b, max(1, cfg.trials // b)
+    else:
+        warmup, items, reps = cfg.warmup, cfg.trials, 1
+    calls = _op_calls(monkeypatch, family, cfg, tag)
+    assert sorted(calls) == sorted(parts)
+    for part in parts:
+        ids = [tuple(map(id, args)) for args in calls[part]]
+        assert len(ids) == warmup + bench_mod._TIMING_REPEATS * reps * items
+        operands = ids[warmup:warmup + items]
+        assert ids == ([operands[i % items] for i in range(warmup)]
+                       + operands * (bench_mod._TIMING_REPEATS * reps))
+    # one BenchConfig feeds the same operand sequence, bit for bit
+    assert repr(_op_calls(monkeypatch, family, cfg, tag)) == repr(calls)
 
 
 def test_full_table_field_ranges():

@@ -946,6 +946,30 @@ def test_sixd_zero_column_raises_on_every_branch(a1, a2, message):
         convert(SixD(a1, a2), "quat")
 
 
+@pytest.mark.parametrize("a1, a2", [
+    ((1.0, 0.0, 1.0), (1e200, 1e-4, 1e200)),  # was two equal columns
+    ((1.0, 0.0, 1.0), (1e20, 1e-4, 1e20)),  # was a second column off by 3.6e-8
+    ((0.3, 0.7, 0.1), (3e4, 7e4, 1e4)),  # exactly parallel: was an arbitrary column
+])
+def test_sixd_parallel_test_is_relative_to_the_projection(a1, a2):
+    # rounding leaves a rejection of about eps |a2|, which an absolute
+    # test passes once |a2| is large
+    for s in (SixD(a1, a2), SixD(a2, a1)):
+        with pytest.raises(DegenerateInputError, match="parallel"):
+            sixd_to_matrix(s)
+        with pytest.raises(DegenerateInputError, match="parallel"):
+            convert(s, "quat")
+
+
+def test_sixd_parallel_columns_raise_at_every_scale(rng):
+    for _ in range(20):
+        a1 = (rng.normal(), rng.normal(), rng.normal())
+        for k in range(-300, 301, 20):
+            for c in (10.0 ** k, -(10.0 ** k)):
+                with pytest.raises(DegenerateInputError, match="parallel"):
+                    sixd_to_matrix(SixD(a1, tuple(c * v for v in a1)))
+
+
 def test_sixd_columns_at_every_power_of_two_scale(rng):
     # a positive scale of either column leaves Gram-Schmidt unchanged, so
     # tiny and huge columns rescale to the scale-1 rotation; only zero or

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rotrepr import (
     AxisAngle,
+    EulerAngles,
     MatrixFisher,
     RotationMatrix,
     RotationVector,
@@ -24,6 +25,7 @@ from rotrepr import (
 )
 from rotrepr.convert import (
     axis_angle_to_matrix,
+    euler_to_matrix,
     log_map,
     matrix_to_quat,
     matrix_to_sixd,
@@ -415,6 +417,41 @@ def test_interpolators_reject_non_finite_t(method, t, evaluate, rng):
             interp = make_interpolator(method, a, end)
             with pytest.raises(DegenerateInputError):
                 getattr(interp, evaluate)(t)
+
+
+@pytest.mark.parametrize("method", INTERPOLATION_METHODS)
+@pytest.mark.parametrize("t", [1e300, 1e308, -1e308])
+@pytest.mark.parametrize("evaluate", ["eval_native", "eval"])
+def test_interpolators_at_huge_finite_t(method, t, evaluate, rng):
+    # a finite t whose blend may leave the float range: a rotation (for
+    # fisher-blend, finite parameters) or a RotationError, with every
+    # warning an error; distinct endpoints, a constant path, and a pair
+    # 3.1 rad apart in gamma (1, 2 on F's diagonal) that overflows
+    if method == "fisher-blend":
+        a, b = (MatrixFisher(5.0 * haar_matrix(rng).as_array()) for _ in range(2))
+        far = MatrixFisher(np.eye(3)), MatrixFisher(np.diag([2.0, 1.0, 1.0]))
+    else:
+        a, b = haar_matrix(rng), haar_matrix(rng)
+        far = RotationMatrix.identity(), euler_to_matrix(EulerAngles(0.0, 0.0, 3.1))
+    to_matrix = _METHODS[method][2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for start, end in ((a, b), (a, a), far):
+            try:
+                value = getattr(make_interpolator(method, start, end), evaluate)(t)
+            except RotationError:
+                continue
+            if evaluate == "eval":
+                assert validate(value)
+            elif method == "fisher-blend":
+                assert np.isfinite(value.f).all()
+            else:
+                assert validate(value if to_matrix is None else to_matrix(value))
+
+
+def test_linear_euler_rejects_an_angle_difference_beyond_the_float_range():
+    with pytest.raises(DegenerateInputError, match="not finite at t=0.5"):
+        linear_euler(EulerAngles(1e308, 0.0, 0.0), EulerAngles(-1e308, 0.0, 0.0), 0.5)
 
 
 def test_method_tag_list():

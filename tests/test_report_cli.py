@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -322,6 +323,30 @@ def test_interp_non_finite_t_exit_2(capsys, method, t):
     code, out, err = run_cli(capsys, "interp", "--method", method,
                              f"--a={endpoint}", f"--b={endpoint}", f"--t={t}")
     assert (code, out, err) == (2, "", f"error: --t must be finite, got {float(t)}\n")
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (("interp", "--method", "linear-euler", "--a", "0,0,0", "--b", "0,0,3.1",
+      "--t", "1e308"), 1),
+    (("interp", "--method", "fisher-blend", "--a", "1,0,0,0,1,0,0,0,1",
+      "--b", "2,0,0,0,1,0,0,0,1", "--t", "1e308"), 1),
+    (("interp", "--method", "linear-sixd", "--a", "1,0,0,0,1,0",
+      "--b", "0,1,0,1,0,0", "--t", "1e308"), 1),
+    (("convert", "--from", "sixd", "--to", "quat",
+      "--value", "0.3,0.7,0.1,3e4,7e4,1e4"), 2),
+], ids=["linear-euler", "fisher-blend", "linear-sixd", "sixd-parallel"])
+def test_blend_beyond_the_float_range_exits_with_one_error_line(capsys, argv,
+                                                                exit_code):
+    # a finite t whose blend overflows is a degeneracy (1); 6D columns
+    # parallel to rounding are an invalid value (2); either way one error
+    # line, no traceback or warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == exit_code
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_interp_fisher_blend(capsys):
