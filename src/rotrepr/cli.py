@@ -36,7 +36,7 @@ from .interp import (
 )
 from .probdist import MatrixFisher
 from .registration import PointSet, horn_align, icp
-from .report import ReportDocument, fmt17
+from .report import FORMATS, ReportDocument, fmt17
 
 
 class CliInputError(RotationError):
@@ -89,17 +89,8 @@ def _format_row(values) -> str:
 
 
 def cmd_bench(args) -> int:
-    overrides = {}
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.batch is not None:
-        overrides["batch"] = args.batch
-    if args.edge_cases is not None:
-        overrides["n_edge"] = args.edge_cases
-    try:
-        cfg = BenchConfig(seed=args.seed, **overrides)
-    except RotationError as exc:
-        raise CliInputError(str(exc)) from exc
+    cfg = BenchConfig(seed=args.seed, trials=args.trials, batch=args.batch,
+                      n_edge=args.edge_cases)
     suites = ALL_SUITES if args.suite == "all" else (args.suite,)
     try:
         rows, failures = full_table(cfg, suites), []
@@ -252,10 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--suite", default="all",
                          choices=("all",) + ALL_SUITES)
     p_bench.add_argument("--seed", type=int, default=42)
-    p_bench.add_argument("--trials", type=_positive_int, default=None)
-    p_bench.add_argument("--batch", type=_positive_int, default=None)
-    p_bench.add_argument("--edge-cases", type=_positive_int, default=None)
-    p_bench.add_argument("--format", default="csv", choices=("csv", "json", "md"))
+    p_bench.add_argument("--trials", type=_positive_int, default=BenchConfig.trials)
+    p_bench.add_argument("--batch", type=_positive_int, default=BenchConfig.batch)
+    p_bench.add_argument("--edge-cases", type=_positive_int, default=BenchConfig.n_edge)
+    p_bench.add_argument("--format", default="csv", choices=FORMATS)
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=cmd_bench)
 

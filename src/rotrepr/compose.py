@@ -26,7 +26,7 @@ from .core import (
     orthogonality_residual,
     project_to_so3,
 )
-from .convert import MATRIX, QUAT, _REGISTRY, Representation, _hamilton, tag_of
+from .convert import MATRIX, QUAT, _REGISTRY, _ZERO_QUAT, Representation, _hamilton, tag_of
 from .errors import DegenerateInputError, InvalidRotationError
 
 
@@ -42,8 +42,7 @@ def quat_mul(p: UnitQuaternion, q: UnitQuaternion) -> UnitQuaternion:
     w, x, y, z = _hamilton(p, q)
     n2 = w * w + x * x + y * y + z * z
     if not 1e-300 <= n2 < math.inf:
-        zero = "zero quaternion does not define a rotation"
-        w, x, y, z = _hamilton(_rescaled(p, zero), _rescaled(q, zero))
+        w, x, y, z = _hamilton(_rescaled(p, _ZERO_QUAT), _rescaled(q, _ZERO_QUAT))
         n2 = w * w + x * x + y * y + z * z
     n = math.sqrt(n2)
     return _tuple_new(UnitQuaternion, (w / n, x / n, y / n, z / n))

@@ -43,10 +43,6 @@ def cross3(a: Vec3, b: Vec3) -> Vec3:
     )
 
 
-def norm3(a: Vec3) -> float:
-    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2])
-
-
 def wrap_angle(a: float) -> float:
     """Wrap to the canonical interval (-pi, pi]."""
     a = math.fmod(a, 2.0 * math.pi)
@@ -55,10 +51,6 @@ def wrap_angle(a: float) -> float:
     elif a > math.pi:
         a -= 2.0 * math.pi
     return a
-
-
-def _clamp(x: float, lo: float, hi: float) -> float:
-    return lo if x < lo else hi if x > hi else x
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +276,8 @@ class RotationVector(NamedTuple):
     v: Vec3
 
     def norm(self) -> float:
-        return norm3(self.v)
+        x, y, z = self.v
+        return math.sqrt(x * x + y * y + z * z)
 
     def as_tuple(self) -> Vec3:
         return self.v
@@ -314,12 +307,6 @@ class ValidationResult(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _as_rows(m) -> tuple[Row3, Row3, Row3]:
-    if isinstance(m, RotationMatrix):
-        return m.rows
-    return RotationMatrix.from_rows(np.asarray(m, dtype=float).tolist()).rows
 
 
 def orthogonality_residual(r) -> float:
@@ -353,7 +340,8 @@ def validate(m) -> ValidationResult:
 
     Pure predicate on any 3x3 array; returns both residuals.
     """
-    orth, det_res = validity_residuals(_as_rows(m))
+    rows = m.rows if isinstance(m, RotationMatrix) else RotationMatrix.from_array(m).rows
+    orth, det_res = validity_residuals(rows)
     return ValidationResult(
         orth <= ORTHONORMALITY_TOL and det_res <= DETERMINANT_TOL, orth, det_res)
 
@@ -418,7 +406,8 @@ def geodesic_distance(r1: RotationMatrix, r2: RotationMatrix) -> float:
     tr = 0.0
     for i in range(3):
         tr += a[0][i] * b[0][i] + a[1][i] * b[1][i] + a[2][i] * b[2][i]
-    return math.acos(_clamp((tr - 1.0) * 0.5, -1.0, 1.0))
+    c = (tr - 1.0) * 0.5
+    return math.acos(-1.0 if c < -1.0 else 1.0 if c > 1.0 else c)
 
 
 def relative_angle(r1: RotationMatrix, r2: RotationMatrix) -> float:
@@ -446,12 +435,13 @@ def relative_angle(r1: RotationMatrix, r2: RotationMatrix) -> float:
 
 
 def sample_uniform(rng: Rng) -> UnitQuaternion:
-    """Haar-uniform rotation as a normalized 4-normal quaternion."""
-    while True:
-        w, x, y, z = rng.normals(4)
-        n = math.sqrt(w * w + x * x + y * y + z * z)
-        if n > 0.0:
-            return _tuple_new(UnitQuaternion, (w / n, x / n, y / n, z / n))
+    """Haar-uniform rotation as a normalized 4-normal quaternion. One
+    draw suffices: four consecutive normals hold a whole Box-Muller pair,
+    which is never (0, 0) (its radius is at least 1.5e-8), so their norm
+    is positive."""
+    w, x, y, z = rng.normals(4)
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return _tuple_new(UnitQuaternion, (w / n, x / n, y / n, z / n))
 
 
 def rotate_vector(q: UnitQuaternion, p: Vec3) -> Vec3:

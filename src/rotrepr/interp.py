@@ -22,6 +22,7 @@ from .core import (
     RotationVector,
     SixD,
     UnitQuaternion,
+    _rescaled,
     _tuple_new,
     wrap_angle,
 )
@@ -62,10 +63,15 @@ def _nlerp_pair(q1: UnitQuaternion, q2: UnitQuaternion, t: float,
     z = (1.0 - t) * z1 + t * z2
     n2 = w * w + x * x + y * y + z * z
     if not 1e-300 <= n2 < math.inf:
-        if unit:  # unit endpoints, one hemisphere: n2 >= 1/2 unless t overflows
-            raise DegenerateInputError(f"nlerp blend is not finite at t={t!r}")
-        # huge, tiny or zero endpoints: blend the normalized pair
-        return _nlerp_pair(q1.normalized(), q2.normalized(), t, True)
+        if not unit:  # huge, tiny or zero endpoints: blend the normalized pair
+            return _nlerp_pair(q1.normalized(), q2.normalized(), t, True)
+        # unit endpoints, one hemisphere: n2 >= 1/2, so a huge t overflowed
+        # the squares; a finite blend is divided by its largest component
+        try:
+            w, x, y, z = _rescaled((w, x, y, z), "")
+        except DegenerateInputError:
+            raise DegenerateInputError(f"nlerp blend is not finite at t={t!r}") from None
+        n2 = w * w + x * x + y * y + z * z
     n = math.sqrt(n2)
     return _tuple_new(UnitQuaternion, (w / n, x / n, y / n, z / n))
 
@@ -134,7 +140,8 @@ def linear_rotation_vector(v1: RotationVector, v2: RotationVector,
                            t: float) -> RotationMatrix:
     """exp of the affine blend (1-t) v1 + t v2; geodesic only when the
     endpoints' rotation vectors are parallel."""
-    blend = _tuple_new(RotationVector, ((
+    # equal endpoints: a constant path, exactly constant at every finite t
+    blend = v1 if v1 == v2 and math.isfinite(t) else _tuple_new(RotationVector, ((
         (1.0 - t) * v1.v[0] + t * v2.v[0],
         (1.0 - t) * v1.v[1] + t * v2.v[1],
         (1.0 - t) * v1.v[2] + t * v2.v[2],
@@ -144,7 +151,8 @@ def linear_rotation_vector(v1: RotationVector, v2: RotationVector,
 
 def linear_sixd(s1: SixD, s2: SixD, t: float) -> RotationMatrix:
     """Affine blend of both 6D columns followed by Gram-Schmidt."""
-    blend = _tuple_new(SixD, (
+    # equal endpoints: a constant path, exactly constant at every finite t
+    blend = s1 if s1 == s2 and math.isfinite(t) else _tuple_new(SixD, (
         ((1.0 - t) * s1.a1[0] + t * s2.a1[0],
          (1.0 - t) * s1.a1[1] + t * s2.a1[1],
          (1.0 - t) * s1.a1[2] + t * s2.a1[2]),
@@ -179,6 +187,8 @@ def linear_euler(e1: EulerAngles, e2: EulerAngles, t: float) -> EulerAngles:
 def fisher_blend(f1: MatrixFisher, f2: MatrixFisher, t: float) -> MatrixFisher:
     """Affine blend of the natural-parameter matrices; a blend that
     leaves the float range raises DegenerateInputError."""
+    if np.array_equal(f1.f, f2.f) and math.isfinite(t):  # a constant path
+        return f1
     with np.errstate(over="ignore", invalid="ignore"):
         f = (1.0 - t) * f1.f + t * f2.f
     if not np.isfinite(f).all():

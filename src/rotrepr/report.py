@@ -44,35 +44,24 @@ class ReportDocument:
             raise RotationError(f"unknown report format {self.fmt!r}")
 
     def render(self) -> str:
-        if self.fmt == "csv":
-            return self._render_csv()
         if self.fmt == "json":
-            return self._render_json()
-        return self._render_markdown()
-
-    def _render_csv(self) -> str:
-        lines = [f"# {key}: {value}" for key, value in self.meta.items()]
-        lines.append(",".join(REPORT_FIELDS))
-        for row in self.rows:
-            lines.append(",".join(_cell(getattr(row, name))
-                                  for name in REPORT_FIELDS))
-        return "\n".join(lines) + "\n"
-
-    def _render_json(self) -> str:
-        doc = {"meta": self.meta, "rows": [asdict(row) for row in self.rows]}
-        return json.dumps(doc, indent=2) + "\n"
-
-    def _render_markdown(self) -> str:
-        lines = []
-        for key, value in self.meta.items():
-            lines.append(f"- {key}: {value}")
-        if lines:
-            lines.append("")
-        lines.append("| " + " | ".join(REPORT_FIELDS) + " |")
-        lines.append("|" + "|".join("---" for _ in REPORT_FIELDS) + "|")
-        for row in self.rows:
-            lines.append("| " + " | ".join(_cell(getattr(row, name), ".6g")
-                                           for name in REPORT_FIELDS) + " |")
+            doc = {"meta": self.meta, "rows": [asdict(row) for row in self.rows]}
+            return json.dumps(doc, indent=2) + "\n"
+        if self.fmt == "csv":
+            lines = [f"# {key}: {value}" for key, value in self.meta.items()]
+            lines.append(",".join(REPORT_FIELDS))
+            for row in self.rows:
+                lines.append(",".join(_cell(getattr(row, name))
+                                      for name in REPORT_FIELDS))
+        else:
+            lines = [f"- {key}: {value}" for key, value in self.meta.items()]
+            if lines:
+                lines.append("")
+            lines.append("| " + " | ".join(REPORT_FIELDS) + " |")
+            lines.append("|" + "|".join("---" for _ in REPORT_FIELDS) + "|")
+            for row in self.rows:
+                lines.append("| " + " | ".join(_cell(getattr(row, name), ".6g")
+                                               for name in REPORT_FIELDS) + " |")
         return "\n".join(lines) + "\n"
 
 

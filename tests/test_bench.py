@@ -1,5 +1,8 @@
 import dataclasses
 import math
+from functools import reduce
+from operator import add
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +29,7 @@ from rotrepr.bench import (
     round_trip,
     stability_suite,
 )
+from rotrepr.compose import matrix_mul
 from rotrepr.convert import exp_map
 from rotrepr.errors import RotationError
 from rotrepr.interp import make_interpolator
@@ -242,6 +246,56 @@ def test_robustness_branchless_log_fixture_fails_near_pi():
     assert res.f_rate == 0.0
 
 
+def _fake_row(monkeypatch, tag, to_matrix):
+    # the row's round trip: the matrix itself in, to_matrix out
+    monkeypatch.setitem(bench_mod._ROWS, tag,
+                        SimpleNamespace(from_matrix=lambda r: r, to_matrix=to_matrix))
+
+
+def test_stability_counts_a_raising_round_trip_as_pi(monkeypatch):
+    calls = []
+
+    def every_fourth_raises(r):
+        calls.append(r)
+        if len(calls) % 4 == 0:
+            raise RotationError("injected failure")
+        return r  # relative_angle(r, r) is exactly 0
+
+    _fake_row(monkeypatch, "quaternion", every_fourth_raises)
+    res = stability_suite("quaternion", BenchConfig(n_stability=200))
+    assert res.failures == 50
+    assert res.eps_stab == reduce(add, [math.pi] * 50, 0.0) / 200
+
+
+def test_robustness_counts_raising_and_far_round_trips(monkeypatch):
+    near = exp_map(RotationVector((0.05, 0.0, 0.0)))
+    far = exp_map(RotationVector((0.5, 0.0, 0.0)))  # past FAILURE_THRESHOLD
+    calls = []
+
+    def raise_far_near(r):
+        calls.append(r)
+        if len(calls) % 3 == 1:
+            raise RotationError("injected failure")
+        return matrix_mul(r, far if len(calls) % 3 == 2 else near)
+
+    _fake_row(monkeypatch, "quaternion", raise_far_near)
+    res = robustness_suite("quaternion", BenchConfig(n_edge=12))
+    assert len(calls) == 12
+    assert res.f_rate == 8 / 12
+    assert res.eps_avg == pytest.approx(0.05, abs=1e-15)
+    assert res.eps_max == pytest.approx(0.05, abs=1e-15)
+
+
+def test_robustness_statistics_are_nan_when_every_case_fails(monkeypatch):
+    def raises(r):
+        raise RotationError("injected failure")
+
+    _fake_row(monkeypatch, "quaternion", raises)
+    res = robustness_suite("quaternion", BenchConfig(n_edge=12))
+    assert res.f_rate == 1.0
+    assert math.isnan(res.eps_avg) and math.isnan(res.eps_max)
+
+
 # ---------------------------------------------------------------------------
 # timing
 
@@ -394,6 +448,32 @@ def test_full_table_row_error_completes_other_rows(monkeypatch):
     finished = {r.representation: r for r in exc.value.reports}
     assert finished["quaternion"].eps_stab is not None
     assert finished["sixd"].eps_stab is None
+
+
+def test_full_table_table_wide_failures_keep_the_other_cells(monkeypatch):
+    from rotrepr.bench import BenchSuiteError
+
+    def broken(*args):
+        raise RotationError("injected failure")
+
+    monkeypatch.setattr(bench_mod, "interpolation_metrics", broken)
+    monkeypatch.setattr(bench_mod, "composition_times", broken)
+    cfg = BenchConfig(n_edge=30)
+    with pytest.raises(BenchSuiteError) as exc:
+        full_table(cfg, suites=("robustness", "interp", "timing"))
+    assert [(tag, suite, str(err)) for tag, suite, err in exc.value.failures] == [
+        ("*", "interp", "injected failure"), ("*", "timing", "injected failure")]
+    rows = exc.value.reports
+    assert [row.representation for row in rows] == list(REPRESENTATIONS)
+    for row in rows:
+        for name in ("path_length", "eps_geo", "sigma_deriv",
+                     "t_comp", "t_interp", "t_batch"):
+            assert getattr(row, name) is None, (row.representation, name)
+    robustness_only = full_table(cfg, suites=("robustness",))
+    assert [(r.storage_bytes, r.a_mem, r.f_rate, r.eps_avg, r.eps_max) for r in rows] \
+        == [(r.storage_bytes, r.a_mem, r.f_rate, r.eps_avg, r.eps_max)
+            for r in robustness_only]
+    assert all(row.f_rate is not None for row in rows[:-1])
 
 
 # ---------------------------------------------------------------------------

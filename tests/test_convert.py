@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rotrepr import (
     AxisAngle,
@@ -53,6 +55,8 @@ from rotrepr.convert import (
     rotation_vector_to_axis_angle,
     tag_of,
 )
+from rotrepr.errors import RotationError
+from rotrepr.interp import _METHODS, INTERPOLATION_METHODS, make_interpolator
 from rotrepr.core import _CONVENTIONS, DEFAULT_AXIS, TINY_ANGLE, XYZ, ZYX
 
 from conftest import (SMALL_ANGLES, exact_euler_quat, exact_quat_matrix,
@@ -1453,3 +1457,51 @@ def test_quat_spokes_rescale_outside_the_band():
         UnitQuaternion(math.cos(0.5) / (1e200 * math.sin(0.5)), 1.0, 0.0, 0.0)
     with pytest.raises(DegenerateInputError, match="not finite"):
         axis_angle_to_quat(AxisAngle((math.nan, 0.0, 0.0), 1.0))
+
+
+# ---------------------------------------------------------------------------
+# finite input over the registry: a rotation or a RotationError
+
+_EDGE_SCALARS = [0.0] + [s * v for v in (5e-324, 1e-300, 1e-9, 0.3, 1.0, 3.0, 1e150, 1.7e308)
+                         for s in (1.0, -1.0)]
+_EDGE_COMPONENTS = st.lists(st.sampled_from(_EDGE_SCALARS), min_size=9, max_size=9)
+_ROTATION_METHODS = [m for m in INTERPOLATION_METHODS if _METHODS[m][0] is not None]
+
+
+def _rotation_or_rotation_error(call):
+    try:
+        out = call()
+    except RotationError:
+        return
+    assert validate(convert(out, "matrix")).ok, out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(REPRESENTATION_TAGS), _EDGE_COMPONENTS, _EDGE_COMPONENTS)
+# random draws rarely make a unit quaternion or a rotation matrix
+@example("quat", [1.0, 1e-9, -5e-324, 0.0] + [0.0] * 5, [0.0, 0.0, -1.0, 1e-300] + [0.0] * 5)
+@example("matrix", [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0],
+         [1.0, 0.0, 0.0, 0.0, -1.0, 5e-324, 0.0, -1e-300, -1.0])
+def test_finite_input_gives_a_rotation_or_a_rotation_error(tag, c1, c2):
+    # every convert, compose_in in the tag, and each rotation interpolator
+    # at t in {0, 0.5, 1}, natively when the tag is its endpoint tag and
+    # through make_interpolator from the matrices; rejected draws are skipped
+    rep = _BY_TAG[tag]
+    try:
+        x1, x2 = rep.from_components(c1[:rep.arity]), rep.from_components(c2[:rep.arity])
+    except RotationError:
+        return
+    for dst in REPRESENTATION_TAGS:
+        _rotation_or_rotation_error(lambda: convert(x1, dst))
+    _rotation_or_rotation_error(lambda: compose_in(tag, x1, x2))
+    try:
+        ends = convert(x1, "matrix"), convert(x2, "matrix")
+    except RotationError:
+        return
+    for method in _ROTATION_METHODS:
+        endpoint_tag, native, _ = _METHODS[method]
+        interp = make_interpolator(method, *ends)
+        for t in (0.0, 0.5, 1.0):
+            _rotation_or_rotation_error(lambda: interp.eval_native(t))
+            if endpoint_tag == tag:
+                _rotation_or_rotation_error(lambda: native(x1, x2, t))

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +61,19 @@ def test_validate_reflection_fails():
     assert not res.ok
     assert res.determinant_residual == pytest.approx(2.0)
     assert res.orthogonality_residual == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("m, shape", [
+    ([[1, 0, 0], [0, 1, 0]], "(2, 3)"),
+    (np.eye(4), "(4, 4)"),
+    (np.eye(3).reshape(-1), "(9,)"),
+])
+def test_validate_reads_through_from_array(m, shape):
+    # the one 3x3 reader: the same message as from_array and project_to_so3
+    for read in (validate, RotationMatrix.from_array, project_to_so3):
+        with pytest.raises(DegenerateInputError,
+                           match=rf"^expected shape \(3, 3\), got {re.escape(shape)}$"):
+            read(m)
 
 
 # ---------------------------------------------------------------------------

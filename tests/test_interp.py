@@ -449,6 +449,47 @@ def test_interpolators_at_huge_finite_t(method, t, evaluate, rng):
                 assert validate(value if to_matrix is None else to_matrix(value))
 
 
+@pytest.mark.parametrize("method", INTERPOLATION_METHODS)
+def test_constant_paths_stay_constant_at_every_finite_t(method, rng):
+    # (1 - t) a + t a cancels once 1 - t rounds to -t; equal endpoints
+    # give the endpoint's exact value at every finite t instead
+    for _ in range(3):
+        if method == "fisher-blend":
+            a = MatrixFisher(5.0 * haar_matrix(rng).as_array())
+        else:
+            a = haar_matrix(rng)
+        interp = make_interpolator(method, a, a)
+        start, native = interp.eval(0.0), interp.eval_native(0.0)
+        for t in (0.3, 1.0, -2.5, 1e154, 1e300, -1e308, 1.7e308):
+            assert interp.eval(t) == start, t
+            if method == "fisher-blend":
+                assert np.array_equal(interp.eval_native(t).f, a.f), t
+            else:
+                assert interp.eval_native(t) == native, t
+
+
+@pytest.mark.parametrize("t", [1e154, 1e200, 1e300, -1e300])
+def test_nlerp_rescales_a_blend_whose_squares_overflow(t, rng):
+    # between distinct unit endpoints the blend, about t (q2 - q1), is
+    # finite and only its squared norm overflows; once 1 - t rounds to -t
+    # slerp's blend is sin(t u) / sin(u) (q2 - q1), so both agree up to sign
+    for _ in range(20):
+        q1, q2 = haar_quat(rng), haar_quat(rng)
+        q = nlerp(q1, q2, t)
+        assert abs(q.norm() - 1.0) < 1e-15
+        s = slerp(q1, q2, t)
+        sign = 1.0 if q.dot(s) >= 0.0 else -1.0
+        assert max(abs(a - sign * b) for a, b in zip(q, s)) < 1e-14, (q1, q2)
+
+
+def test_nlerp_keeps_its_error_for_a_blend_beyond_the_float_range():
+    # x = (1 - t)(-0.6) + t (0.6) overflows at t = 1.7e308
+    q1, q2 = UnitQuaternion(0.8, -0.6, 0.0, 0.0), UnitQuaternion(0.8, 0.6, 0.0, 0.0)
+    with pytest.raises(DegenerateInputError,
+                       match=r"^nlerp blend is not finite at t=1\.7e\+308$"):
+        nlerp(q1, q2, 1.7e308)
+
+
 def test_linear_euler_rejects_an_angle_difference_beyond_the_float_range():
     with pytest.raises(DegenerateInputError, match="not finite at t=0.5"):
         linear_euler(EulerAngles(1e308, 0.0, 0.0), EulerAngles(-1e308, 0.0, 0.0), 0.5)

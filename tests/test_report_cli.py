@@ -358,6 +358,26 @@ def test_interp_fisher_blend(capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+@pytest.mark.parametrize("method, a, b, t", [
+    ("nlerp", "1,0,0,0", "0.8775825618903728,0.479425538604203,0,0", "1e200"),
+    ("linear-rotation-vector", "0.3,0.2,0.1", "0.3,0.2,0.1", "1e300"),
+    ("linear-sixd", "0.6,0.8,0,-0.8,0.6,0", "0.6,0.8,0,-0.8,0.6,0", "1e300"),
+    ("fisher-blend", "5,1,0,0,4,0,0,0,3", "5,1,0,0,4,0,0,0,3", "1e300"),
+])
+def test_interp_at_a_huge_t_prints_a_rotation(capsys, method, a, b, t):
+    # nlerp rescales a blend whose squares overflow; equal endpoints are
+    # a constant path, which prints its start at every finite t
+    code, out, err = run_cli(capsys, "interp", "--method", method,
+                             "--a", a, "--b", b, "--t", t)
+    assert (code, err) == (0, "")
+    if method == "nlerp":
+        assert abs(math.hypot(*map(float, out.split(",")[1:5])) - 1.0) < 1e-15
+    else:
+        _, start, _ = run_cli(capsys, "interp", "--method", method,
+                              "--a", a, "--b", b, "--t", "0")
+        assert out.split(",")[1:] == start.split(",")[1:]
+
+
 # ---------------------------------------------------------------------------
 # cmd_register
 
@@ -650,6 +670,30 @@ def test_bench_csv_parse_matches_values(capsys):
     for parsed, row in zip(rows, direct):
         assert parsed["eps_stab"] == row.eps_stab or (
             parsed["eps_stab"] is None and row.eps_stab is None)
+
+
+@pytest.mark.parametrize("suite, entry, cells", [
+    ("interp", "interpolation_metrics", ("path_length", "eps_geo", "sigma_deriv")),
+    ("timing", "composition_times", ("t_comp", "t_interp", "t_batch")),
+])
+def test_bench_table_wide_failure_prints_its_row_error(monkeypatch, capsys,
+                                                       suite, entry, cells):
+    import rotrepr.bench as bench_mod
+    from rotrepr.errors import RotationError
+
+    def broken(*args):
+        raise RotationError("injected failure")
+
+    monkeypatch.setattr(bench_mod, entry, broken)
+    code, out, err = run_cli(capsys, "bench", "--suite", suite, *FAST)
+    assert code == 1
+    assert err.splitlines() == [
+        f"error: row */{suite} failed (cells NA): injected failure"]
+    rows = parse_report_csv(out)
+    assert len(rows) == 7
+    for row in rows:
+        assert row["storage_bytes"] > 0 and row["a_mem"] is not None
+        assert all(row[name] is None for name in cells)
 
 
 @pytest.mark.parametrize("to_file", [False, True])
