@@ -140,48 +140,66 @@ def linear_rotation_vector(v1: RotationVector, v2: RotationVector,
                            t: float) -> RotationMatrix:
     """exp of the affine blend (1-t) v1 + t v2; geodesic only when the
     endpoints' rotation vectors are parallel."""
-    # equal endpoints: a constant path, exactly constant at every finite t
-    blend = v1 if v1 == v2 and math.isfinite(t) else _tuple_new(RotationVector, ((
-        (1.0 - t) * v1.v[0] + t * v2.v[0],
-        (1.0 - t) * v1.v[1] + t * v2.v[1],
-        (1.0 - t) * v1.v[2] + t * v2.v[2],
-    ),))
-    return exp_map(blend)
+    x1, y1, z1 = v1.v
+    x2, y2, z2 = v2.v
+    return _rotvec_blend(v1 == v2, x1, y1, z1, x2, y2, z2, t)
+
+
+def _rotvec_blend(same, x1, y1, z1, x2, y2, z2, t):
+    """linear_rotation_vector on the endpoints' components; same marks
+    equal endpoints, a constant path, exactly constant at every finite t."""
+    v = (x1, y1, z1) if same and math.isfinite(t) else (
+        (1.0 - t) * x1 + t * x2, (1.0 - t) * y1 + t * y2, (1.0 - t) * z1 + t * z2)
+    return exp_map(_tuple_new(RotationVector, (v,)))
 
 
 def linear_sixd(s1: SixD, s2: SixD, t: float) -> RotationMatrix:
     """Affine blend of both 6D columns followed by Gram-Schmidt."""
-    # equal endpoints: a constant path, exactly constant at every finite t
-    blend = s1 if s1 == s2 and math.isfinite(t) else _tuple_new(SixD, (
-        ((1.0 - t) * s1.a1[0] + t * s2.a1[0],
-         (1.0 - t) * s1.a1[1] + t * s2.a1[1],
-         (1.0 - t) * s1.a1[2] + t * s2.a1[2]),
-        ((1.0 - t) * s1.a2[0] + t * s2.a2[0],
-         (1.0 - t) * s1.a2[1] + t * s2.a2[1],
-         (1.0 - t) * s1.a2[2] + t * s2.a2[2]),
-    ))
+    (x1, y1, z1), (u1, v1, w1) = s1
+    (x2, y2, z2), (u2, v2, w2) = s2
+    return _sixd_blend(s1 == s2, x1, y1, z1, u1, v1, w1, x2, y2, z2, u2, v2, w2, t)
+
+
+def _sixd_blend(same, x1, y1, z1, u1, v1, w1, x2, y2, z2, u2, v2, w2, t):
+    """linear_sixd on the endpoints' components; same marks equal
+    endpoints, a constant path, exactly constant at every finite t."""
+    blend = ((x1, y1, z1), (u1, v1, w1)) if same and math.isfinite(t) else (
+        ((1.0 - t) * x1 + t * x2, (1.0 - t) * y1 + t * y2, (1.0 - t) * z1 + t * z2),
+        ((1.0 - t) * u1 + t * u2, (1.0 - t) * v1 + t * v2, (1.0 - t) * w1 + t * w2))
     try:
-        return sixd_to_matrix(blend)
+        return sixd_to_matrix(_tuple_new(SixD, blend))
     except DegenerateInputError as exc:
         raise DegenerateInputError(f"6D blend degenerate at t={t!r}: {exc}") from exc
 
 
-def linear_euler(e1: EulerAngles, e2: EulerAngles, t: float) -> EulerAngles:
+def linear_euler(e1: EulerAngles, e2: EulerAngles, t: float,
+                 arcs: tuple[float, float, float] | None = None) -> EulerAngles:
     """Component-wise linear Euler angles of one convention, each
     travelling its shorter arc. Not a geodesic; behaves badly near the
     gimbal band by design. A blend or an angle difference that leaves
-    the float range raises DegenerateInputError."""
-    if e1.convention is not e2.convention:
-        raise DegenerateInputError("euler endpoints use different conventions")
-    try:
-        a = e1.alpha + t * wrap_angle(e2.alpha - e1.alpha)
-        b = e1.beta + t * wrap_angle(e2.beta - e1.beta)
-        g = e1.gamma + t * wrap_angle(e2.gamma - e1.gamma)
-    except ValueError:  # fmod of an angle difference beyond the float range
-        a = b = g = math.nan
+    the float range raises DegenerateInputError. arcs, when given, are
+    _euler_arcs(e1, e2), taken once for many t."""
+    da, db, dg = _euler_arcs(e1, e2) if arcs is None else arcs
+    alpha, beta, gamma, convention = e1
+    a = alpha + t * da
+    b = beta + t * db
+    g = gamma + t * dg
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(g)):
         raise DegenerateInputError(f"linear-euler blend is not finite at t={t!r}")
-    return _tuple_new(EulerAngles, (a, b, g, e1.convention))
+    return _tuple_new(EulerAngles, (a, b, g, convention))
+
+
+def _euler_arcs(e1: EulerAngles, e2: EulerAngles) -> tuple[float, float, float]:
+    """The three wrapped angle differences from e1 to e2; NaN where a
+    difference leaves the float range."""
+    a1, b1, g1, convention = e1
+    a2, b2, g2, other = e2
+    if convention is not other:
+        raise DegenerateInputError("euler endpoints use different conventions")
+    try:
+        return wrap_angle(a2 - a1), wrap_angle(b2 - b1), wrap_angle(g2 - g1)
+    except ValueError:  # fmod of an angle difference beyond the float range
+        return math.nan, math.nan, math.nan
 
 
 def fisher_blend(f1: MatrixFisher, f2: MatrixFisher, t: float) -> MatrixFisher:
@@ -219,6 +237,24 @@ _METHODS = {
 INTERPOLATION_METHODS = tuple(_METHODS)
 
 
+def _euler_path(e1: EulerAngles, e2: EulerAngles):
+    """t -> linear_euler(e1, e2, t), the arcs taken once."""
+    arcs = _euler_arcs(e1, e2)
+    return lambda t: linear_euler(e1, e2, t, arcs)
+
+
+# method -> builder of the per-pair path t -> native value, for the
+# methods whose pair has constants to take once; the others bind the
+# native function to the endpoints
+_PAIR_PATHS = {
+    MATRIX_GEODESIC: lambda r1, r2: partial(
+        _geodesic_at, r1, log_map(matrix_mul(r1.transpose(), r2)).v),
+    LINEAR_ROTATION_VECTOR: lambda v1, v2: partial(_rotvec_blend, v1 == v2, *v1.v, *v2.v),
+    LINEAR_SIXD: lambda s1, s2: partial(_sixd_blend, s1 == s2, *s1.a1, *s1.a2, *s2.a1, *s2.a2),
+    LINEAR_EULER: _euler_path,
+}
+
+
 def _method(name: str):
     spec = _METHODS.get(name)
     if spec is None:
@@ -233,34 +269,34 @@ class Interpolator:
     eval(t) always yields a rotation matrix (for fisher-blend, the mode
     of the blended distribution); eval_native(t) yields the method's own
     representation. Endpoint evaluation is exact. Construction resolves
-    the method (an unknown one raises DegenerateInputError) and computes
-    the geodesic's log(R1^T R2) once.
+    the method (an unknown one raises DegenerateInputError) and the
+    pair's path, so each eval is one call: the pair's constants (the
+    geodesic's log(R1^T R2), linear-euler's wrapped differences, the
+    rotation-vector and 6D components and equal-endpoint test) are
+    taken once, and Euler endpoints of two conventions raise here.
     """
 
     method: str
     start: Any = field(repr=False)
     end: Any = field(repr=False)
-    # t -> native value, and its map to a matrix (None if it is one)
+    # t -> native value, and t -> rotation matrix
     _path: Any = field(init=False, repr=False, compare=False)
-    _to_matrix: Any = field(init=False, repr=False, compare=False)
+    _matrix_path: Any = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _, native, to_matrix = _method(self.method)
-        if self.method == MATRIX_GEODESIC:
-            rel = log_map(matrix_mul(self.start.transpose(), self.end)).v
-            path = partial(_geodesic_at, self.start, rel)
-        else:
-            path = partial(native, self.start, self.end)
+        pair_path = _PAIR_PATHS.get(self.method)
+        path = partial(native, self.start, self.end) if pair_path is None \
+            else pair_path(self.start, self.end)
         object.__setattr__(self, "_path", path)
-        object.__setattr__(self, "_to_matrix", to_matrix)
+        object.__setattr__(self, "_matrix_path", path if to_matrix is None
+                           else lambda t: to_matrix(path(t)))
 
     def eval_native(self, t: float):
         return self._path(t)
 
     def eval(self, t: float) -> RotationMatrix:
-        value = self._path(t)
-        to_matrix = self._to_matrix
-        return value if to_matrix is None else to_matrix(value)
+        return self._matrix_path(t)
 
 
 def make_interpolator(method: str, start, end) -> Interpolator:

@@ -147,8 +147,10 @@ class Rng:
 
     def normals(self, n: int) -> list[float]:
         """n standard normal deviates in one call: the values, and the
-        stream consumed, of n calls to normal()."""
-        out = [] if n <= 0 or self._cached_normal is None else [self._cached_normal]
+        stream consumed, of n calls to normal(): none for n <= 0."""
+        if n <= 0:
+            return []
+        out = [] if self._cached_normal is None else [self._cached_normal]
         if out:
             self._cached_normal = None
         while len(out) < n:

@@ -1,9 +1,13 @@
-"""Behavioural golden: the non-timing fields of the seed-42 report.
+"""Behavioural goldens: the non-timing fields of the benchmark report.
 
 Every non-timing field of full_table(BenchConfig(), QUALITY_SUITES) is
 pinned bit for bit in tests/fixtures/bench_seed42_nontiming.json, floats
-stored as float.hex. A refactor must leave the fixture unchanged; an
-intended behaviour change regenerates it and is declared in CHANGES.md.
+stored as float.hex. A second, small golden in
+tests/fixtures/bench_small_nontiming.json pins the same fields at seeds
+7 and 1234567 under SMALL_CONFIG, whose 600 singularity draws cross two
+256-draw projection chunks. A refactor must leave both fixtures
+unchanged; an intended behaviour change regenerates them and is
+declared in CHANGES.md.
 
 Regenerate with `PYTHONPATH=src python tests/test_golden.py`.
 """
@@ -15,6 +19,9 @@ from pathlib import Path
 from rotrepr.bench import REPORT_FIELDS, BenchConfig, full_table
 
 FIXTURE = Path(__file__).parent / "fixtures" / "bench_seed42_nontiming.json"
+SMALL_FIXTURE = Path(__file__).parent / "fixtures" / "bench_small_nontiming.json"
+SMALL_SEEDS = (7, 1234567)
+SMALL_CONFIG = dict(n_stability=100, m_singularity=600, n_edge=60, n_pairs=8)
 QUALITY_SUITES = ("stability", "singularity", "interp", "robustness")
 TIMING_FIELDS = ("t_comp", "t_interp", "t_batch")
 
@@ -23,9 +30,9 @@ def _encode(value):
     return float.hex(value) if isinstance(value, float) else value
 
 
-def nontiming_rows() -> dict:
+def nontiming_rows(cfg: BenchConfig = BenchConfig()) -> dict:
     """representation -> {field: float.hex string, int, or None}."""
-    rows = full_table(BenchConfig(), QUALITY_SUITES)
+    rows = full_table(cfg, QUALITY_SUITES)
     return {row.representation: {field: _encode(getattr(row, field))
                                  for field in REPORT_FIELDS
                                  if field not in TIMING_FIELDS
@@ -61,17 +68,33 @@ def test_bench_distances_sum_left_to_right(monkeypatch):
     assert bench._quat_param_dist(a, b) == 1e8
 
 
-def test_seed42_nontiming_fields_bit_identical():
-    expected = json.loads(FIXTURE.read_text())
-    got = nontiming_rows()
+def small_rows() -> dict:
+    """str(seed) -> nontiming_rows at that seed under SMALL_CONFIG."""
+    return {str(seed): nontiming_rows(BenchConfig(seed=seed, **SMALL_CONFIG))
+            for seed in SMALL_SEEDS}
+
+
+def _field_diffs(expected, got):
     assert list(got) == list(expected)
-    diffs = [(tag, field, expected[tag][field], value)
-             for tag, fields in got.items()
-             for field, value in fields.items()
-             if value != expected[tag][field]]
-    assert diffs == []
+    return [(tag, field, expected[tag][field], value)
+            for tag, fields in got.items()
+            for field, value in fields.items()
+            if value != expected[tag][field]]
+
+
+def test_seed42_nontiming_fields_bit_identical():
+    assert _field_diffs(json.loads(FIXTURE.read_text()), nontiming_rows()) == []
+
+
+def test_small_config_nontiming_fields_bit_identical():
+    expected = json.loads(SMALL_FIXTURE.read_text())
+    got = small_rows()
+    assert list(got) == list(expected)
+    for seed in got:
+        assert _field_diffs(expected[seed], got[seed]) == [], seed
 
 
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(nontiming_rows(), indent=1) + "\n")
+    SMALL_FIXTURE.write_text(json.dumps(small_rows(), indent=1) + "\n")

@@ -34,7 +34,15 @@ from rotrepr.convert import (
 from rotrepr.core import validate
 from rotrepr.errors import DegenerateInputError, RotationError
 from rotrepr.compose import matrix_mul
-from rotrepr.interp import _METHODS, INTERPOLATION_METHODS, linear_euler
+from rotrepr.bench import DT, K_DERIV, K_PATH
+from rotrepr.convert import _BY_TAG, QUAT
+from rotrepr.interp import (
+    _METHODS,
+    INTERPOLATION_METHODS,
+    NLERP_FALLBACK,
+    Interpolator,
+    linear_euler,
+)
 
 from conftest import frobenius, haar_matrix, haar_quat
 
@@ -341,18 +349,68 @@ def test_interpolator_geodesic_bit_identical_to_matrix_geodesic(rng):
             assert interp.eval_native(t) == matrix_geodesic(r1, r2, t)
 
 
+def _hex_of(value):
+    """A value's floats as float.hex, nested as the value is."""
+    if isinstance(value, MatrixFisher):
+        return _hex_of(value.f.tolist())
+    if isinstance(value, float):
+        return float.hex(value)
+    if isinstance(value, (tuple, list)):
+        return [_hex_of(item) for item in value]
+    return value  # an Euler convention
+
+
+def _result_bits(fn, *args):
+    try:
+        return _hex_of(fn(*args))
+    except DegenerateInputError as exc:
+        return "raises", str(exc)
+
+
+# the suite's 250 parameters: K_PATH path points, then K_DERIV
+# central-difference pairs t -+ DT/2
+SUITE_TS = ([i / (K_PATH - 1) for i in range(K_PATH)]
+            + [t + s * DT / 2.0 for i in range(K_DERIV)
+               for t in [0.01 + (0.99 - 0.01) * i / (K_DERIV - 1)] for s in (-1, 1)])
+SEAM_TS = [0.0, 1.0, -0.25, 1e200, -1e200, math.inf, -math.inf, math.nan]
+
+
+def _native_pairs(method, rng):
+    """Native endpoint pairs: two Haar pairs and the seams, equal
+    endpoints and endpoints a half turn apart; for the quaternion
+    methods also antipodal endpoints and a pair below NLERP_FALLBACK."""
+    tag = _METHODS[method][0]
+    if tag is None:
+        f = [MatrixFisher(5.0 * haar_matrix(rng).as_array()) for _ in range(3)]
+        return [(f[0], f[1]), (f[1], f[2]), (f[0], f[0])]
+    r1, r2, r3 = haar_matrix(rng), haar_matrix(rng), haar_matrix(rng)
+    half = matrix_mul(r1, axis_angle_to_matrix(AxisAngle((0.0, 0.6, 0.8), math.pi)))
+    pairs = [(r1, r2), (r2, r3), (r1, r1), (r1, half)]
+    if tag == QUAT:
+        q = matrix_to_quat(r1)
+        near = matrix_to_quat(matrix_mul(r1, axis_angle_to_matrix(
+            AxisAngle((0.6, 0.0, 0.8), 0.5 * NLERP_FALLBACK))))
+        return [(q, -q), (q, near)] + [
+            (matrix_to_quat(a), matrix_to_quat(b)) for a, b in pairs]
+    from_matrix = _BY_TAG[tag].from_matrix
+    return [(from_matrix(a), from_matrix(b)) for a, b in pairs]
+
+
 def test_interpolator_matches_native_functions(rng):
-    r1, r2 = haar_matrix(rng), haar_matrix(rng)
-    for method in INTERPOLATION_METHODS:
-        if method in ("matrix-geodesic", "fisher-blend"):
-            continue
-        interp = make_interpolator(method, r1, r2)
-        _, native, to_matrix = _METHODS[method]
-        for t in (0.0, 0.3, 1.0):
-            value = native(interp.start, interp.end, t)
-            assert interp.eval_native(t) == value
-            assert interp.eval(t) == (value if to_matrix is None else to_matrix(value))
-    assert make_interpolator("slerp", r1, r2) == make_interpolator("slerp", r1, r2)
+    # bit for bit, for every method at every parameter the suite uses and
+    # at the seams, raising the same DegenerateInputError at a non-finite t
+    for method, (_, native, to_matrix) in _METHODS.items():
+        for start, end in _native_pairs(method, rng):
+            interp = Interpolator(method, start, end)
+            for t in SUITE_TS + SEAM_TS:
+                expected = _result_bits(native, start, end, t)
+                assert _result_bits(interp.eval_native, t) == expected, (method, t)
+                if to_matrix is not None and expected[0] != "raises":
+                    expected = _result_bits(lambda t: to_matrix(native(start, end, t)), t)
+                assert _result_bits(interp.eval, t) == expected, (method, t)
+                if not math.isfinite(t):
+                    assert expected[0] == "raises"
+            assert interp == Interpolator(method, start, end)
 
 
 def test_interpolator_fisher_blend(rng):

@@ -171,6 +171,18 @@ def test_normals_matches_calls_to_normal(n, lead):
     assert [twin.normal() for _ in range(n)] == expected
 
 
+@pytest.mark.parametrize("n", [-1, -2, -1000])
+@pytest.mark.parametrize("lead", [(), ("normal",)])
+def test_normals_of_negative_n_draw_nothing(n, lead):
+    # n <= 0 is no call to normal(): nothing drawn, a cached value kept
+    rng, ref = Rng(77, 3), ScalarPcg32(77, 3)
+    _interleaved(rng, lead)
+    _interleaved(ref, lead)
+    assert rng.normals(n) == []
+    after = ["normal", "next_u32", "random", "normal", 5]
+    assert _interleaved(rng, after) == _interleaved(ref, after)
+
+
 def test_derived_streams_match_scalar_reference():
     parent = Rng(42)
     parent.normals(777)  # a child depends on the parent's seed only
