@@ -53,7 +53,6 @@ from .convert import (
     axis_angle_to_matrix,
     euler_to_matrix,
     exp_map,
-    matrix_to_euler,
     matrix_to_sixd,
     quat_to_matrix,
 )
@@ -119,10 +118,10 @@ class BenchConfig:
     def __post_init__(self):
         for name in ("n_stability", "m_singularity", "n_edge", "n_pairs",
                      "warmup", "trials", "batch"):
-            if getattr(self, name) < 1:
-                raise RotationError(f"BenchConfig.{name} must be >= 1")
-        if self.tau <= 0.0:
-            raise RotationError("BenchConfig.tau must be > 0")
+            if not isinstance(size := getattr(self, name), int) or size < 1:
+                raise RotationError(f"BenchConfig.{name} must be an int >= 1")
+        if not 0.0 < self.tau < math.inf:
+            raise RotationError("BenchConfig.tau must be finite and > 0")
 
 
 @dataclass
@@ -165,17 +164,17 @@ def haar_matrix(rng: Rng) -> RotationMatrix:
 
 
 def _direction(rng: Rng, dim: int, norm: float) -> tuple[float, ...]:
-    while True:
-        d = rng.normals(dim)
-        n2 = 0.0
-        for v in d:
-            n2 += v * v
-        n = math.sqrt(n2)
-        if n > 0.0:
-            # a list, not a generator: tuple(generator) over-allocates
-            # and shrinks its result, which raised the paper table's peak
-            # RSS by about 0.5 MB
-            return tuple([v * norm / n for v in d])
+    """A uniformly directed dim-vector of the given norm, for dim >= 3:
+    three normals hold a whole Box-Muller pair, which is never (0, 0),
+    so the norm is never zero and no draw is repeated."""
+    d = rng.normals(dim)
+    n2 = 0.0
+    for v in d:
+        n2 += v * v
+    n = math.sqrt(n2)
+    # a list, not a generator: tuple(generator) over-allocates and shrinks
+    # its result, which raised the paper table's peak RSS by about 0.5 MB
+    return tuple([v * norm / n for v in d])
 
 
 def _row_rep(tag: str):
@@ -200,32 +199,23 @@ class StabilityResult(NamedTuple):
     failures: int
 
 
-def _stability_sample(tag: str, rng: Rng):
-    """A Haar matrix and, for the Euler row, its angles, which keep
-    Euler round trips away from the gimbal band (None for other rows)."""
-    if tag != EULER:
-        return haar_matrix(rng), None
-    while True:
-        r = haar_matrix(rng)
-        angles = matrix_to_euler(r)
-        if abs(angles.beta) <= EULER_BETA_EXCLUSION:
-            return r, angles
-
-
 def stability_suite(tag: str, cfg: BenchConfig) -> StabilityResult:
     """Mean angular reconstruction error over Haar round trips.
 
     A conversion that raises counts as the maximal distance pi and is
-    tallied as a failure.
+    tallied as a failure. The Euler row redraws until the angles it
+    extracted keep clear of the gimbal band.
     """
     rng = _suite_rng(cfg, f"stability/{tag}")
     rep = _row_rep(tag)
     total = 0.0
     failures = 0
     for _ in range(cfg.n_stability):
-        r, value = _stability_sample(tag, rng)
+        r = haar_matrix(rng)
         try:
-            if value is None:
+            value = rep.from_matrix(r)
+            while tag == EULER and abs(value.beta) > EULER_BETA_EXCLUSION:
+                r = haar_matrix(rng)
                 value = rep.from_matrix(r)
             total += relative_angle(rep.to_matrix(value), r)
         except RotationError:
@@ -327,8 +317,7 @@ def gimbal_susceptibility(tag: str, cfg: BenchConfig) -> float:
         for _ in range(min(_PROJECT_CHUNK, cfg.m_singularity - start)):
             ref = sample(rng)
             refs.append(ref)
-            # ref + _direction(rng, len(ref), eta) in one pass; no redraw,
-            # as three or more normals hold a whole Box-Muller pair, never 0
+            # ref + _direction(rng, len(ref), eta), in one pass
             d = rng.normals(len(ref))
             n2 = 0.0
             for v in d:

@@ -13,6 +13,7 @@ ux,uy,uz,theta; rotvec vx,vy,vz; matrix 9 row-major; sixd a1 then a2.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import math
 import platform
@@ -92,25 +93,25 @@ def cmd_bench(args) -> int:
     cfg = BenchConfig(seed=args.seed, trials=args.trials, batch=args.batch,
                       n_edge=args.edge_cases)
     suites = ALL_SUITES if args.suite == "all" else (args.suite,)
-    try:
-        rows, failures = full_table(cfg, suites), []
-    except BenchSuiteError as exc:
-        rows, failures = exc.reports, exc.failures
-    meta = {
-        "seed": cfg.seed,
-        "suite": args.suite,
-        "config": asdict(cfg),
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "machine": f"{platform.platform()} / {platform.python_implementation()} "
-                   f"{platform.python_version()}",
-    }
-    doc = ReportDocument(args.format, rows, meta)
-    text = doc.render()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:  # before the suites run, so a bad --out path costs no table
+        out = open(args.out, "w", encoding="utf-8") if args.out \
+            else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {args.out}: {exc}") from exc
+    with out as fh:
+        try:
+            rows, failures = full_table(cfg, suites), []
+        except BenchSuiteError as exc:
+            rows, failures = exc.reports, exc.failures
+        meta = {
+            "seed": cfg.seed,
+            "suite": args.suite,
+            "config": asdict(cfg),
+            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "machine": f"{platform.platform()} / {platform.python_implementation()} "
+                       f"{platform.python_version()}",
+        }
+        fh.write(ReportDocument(args.format, rows, meta).render())
     for tag, suite, err in failures:
         print(f"error: row {tag}/{suite} failed (cells NA): {err}", file=sys.stderr)
     return 1 if failures else 0
@@ -166,7 +167,7 @@ def _parse_xyz(path: str) -> PointSet:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from exc
     points = []
     for lineno, raw in enumerate(lines, start=1):

@@ -430,8 +430,8 @@ def _euler_spoke(convention: EulerConvention) -> Callable:
             a, b, c, d = w - qj, qi + qk, qj + w, qk - qi
         hab, hcd = math.hypot(a, b), math.hypot(c, d)
         h = math.hypot(hab, hcd)
-        if h == 0.0:
-            raise DegenerateInputError(_ZERO_QUAT)
+        if not 1e-300 <= h < math.inf:  # huge, tiny, zero or not finite
+            return spoke(_rescaled(q, _ZERO_QUAT))
         half_sum = math.atan2(b, a)
         half_diff = math.atan2(d, c)
         if 2.0 * (hab / h) * (hcd / h) < GIMBAL_COS_BETA:  # |cos beta|, |sin beta| if proper
@@ -461,9 +461,11 @@ def quat_to_euler(q, convention: EulerConvention | None = None) -> EulerAngles:
     d)|, |(a, b)|), less pi/2 for Tait-Bryan sequences, and atan2(b, a)
     and atan2(d, c) are the half sum and half difference of the outer
     angles, so their sum or difference, all a rotation near the fold pins
-    down, comes from the well-conditioned pair. Scale invariant; alpha
-    and gamma in [-pi, pi]. In the gimbal band, |cos beta| < 1e-7 (|sin
-    beta| for proper sequences), the angle applied first (gamma if
+    down, comes from the well-conditioned pair. Scale invariant: where
+    |(a, b, c, d)| leaves [1e-300, inf), q is divided by its largest
+    |component|, so a zero or non-finite q raises DegenerateInputError.
+    alpha and gamma in [-pi, pi]. In the gimbal band, |cos beta| < 1e-7
+    (|sin beta| for proper sequences), the angle applied first (gamma if
     intrinsic, alpha if extrinsic) is zero and the other absorbs the free
     rotation, exact at the fold and O(|cos beta|) (|sin beta|) in the band."""
     spoke = _EULER_SPOKES.get(id(convention))

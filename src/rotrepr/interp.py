@@ -127,79 +127,85 @@ def nlerp(q1: UnitQuaternion, q2: UnitQuaternion, t: float) -> UnitQuaternion:
 
 def matrix_geodesic(r1: RotationMatrix, r2: RotationMatrix, t: float) -> RotationMatrix:
     """R(t) = R1 exp(t log(R1^T R2)): the shortest path on SO(3)."""
-    return _geodesic_at(r1, log_map(matrix_mul(r1.transpose(), r2)).v, t)
+    return _geodesic_path(r1, r2)(t)
 
 
-def _geodesic_at(r1: RotationMatrix, v, t: float) -> RotationMatrix:
-    """R1 exp(t v), with v = log(R1^T R2) computed by the caller."""
-    return matrix_mul(r1, exp_map(_tuple_new(RotationVector,
-                                             ((v[0] * t, v[1] * t, v[2] * t),))))
+def _geodesic_path(r1: RotationMatrix, r2: RotationMatrix):
+    """t -> matrix_geodesic(r1, r2, t), log(R1^T R2) taken once."""
+    x, y, z = log_map(matrix_mul(r1.transpose(), r2)).v
+    return lambda t: matrix_mul(r1, exp_map(_tuple_new(RotationVector,
+                                                       ((x * t, y * t, z * t),))))
 
 
 def linear_rotation_vector(v1: RotationVector, v2: RotationVector,
                            t: float) -> RotationMatrix:
     """exp of the affine blend (1-t) v1 + t v2; geodesic only when the
     endpoints' rotation vectors are parallel."""
+    return _rotvec_path(v1, v2)(t)
+
+
+def _rotvec_path(v1: RotationVector, v2: RotationVector):
+    """t -> linear_rotation_vector(v1, v2, t)."""
     x1, y1, z1 = v1.v
     x2, y2, z2 = v2.v
-    return _rotvec_blend(v1 == v2, x1, y1, z1, x2, y2, z2, t)
+    same = v1 == v2  # a constant path, exactly constant at every finite t
 
-
-def _rotvec_blend(same, x1, y1, z1, x2, y2, z2, t):
-    """linear_rotation_vector on the endpoints' components; same marks
-    equal endpoints, a constant path, exactly constant at every finite t."""
-    v = (x1, y1, z1) if same and math.isfinite(t) else (
-        (1.0 - t) * x1 + t * x2, (1.0 - t) * y1 + t * y2, (1.0 - t) * z1 + t * z2)
-    return exp_map(_tuple_new(RotationVector, (v,)))
+    def path(t):
+        v = (x1, y1, z1) if same and math.isfinite(t) else (
+            (1.0 - t) * x1 + t * x2, (1.0 - t) * y1 + t * y2, (1.0 - t) * z1 + t * z2)
+        return exp_map(_tuple_new(RotationVector, (v,)))
+    return path
 
 
 def linear_sixd(s1: SixD, s2: SixD, t: float) -> RotationMatrix:
     """Affine blend of both 6D columns followed by Gram-Schmidt."""
+    return _sixd_path(s1, s2)(t)
+
+
+def _sixd_path(s1: SixD, s2: SixD):
+    """t -> linear_sixd(s1, s2, t)."""
     (x1, y1, z1), (u1, v1, w1) = s1
     (x2, y2, z2), (u2, v2, w2) = s2
-    return _sixd_blend(s1 == s2, x1, y1, z1, u1, v1, w1, x2, y2, z2, u2, v2, w2, t)
+    same = s1 == s2  # a constant path, exactly constant at every finite t
+
+    def path(t):
+        blend = ((x1, y1, z1), (u1, v1, w1)) if same and math.isfinite(t) else (
+            ((1.0 - t) * x1 + t * x2, (1.0 - t) * y1 + t * y2, (1.0 - t) * z1 + t * z2),
+            ((1.0 - t) * u1 + t * u2, (1.0 - t) * v1 + t * v2, (1.0 - t) * w1 + t * w2))
+        try:
+            return sixd_to_matrix(_tuple_new(SixD, blend))
+        except DegenerateInputError as exc:
+            raise DegenerateInputError(f"6D blend degenerate at t={t!r}: {exc}") from exc
+    return path
 
 
-def _sixd_blend(same, x1, y1, z1, u1, v1, w1, x2, y2, z2, u2, v2, w2, t):
-    """linear_sixd on the endpoints' components; same marks equal
-    endpoints, a constant path, exactly constant at every finite t."""
-    blend = ((x1, y1, z1), (u1, v1, w1)) if same and math.isfinite(t) else (
-        ((1.0 - t) * x1 + t * x2, (1.0 - t) * y1 + t * y2, (1.0 - t) * z1 + t * z2),
-        ((1.0 - t) * u1 + t * u2, (1.0 - t) * v1 + t * v2, (1.0 - t) * w1 + t * w2))
-    try:
-        return sixd_to_matrix(_tuple_new(SixD, blend))
-    except DegenerateInputError as exc:
-        raise DegenerateInputError(f"6D blend degenerate at t={t!r}: {exc}") from exc
-
-
-def linear_euler(e1: EulerAngles, e2: EulerAngles, t: float,
-                 arcs: tuple[float, float, float] | None = None) -> EulerAngles:
+def linear_euler(e1: EulerAngles, e2: EulerAngles, t: float) -> EulerAngles:
     """Component-wise linear Euler angles of one convention, each
     travelling its shorter arc. Not a geodesic; behaves badly near the
     gimbal band by design. A blend or an angle difference that leaves
-    the float range raises DegenerateInputError. arcs, when given, are
-    _euler_arcs(e1, e2), taken once for many t."""
-    da, db, dg = _euler_arcs(e1, e2) if arcs is None else arcs
+    the float range raises DegenerateInputError."""
+    return _euler_path(e1, e2)(t)
+
+
+def _euler_path(e1: EulerAngles, e2: EulerAngles):
+    """t -> linear_euler(e1, e2, t)."""
     alpha, beta, gamma, convention = e1
-    a = alpha + t * da
-    b = beta + t * db
-    g = gamma + t * dg
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(g)):
-        raise DegenerateInputError(f"linear-euler blend is not finite at t={t!r}")
-    return _tuple_new(EulerAngles, (a, b, g, convention))
-
-
-def _euler_arcs(e1: EulerAngles, e2: EulerAngles) -> tuple[float, float, float]:
-    """The three wrapped angle differences from e1 to e2; NaN where a
-    difference leaves the float range."""
-    a1, b1, g1, convention = e1
     a2, b2, g2, other = e2
     if convention is not other:
         raise DegenerateInputError("euler endpoints use different conventions")
     try:
-        return wrap_angle(a2 - a1), wrap_angle(b2 - b1), wrap_angle(g2 - g1)
+        da, db, dg = wrap_angle(a2 - alpha), wrap_angle(b2 - beta), wrap_angle(g2 - gamma)
     except ValueError:  # fmod of an angle difference beyond the float range
-        return math.nan, math.nan, math.nan
+        da = db = dg = math.nan
+
+    def path(t):
+        a = alpha + t * da
+        b = beta + t * db
+        g = gamma + t * dg
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(g)):
+            raise DegenerateInputError(f"linear-euler blend is not finite at t={t!r}")
+        return _tuple_new(EulerAngles, (a, b, g, convention))
+    return path
 
 
 def fisher_blend(f1: MatrixFisher, f2: MatrixFisher, t: float) -> MatrixFisher:
@@ -237,20 +243,12 @@ _METHODS = {
 INTERPOLATION_METHODS = tuple(_METHODS)
 
 
-def _euler_path(e1: EulerAngles, e2: EulerAngles):
-    """t -> linear_euler(e1, e2, t), the arcs taken once."""
-    arcs = _euler_arcs(e1, e2)
-    return lambda t: linear_euler(e1, e2, t, arcs)
-
-
-# method -> builder of the per-pair path t -> native value, for the
-# methods whose pair has constants to take once; the others bind the
-# native function to the endpoints
+# method -> builder of the per-pair path t -> native value, which takes
+# the pair's constants once; the others bind the native function
 _PAIR_PATHS = {
-    MATRIX_GEODESIC: lambda r1, r2: partial(
-        _geodesic_at, r1, log_map(matrix_mul(r1.transpose(), r2)).v),
-    LINEAR_ROTATION_VECTOR: lambda v1, v2: partial(_rotvec_blend, v1 == v2, *v1.v, *v2.v),
-    LINEAR_SIXD: lambda s1, s2: partial(_sixd_blend, s1 == s2, *s1.a1, *s1.a2, *s2.a1, *s2.a2),
+    MATRIX_GEODESIC: _geodesic_path,
+    LINEAR_ROTATION_VECTOR: _rotvec_path,
+    LINEAR_SIXD: _sixd_path,
     LINEAR_EULER: _euler_path,
 }
 
@@ -270,10 +268,8 @@ class Interpolator:
     of the blended distribution); eval_native(t) yields the method's own
     representation. Endpoint evaluation is exact. Construction resolves
     the method (an unknown one raises DegenerateInputError) and the
-    pair's path, so each eval is one call: the pair's constants (the
-    geodesic's log(R1^T R2), linear-euler's wrapped differences, the
-    rotation-vector and 6D components and equal-endpoint test) are
-    taken once, and Euler endpoints of two conventions raise here.
+    pair's path, so each eval is one call: _PAIR_PATHS takes the pair's
+    constants once, and Euler endpoints of two conventions raise here.
     """
 
     method: str

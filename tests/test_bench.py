@@ -45,10 +45,11 @@ FAST = BenchConfig(n_stability=200, m_singularity=400, n_pairs=20,
 
 
 def test_config_validation():
-    with pytest.raises(RotationError):
-        BenchConfig(trials=0)
-    with pytest.raises(RotationError):
-        BenchConfig(tau=0.0)
+    # tau finite and > 0, every size an int >= 1
+    for kwargs in ({"trials": 0}, {"tau": 0.0}, {"tau": math.nan}, {"tau": math.inf},
+                   {"n_stability": 2.5}, {"m_singularity": 600.0}, {"batch": None}):
+        with pytest.raises(RotationError):
+            BenchConfig(**kwargs)
 
 
 def test_config_fields_and_protocol_constants():

@@ -544,6 +544,27 @@ def _exact_conv_quat(conv, angles) -> list:
 
 
 @pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=_conv_id)
+def test_quat_to_euler_at_extreme_scales_and_non_finite(conv, rng):
+    # components on the grid k/4 scale exactly by 2^e down to the
+    # subnormals and up to 2^1023, where w - q_j and q_i + q_k overflow
+    for _ in range(20):
+        q = tuple(rng.uniform(-4.0, 4.0) // 1.0 / 4.0 for _ in range(4))
+        if not any(q):
+            continue
+        want = euler_to_matrix(quat_to_euler(q, conv))
+        for e in (-1060, -1000, 1000, 1023):
+            scaled = tuple(math.ldexp(c, e) for c in q)
+            assert relative_angle(euler_to_matrix(quat_to_euler(scaled, conv)),
+                                  want) <= 1e-14, (q, e)
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(4):
+            q = [0.5, -0.5, 0.5, 0.5]
+            q[i] = bad
+            with pytest.raises(DegenerateInputError):
+                quat_to_euler(q, conv)
+
+
+@pytest.mark.parametrize("conv", ALL_CONVENTIONS, ids=_conv_id)
 @pytest.mark.parametrize("source", ["quat", "matrix"])
 @pytest.mark.parametrize("cos_beta", EULER_COS_BETAS)
 def test_euler_extraction_near_fold_oracle(conv, source, cos_beta, rng):

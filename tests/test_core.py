@@ -471,7 +471,7 @@ def test_kernels_build_exact_value_types(rng):
                                  canonicalize_rotation_vector,
                                  rotation_vector_to_axis_angle)
     from rotrepr.core import RotationVector
-    from rotrepr.interp import _geodesic_at, linear_rotation_vector
+    from rotrepr.interp import linear_rotation_vector, matrix_geodesic
     q, r = haar_quat(rng), haar_matrix(rng)
     v = RotationVector((0.3, -2.0, 4.0))
     cases = [
@@ -490,7 +490,7 @@ def test_kernels_build_exact_value_types(rng):
     for got, want in cases:
         assert type(got) is type(want)
         assert got == want
-    for got in (_geodesic_at(r, (0.1, 0.2, 0.3), 0.5),
+    for got in (matrix_geodesic(r, r.transpose(), 0.5),
                 linear_rotation_vector(v, RotationVector((0.0, 0.0, 0.0)), 0.5)):
         assert type(got) is RotationMatrix
         assert validate(got).ok

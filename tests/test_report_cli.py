@@ -1,12 +1,16 @@
+import io
 import json
 import math
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotrepr.bench import REPORT_FIELDS, BenchConfig, BenchReport, full_table
 from rotrepr.cli import components, main
-from rotrepr.convert import convert
+from rotrepr.convert import _BY_TAG, REPRESENTATION_TAGS, convert
 from rotrepr.core import RotationMatrix
 from rotrepr.interp import _METHODS, INTERPOLATION_METHODS
 from rotrepr.report import NA, ReportDocument, fmt17, parse_report_csv
@@ -478,6 +482,15 @@ def test_register_missing_file_exit_2(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_register_non_utf8_file_exit_2(capsys, tmp_path):
+    bad = tmp_path / "latin1.xyz"
+    bad.write_bytes("# caf\xe9\n0 0 0\n1 0 0\n0 1 0\n".encode("latin-1"))
+    code, out, err = run_cli(capsys, "register", "--source", str(bad),
+                             "--target", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {bad}: ") and err.count("\n") == 1
+
+
 def test_register_degenerate_cloud_exit_1(capsys, tmp_path):
     line = tmp_path / "line.xyz"
     line.write_text("\n".join(f"{i} 0 0" for i in range(10)))
@@ -660,6 +673,20 @@ def test_bench_out_file(tmp_path, capsys):
     assert len(rows) == 7
 
 
+def test_bench_out_to_a_missing_directory_exit_2_before_the_suites(
+        monkeypatch, capsys, tmp_path):
+    import rotrepr.cli as cli_mod
+
+    def never(*args):
+        raise AssertionError("the suites ran")
+
+    monkeypatch.setattr(cli_mod, "full_table", never)
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "bench", "--out", str(target), *FAST)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+
+
 def test_bench_csv_parse_matches_values(capsys):
     code, out, _ = run_cli(capsys, "bench", "--suite", "stability",
                            "--format", "csv", "--seed", "11", *FAST)
@@ -726,3 +753,57 @@ def test_bench_row_error_keeps_completed_rows(monkeypatch, tmp_path, capsys,
     assert sixd_line.split(",")[REPORT_FIELDS.index("eps_stab")] == NA
     assert err.splitlines() == [
         "error: row sixd/stability failed (cells NA): injected failure"]
+
+
+# ---------------------------------------------------------------------------
+# no traceback for any value
+
+
+_CLI_SCALARS = st.one_of(
+    st.floats(-4.0, 4.0).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["0", "1", "nan", "inf", "-inf", "1e309", "x", ""]))
+
+
+def _cli_scalars(n):
+    """n comma-separated scalars, or now and then another count."""
+    count = st.one_of(st.just(n), st.just(n), st.integers(1, 10))
+    return count.flatmap(lambda k: st.lists(_CLI_SCALARS, min_size=k, max_size=k)
+                         ).map(",".join)
+
+
+@st.composite
+def _convert_or_interp_argv(draw):
+    if draw(st.booleans()):
+        src, dst = draw(st.sampled_from(REPRESENTATION_TAGS)), draw(
+            st.sampled_from(REPRESENTATION_TAGS))
+        return ["convert", f"--from={src}", f"--to={dst}",
+                f"--value={draw(_cli_scalars(_BY_TAG[src].arity))}"]
+    method = draw(st.sampled_from(INTERPOLATION_METHODS))
+    tag = _METHODS[method][0]
+    n = 9 if tag is None else _BY_TAG[tag].arity
+    argv = ["interp", f"--method={method}", f"--a={draw(_cli_scalars(n))}",
+            f"--b={draw(_cli_scalars(n))}"]
+    t = draw(st.one_of(st.none(), st.floats(allow_nan=False).map(repr),
+                       st.sampled_from(["nan", "1e309", "0", "1"])))
+    return argv + ([f"--samples={draw(st.integers(1, 4))}"] if t is None else [f"--t={t}"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_convert_or_interp_argv())
+def test_convert_and_interp_never_print_a_traceback(argv):
+    # argparse itself accepts every drawn list (components travel as
+    # --flag=value), so each outcome is main's: 0 with finite numbers
+    # only, or 1 or 2 with exactly one error line
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out + err
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert err == "" and out
+        assert all(math.isfinite(float(v)) for line in out.splitlines()
+                   for v in line.split(","))
