@@ -10,16 +10,15 @@ Conventions used across the package:
 The value types are immutable named tuples of plain floats, safe to
 share between threads. Each compares equal to and hashes like the plain
 tuple of its fields (RotationMatrix(rows) == (rows,)); use _replace and
-_asdict, not dataclasses.replace/asdict. numpy enters only where a
-matrix factorization is genuinely needed (SVD projection).
+_asdict, not dataclasses.replace/asdict. numpy is imported only inside
+the calls that need it: the array boundary (RotationMatrix.from_array,
+as_array, validate of an array) and the SVD projection.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import DegenerateInputError
 from .rng import Rng
@@ -143,6 +142,7 @@ class RotationMatrix(NamedTuple):
 
     @staticmethod
     def from_array(arr) -> "RotationMatrix":
+        import numpy as np
         a = np.asarray(arr, dtype=float)
         if a.shape != (3, 3):
             raise DegenerateInputError(f"expected shape (3, 3), got {a.shape}")
@@ -175,7 +175,8 @@ class RotationMatrix(NamedTuple):
         r = self.rows
         return (r[0][j], r[1][j], r[2][j])
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self):
+        import numpy as np
         return np.array(self.rows, dtype=float)
 
     def as_flat(self) -> tuple[float, ...]:
@@ -354,6 +355,7 @@ def project_to_so3(m) -> RotationMatrix:
     a non-finite entry and for rank-deficient input (smallest singular
     value below 1e-12).
     """
+    import numpy as np
     a = np.asarray(m.rows if isinstance(m, RotationMatrix) else m, dtype=float)
     if a.shape != (3, 3):
         raise DegenerateInputError(f"expected shape (3, 3), got {a.shape}")
@@ -366,6 +368,7 @@ def _project_stack(a) -> list[RotationMatrix]:
     projection. The first non-finite member raises (numpy's SVD can hang
     on an infinite entry and fails on a NaN), else the first
     rank-deficient one."""
+    import numpy as np
     a = np.asarray(a, dtype=float)
     if not np.isfinite(a).all():
         bad = a[np.isfinite(a).all(axis=(1, 2)).argmin()]
@@ -386,7 +389,7 @@ def _so3_factors(u, vt) -> list[RotationMatrix]:
     for j, rows in enumerate((u @ vt).tolist()):
         (a, b, c), (d, e, f), (g, h, i) = rows
         if not a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) >= 0.0:
-            rows = ((u[j] * np.array([1.0, 1.0, -1.0])) @ vt[j]).tolist()
+            rows = ((u[j] * (1.0, 1.0, -1.0)) @ vt[j]).tolist()
         out.append(_tuple_new(RotationMatrix, (tuple(map(tuple, rows)),)))
     return out
 

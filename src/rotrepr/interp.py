@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Any
 
-import numpy as np
-
 from .core import (
     EulerAngles,
     RotationMatrix,
@@ -41,7 +39,6 @@ from .convert import (
     sixd_to_matrix,
 )
 from .errors import DegenerateInputError
-from .probdist import MatrixFisher, fisher_mode
 
 NLERP_FALLBACK = 0.001  # quaternion-sphere angle below which slerp -> nlerp
 
@@ -210,7 +207,11 @@ def _euler_path(e1: EulerAngles, e2: EulerAngles):
 
 def fisher_blend(f1: MatrixFisher, f2: MatrixFisher, t: float) -> MatrixFisher:
     """Affine blend of the natural-parameter matrices; a blend that
-    leaves the float range raises DegenerateInputError."""
+    leaves the float range raises DegenerateInputError. numpy and
+    probdist are imported here and in _fisher_mode, so the rotation
+    paths never load them."""
+    import numpy as np
+    from .probdist import MatrixFisher
     if np.array_equal(f1.f, f2.f) and math.isfinite(t):  # a constant path
         return f1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -218,6 +219,11 @@ def fisher_blend(f1: MatrixFisher, f2: MatrixFisher, t: float) -> MatrixFisher:
     if not np.isfinite(f).all():
         raise DegenerateInputError(f"fisher blend is not finite at t={t!r}")
     return MatrixFisher(f)
+
+
+def _fisher_mode(f: MatrixFisher) -> RotationMatrix:
+    from .probdist import fisher_mode
+    return fisher_mode(f)
 
 
 SLERP = "slerp"
@@ -238,7 +244,7 @@ _METHODS = {
     LINEAR_ROTATION_VECTOR: (ROTVEC, linear_rotation_vector, None),
     LINEAR_SIXD: (SIXD, linear_sixd, None),
     LINEAR_EULER: (EULER_ZYX, linear_euler, euler_to_matrix),
-    FISHER_BLEND: (None, fisher_blend, fisher_mode),
+    FISHER_BLEND: (None, fisher_blend, _fisher_mode),
 }
 INTERPOLATION_METHODS = tuple(_METHODS)
 
@@ -301,6 +307,7 @@ def make_interpolator(method: str, start, end) -> Interpolator:
     native representation once up front."""
     tag = _method(method)[0]
     if tag is None:
+        from .probdist import MatrixFisher
         if not (isinstance(start, MatrixFisher) and isinstance(end, MatrixFisher)):
             raise DegenerateInputError(
                 f"{method} endpoints must be MatrixFisher parameters")

@@ -11,6 +11,9 @@ ground truth, so one small pass of each runs here too.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -88,6 +91,24 @@ def test_full_table_calls_suites_through_module_globals(monkeypatch):
 def test_importing_modules_exist():
     for name in tracer.IMPORTING_MODULES:
         importlib.import_module(f"rotrepr.{name}")
+
+
+def test_package_and_cli_import_loads_what_the_harness_reads():
+    # the package namespace is lazy, but perfbench's `import rotrepr,
+    # rotrepr.cli` must still load numpy (import_breakdown reads its
+    # import time) and every module that tracer.install and the
+    # workloads look up in sys.modules
+    import rotrepr
+
+    wanted = ["numpy", *(f"rotrepr.{m}" for m in
+                         sorted(set(tracer.LAYER_FUNCTIONS) | set(tracer.IMPORTING_MODULES)))]
+    script = ("import json, sys, rotrepr, rotrepr.cli; "
+              f"print(json.dumps([m for m in {wanted!r} if m not in sys.modules]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(rotrepr.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
 
 
 def test_pose_stream_runs_one_frame_of_every_tag():
