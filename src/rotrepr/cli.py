@@ -197,6 +197,9 @@ def cmd_register(args) -> int:
         raise CliInputError(f"--tol must be > 0, got {args.tol}")
     source = _parse_xyz(args.source)
     target = _parse_xyz(args.target)
+    if args.method == "horn" and len(source.points) != len(target.points):
+        raise CliInputError(f"horn needs corresponded clouds of one size: {args.source} has "
+                            f"{len(source.points)} points, {args.target} {len(target.points)}")
     try:
         if args.method == "horn":
             (transform, rms), iterations = horn_align(source, target), None

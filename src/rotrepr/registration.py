@@ -10,7 +10,10 @@ block of distances to 2000 targets (1 MB) stays in cache. One scale rule,
 ``_as_given``, solves a pair as given or in a power-of-two frame (exact,
 and Horn's rotation is scale invariant), so any finite clouds align: a
 collinear or coincident source raises DegeneracyError, and a translation
-or rms beyond the float range DegenerateInputError.
+or rms beyond the float range DegenerateInputError. The source scatter's
+largest eigenvalue is >= tr/3, its middle one >= s2/(3 tr), s2 its 2x2 minors
+summed: tr >= TRACE_MIN and s2 > 12 SCATTER_RANK_TOL tr^2 (tr^2 first, inf if
+huge) clear both scatter checks, 4x spare; else ``eigvalsh`` decides them.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .errors import ContractViolationError, DegeneracyError, DegenerateInputErro
 SCATTER_RANK_TOL = 1e-12  # middle over largest scatter eigenvalue
 NN_CHUNK = 64  # source rows per distance block
 PRODUCT_MIN = 2.0 ** -1010  # the largest coordinate products solved as given reach it
+TRACE_MIN = 2.0 ** -480  # > 12 n PRODUCT_MIN; 12 SCATTER_RANK_TOL tr^2 stays normal
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,17 +134,21 @@ def _horn(p: np.ndarray, q: np.ndarray, ap: float, aq: float,
     pq = np.concatenate((p, q), axis=1)
     bar = np.add.reduce(pq) / n
     if rotation is None:
-        pqc = pq - bar
-        m = pqc[:, :3].T @ pqc  # m[:, :3] is the scatter S, m[:, 3:] is H
-        _, e1, e2 = np.linalg.eigvalsh(m[:, :3]).tolist()
-        if e2 < n * PRODUCT_MIN and pqc[:, :3].any():  # all zeros is collinear below
-            pc, qc = pqc[:, :3], pqc[:, 3:]
-            rotation = _own_frames_rotation(pc, qc, np.abs(pc).max(), np.abs(qc).max())
-            return _horn(p, q, ap, aq, rotation)
-        if e1 <= SCATTER_RANK_TOL * e2:
-            raise DegeneracyError(
-                "source cloud is collinear; rotation about its axis is unobservable")
-        (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = m[:, 3:].tolist()
+        pq -= bar
+        m = pq[:, :3].T @ pq  # m[:, :3] is the scatter S, m[:, 3:] is H
+        ((s00, _, _, h00, h01, h02), (s10, s11, _, h10, h11, h12),
+         (s20, s21, s22, h20, h21, h22)) = m.tolist()
+        s_tr = s00 + s11 + s22  # S's tr and s2, on the triangle eigvalsh reads
+        s2 = (s00 * s11 - s10 * s10) + (s00 * s22 - s20 * s20) + (s11 * s22 - s21 * s21)
+        if not (s_tr >= TRACE_MIN and s2 > s_tr * s_tr * (12.0 * SCATTER_RANK_TOL)):
+            _, e1, e2 = np.linalg.eigvalsh(m[:, :3]).tolist()
+            if e2 < n * PRODUCT_MIN and pq[:, :3].any():  # all zeros is collinear below
+                pc, qc = pq[:, :3], pq[:, 3:]
+                rotation = _own_frames_rotation(pc, qc, np.abs(pc).max(), np.abs(qc).max())
+                return _horn(p, q, ap, aq, rotation)
+            if e1 <= SCATTER_RANK_TOL * e2:
+                raise DegeneracyError(
+                    "source cloud is collinear; rotation about its axis is unobservable")
         tr = h00 + h11 + h22
         d0, d1, d2 = h12 - h21, h20 - h02, h01 - h10
         m11, m22, m33 = (h00 + h00) - tr, (h11 + h11) - tr, (h22 + h22) - tr
@@ -150,7 +158,10 @@ def _horn(p: np.ndarray, q: np.ndarray, ap: float, aq: float,
         rotation = quat_to_matrix(UnitQuaternion.normalized(vecs[:, 3].tolist()))
     r = rotation.as_array()
     t = bar[3:] - r @ bar[:3]
-    return RigidTransform(rotation, tuple(t.tolist())), _rms(p @ r.T + t - q)
+    d = p @ r.T
+    d += t
+    d -= q
+    return RigidTransform(rotation, tuple(t.tolist())), _rms(d)
 
 
 def _own_frames_rotation(p: np.ndarray, q: np.ndarray, ap: float, aq: float
@@ -170,9 +181,9 @@ def _in_units(tf: RigidTransform, rms: float, unit: float) -> tuple[RigidTransfo
 
 
 def _rms(residuals: np.ndarray) -> float:
-    """RMS of the residual norms; ``_as_given`` keeps the squares finite."""
-    return math.sqrt(np.add.reduce(np.add.reduce(residuals * residuals, axis=1))
-                     / residuals.shape[0])
+    """RMS of the residual norms, squared in place; ``_as_given`` keeps them finite."""
+    residuals *= residuals
+    return math.sqrt(np.add.reduce(np.add.reduce(residuals, axis=1)) / residuals.shape[0])
 
 
 def _nearest_neighbors(src: np.ndarray, dst: np.ndarray) -> np.ndarray:

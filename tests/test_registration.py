@@ -18,7 +18,8 @@ from rotrepr import (
     relative_angle,
 )
 from rotrepr.convert import axis_angle_to_matrix, quat_to_matrix
-from rotrepr.registration import _nearest_neighbors
+from rotrepr.registration import (PRODUCT_MIN, SCATTER_RANK_TOL, _as_given, _check_cloud,
+                                   _in_units, _nearest_neighbors)
 
 from conftest import haar_matrix
 
@@ -598,6 +599,122 @@ def test_horn_accepts_tiny_spread_far_from_origin(rng, spread):
     assert relative_angle(transform.rotation, r0) < 1e-12
     assert np.abs(np.array(transform.translation)).max() < 1e-12
     assert rms < 1e-12
+
+
+def _old_horn(p, q, ap, aq, rotation=None):
+    # reference: _horn before the closed-form scatter bound, which ran
+    # eigvalsh on every scatter and formed the residuals out of place
+    n = p.shape[0]
+    if n != q.shape[0]:
+        raise DegeneracyError(f"corresponded clouds differ in size: {n} vs {q.shape[0]}")
+    _check_cloud(p, "source")
+    if rotation is None and not _as_given(n, ap, aq):
+        k = math.frexp(max(ap, aq))[1] - 1
+        return _in_units(*_old_horn(np.ldexp(p, -k), np.ldexp(q, -k), 2.0, 2.0,
+                                    _old_own_frames_rotation(p, q, ap, aq)), 2.0 ** k)
+    pq = np.concatenate((p, q), axis=1)
+    bar = np.add.reduce(pq) / n
+    if rotation is None:
+        pqc = pq - bar
+        m = pqc[:, :3].T @ pqc
+        _, e1, e2 = np.linalg.eigvalsh(m[:, :3]).tolist()
+        if e2 < n * PRODUCT_MIN and pqc[:, :3].any():
+            pc, qc = pqc[:, :3], pqc[:, 3:]
+            rotation = _old_own_frames_rotation(pc, qc, np.abs(pc).max(), np.abs(qc).max())
+            return _old_horn(p, q, ap, aq, rotation)
+        if e1 <= SCATTER_RANK_TOL * e2:
+            raise DegeneracyError(
+                "source cloud is collinear; rotation about its axis is unobservable")
+        (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = m[:, 3:].tolist()
+        tr = h00 + h11 + h22
+        d0, d1, d2 = h12 - h21, h20 - h02, h01 - h10
+        m11, m22, m33 = (h00 + h00) - tr, (h11 + h11) - tr, (h22 + h22) - tr
+        s01, s02, s12 = h01 + h10, h02 + h20, h12 + h21
+        _, vecs = np.linalg.eigh(np.array(((tr, d0, d1, d2), (d0, m11, s01, s02),
+                                           (d1, s01, m22, s12), (d2, s02, s12, m33))))
+        rotation = quat_to_matrix(UnitQuaternion.normalized(vecs[:, 3].tolist()))
+    r = rotation.as_array()
+    t = bar[3:] - r @ bar[:3]
+    residuals = p @ r.T + t - q
+    rms = math.sqrt(np.add.reduce(np.add.reduce(residuals * residuals, axis=1)) / n)
+    return RigidTransform(rotation, tuple(t.tolist())), rms
+
+
+def _old_own_frames_rotation(p, q, ap, aq):
+    kp, kq = math.frexp(ap)[1] - 1, math.frexp(aq)[1] - 1
+    return _old_horn(np.ldexp(p, -kp), np.ldexp(q, -kq), 2.0, 2.0)[0].rotation
+
+
+def _horn_oracle_sources(gen, case):
+    """Source clouds at the edge of the scatter bound, for one case."""
+    if case.startswith("line"):
+        # a line along a random direction with noise of relative size delta:
+        # e1/e2 is about delta^2 and crosses SCATTER_RANK_TOL near 1e-6
+        scale = float(case.split()[1])
+        for delta in np.logspace(-4, -8, 33):
+            for n in (3, 10, 50):
+                for _ in range(4):
+                    d = gen.normal(size=3)
+                    yield (np.outer(gen.normal(size=n), d / np.linalg.norm(d))
+                           + gen.normal(size=(n, 3)) * delta) * scale
+    elif case == "subnormal minors":
+        # near-collinear clouds of trace 3e-157, whose minors go subnormal and
+        # round coarser than SCATTER_RANK_TOL: a bound without TRACE_MIN
+        # clears some that eigvalsh calls collinear
+        for delta in np.logspace(-6.3, -5.9, 400):
+            d = gen.normal(size=3)
+            p = (np.outer(gen.normal(size=10), d / np.linalg.norm(d))
+                 + gen.normal(size=(10, 3)) * delta)
+            yield p * math.sqrt(3e-157 / np.sum((p - p.mean(axis=0)) ** 2))
+    elif case == "coplanar":
+        for scale in (1e-100, 1e-8, 1.0, 1e8, 1e100):
+            for n in (4, 10, 200):
+                p = gen.normal(size=(n, 3))
+                p[:, 2] = 0.0
+                yield (p @ np.linalg.qr(gen.normal(size=(3, 3)))[0] + gen.normal(size=3)) * scale
+    elif case == "three points":
+        for scale in (1e-100, 1e-8, 1.0, 1e8, 1e100):
+            for _ in range(20):
+                yield gen.normal(size=(3, 3)) * scale
+    else:  # the clouds of test_horn_accepts_tiny_spread_far_from_origin
+        for spread in (1e-150, 1e-154, 1e-156, 1e-158, 1e-160, 1e-162, 1e-165, 1e-170,
+                       1e-200, 1e-250, 1e-300):
+            yield gen.normal(size=(200, 3)) * spread + [1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("case", ["line 1", "line 1e-100", "line 1e100", "subnormal minors",
+                                  "coplanar", "three points", "tiny spread"])
+def test_horn_outcome_identical_to_eigvalsh_checks(case):
+    # every outcome keeps its bits, or its exception type and message,
+    # against the reference that ran eigvalsh on every scatter
+    gen = np.random.default_rng(2900 + len(case))
+    outcomes = set()
+    for p in _horn_oracle_sources(gen, case):
+        r0 = np.linalg.qr(gen.normal(size=(3, 3)))[0]
+        q = p @ r0.T + gen.normal(size=3) * np.abs(p).max()
+        source, target = PointSet(p), PointSet(q)
+        got = _bits(horn_align, source, target)
+        assert got == _bits(lambda s, t: _old_horn(s.points, t.points, s._extent, t._extent),
+                            source, target)
+        outcomes.add(got[0] if isinstance(got, tuple) else float)
+    assert float in outcomes
+    assert (DegeneracyError in outcomes) == (case.startswith("line")
+                                             or case == "subnormal minors")
+
+
+def test_horn_runs_no_eigvalsh_on_spread_clouds(monkeypatch):
+    # the scatter bound decides every Gaussian cloud, so Horn's only LAPACK
+    # call is the eigh on M
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(a) or eigvalsh(*a, **k))
+    gen = np.random.default_rng(29)
+    for n in (50, 200):
+        for _ in range(32):
+            p = gen.normal(size=(n, 3))
+            r0 = np.linalg.qr(gen.normal(size=(3, 3)))[0]
+            horn_align(PointSet(p), PointSet(p @ r0.T + gen.normal(size=3)))
+    assert calls == []
 
 
 @pytest.mark.parametrize("source_scale, target_scale", [

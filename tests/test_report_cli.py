@@ -500,6 +500,22 @@ def test_register_degenerate_cloud_exit_1(capsys, tmp_path):
     assert "collinear" in err
 
 
+def test_register_horn_rejects_clouds_of_two_sizes_exit_2(capsys, tmp_path):
+    # corresponded clouds of two sizes are invalid input, not a degeneracy;
+    # ICP matches clouds of any sizes
+    three, four = tmp_path / "three.xyz", tmp_path / "four.xyz"
+    three.write_text("0 0 0\n1 0 0\n0 1 0\n")
+    four.write_text("0 0 0\n1 0 0\n0 1 0\n0 0 1\n")
+    code, out, err = run_cli(capsys, "register", "--source", str(three),
+                             "--target", str(four), "--method", "horn")
+    assert (code, out) == (2, "")
+    assert err == (f"error: horn needs corresponded clouds of one size: "
+                   f"{three} has 3 points, {four} 4\n")
+    code, out, _ = run_cli(capsys, "register", "--source", str(three),
+                           "--target", str(four), "--method", "icp")
+    assert code == 0 and "iterations: " in out
+
+
 @pytest.mark.parametrize("value", ["nan", "1e400", "-inf"])
 def test_register_non_finite_value_reports_line(capsys, tmp_path, value):
     bad = tmp_path / "bad.xyz"
